@@ -81,11 +81,25 @@ class TestScanThetaCommand:
     ARGS = ["scan-theta", "--beta", "0.5,2.0", "--e", "0,0.2",
             "--csv", "out.csv", "--tol", "1e-10"]
 
-    def test_matches_golden_csv(self, tmp_path, monkeypatch, capsys):
-        code, _, _ = run_cli(list(self.ARGS), tmp_path, monkeypatch, capsys)
+    # The mass and polygon goldens each hold failed rows: the inadmissible
+    # (0.6, 0.6) cell and the 1e30 site-bracket failures.
+    @pytest.mark.parametrize(
+        "golden, args",
+        [
+            ("golden_theta.csv", ARGS),
+            ("golden_mass.csv",
+             ["scan-mass", "--m1", "0.05,0.6", "--m3", "0.05,0.6", "--e", "0",
+              "--csv", "out.csv", "--tol", "1e-10"]),
+            ("golden_polygon.csv",
+             ["polygon-verdicts", "--n", "8", "--m0-over-m", "1000,1e30", "--e", "0",
+              "--sites", "S1,S3", "--csv", "out.csv", "--tol", "1e-10"]),
+        ],
+        ids=["theta", "mass", "polygon"],
+    )
+    def test_matches_golden_csv(self, golden, args, tmp_path, monkeypatch, capsys):
+        code, _, _ = run_cli(list(args), tmp_path, monkeypatch, capsys)
         assert code == 0
-        golden = (DATA / "golden_theta.csv").read_text()
-        assert (tmp_path / "out.csv").read_text() == golden
+        assert (tmp_path / "out.csv").read_text() == (DATA / golden).read_text()
 
     def test_rerun_byte_identical(self, tmp_path, monkeypatch, capsys):
         run_cli(list(self.ARGS), tmp_path, monkeypatch, capsys)
