@@ -205,11 +205,6 @@ class Configuration:
             inertia_residual=self.inertia_residual,
         )
 
-    @property
-    def center_residual(self) -> float:
-        m = self.masses.array
-        return float(np.hypot(*(m @ self.primary_positions)))
-
 
 # ---------------------------------------------------------------------------
 # Euler three-body spacing quintic

@@ -17,27 +17,25 @@ import tempfile
 import time
 from dataclasses import dataclass
 from datetime import datetime, timezone
+from enum import Enum
 
 import numpy as np
 
 from . import __version__
-from .central_config import (
-    MassSystem,
-    collinear_three_primaries,
-    moulton_collinear,
-    offline_equilibrium,
-)
+from .central_config import MassSystem, collinear_three_primaries, moulton_collinear
 from .errors import DomainError, ErestabError
-from .linearization import StabilityParams, compute_D, spectral_params
+from .linearization import StabilityParams
 from .maslov import morse_index
-from .monodromy import classify_spectrum, integrate_fundamental
 from .polygon_config import PolygonSystem, Site, solve_site
 from .scan import (
     CurveKind,
     ScanSettings,
+    analyze,
+    collinear_params,
     find_curves,
     find_mstar,
     mass_scan_4body,
+    polygon_params,
     polygon_verdicts,
     scan_theta,
 )
@@ -45,12 +43,12 @@ from .svg import PlotStyle, emit_svg
 
 SCHEMA_VERSION = 1
 
+_EIG_COLUMNS = [f"eig{i}_{part}" for i in range(1, 5) for part in ("re", "im")]
 THETA_COLUMNS = (
     ["beta", "e", "verdict", "phi_1", "nu_1", "phi_m1", "nu_m1"]
-    + [f"eig{i}_{part}" for i in range(1, 5) for part in ("re", "im")]
+    + _EIG_COLUMNS
     + ["sympl_residual", "error"]
 )
-CURVE_COLUMNS = ["e", "curve", "beta", "bracket_width"]
 MASS_COLUMNS = ["m1", "m3", "m2", "beta", "verdict", "error"]
 POLY_COLUMNS = [
     "n", "m0_over_M", "e", "site", "rho", "lambda3", "lambda4", "alpha", "beta",
@@ -238,10 +236,6 @@ def _merge_config_file(config: RunConfig, path: str) -> RunConfig:
 # Serialization helpers
 # ---------------------------------------------------------------------------
 
-def _verdict_name(v) -> str:
-    return v.verdict.value if v is not None else "Error"
-
-
 def _eig_cells(eigs) -> dict:
     cells = {}
     for i in range(4):
@@ -251,50 +245,20 @@ def _eig_cells(eigs) -> dict:
     return cells
 
 
-def _theta_rows(records) -> list[dict]:
+def _plain(value):
+    return value.value if isinstance(value, Enum) else value
+
+
+def _rows(records, columns) -> list[dict]:
+    """Values of sweep records under a schema's columns, multipliers last."""
     rows = []
     for r in records:
-        row = {
-            "beta": r.beta, "e": r.e,
-            "verdict": _verdict_name(r.verdict) if r.error is None else "Error",
-            "phi_1": r.phi_1, "nu_1": r.nu_1, "phi_m1": r.phi_m1, "nu_m1": r.nu_m1,
-            "sympl_residual": r.sympl_residual, "error": r.error,
-        }
-        row.update(_eig_cells(r.eigenvalues))
+        row = {c: _plain(getattr(r, c)) for c in columns if c not in _EIG_COLUMNS}
+        row["verdict"] = "Error" if r.verdict is None else r.verdict.verdict.value
+        if _EIG_COLUMNS[0] in columns:
+            row.update(_eig_cells(r.eigenvalues))
         rows.append(row)
     return rows
-
-
-def _curve_rows(points) -> list[dict]:
-    return [
-        {"e": p.e, "curve": p.curve.value, "beta": p.beta, "bracket_width": p.bracket_width}
-        for p in points
-    ]
-
-
-def _mass_rows(points) -> list[dict]:
-    return [
-        {
-            "m1": p.m1, "m3": p.m3, "m2": p.m2, "beta": p.beta,
-            "verdict": _verdict_name(p.verdict) if p.error is None else "Error",
-            "error": p.error,
-        }
-        for p in points
-    ]
-
-
-def _poly_rows(records) -> list[dict]:
-    return [
-        {
-            "n": r.n, "m0_over_M": r.m0_over_M, "e": r.e, "site": r.site.value,
-            "rho": r.rho, "lambda3": r.lambda3, "lambda4": r.lambda4,
-            "alpha": r.alpha, "beta": r.beta,
-            "verdict": _verdict_name(r.verdict) if r.error is None else "Error",
-            "phi_1": r.phi_1, "nu_1": r.nu_1, "phi_m1": r.phi_m1, "nu_m1": r.nu_m1,
-            "error": r.error,
-        }
-        for r in records
-    ]
 
 
 def _config_json(config) -> dict:
@@ -350,38 +314,26 @@ def _cmd_polygon(cfg: RunConfig):
     return summary, _json_artifact(cfg, summary)
 
 
-def _stability_params(cfg: RunConfig) -> tuple[StabilityParams, dict]:
+def _cmd_stability(cfg: RunConfig):
     family = str(_require(cfg, "family"))
     e = _as_float(_require(cfg, "e"))
     if family == "collinear":
         masses = MassSystem.normalized(_as_range(_require(cfg, "m")))
-        if len(masses) == 3:
-            config = collinear_three_primaries(masses)
-        else:
-            config = moulton_collinear(masses)
         guess = cfg.parameters.get("guess")
-        config = offline_equilibrium(
-            config, tuple(_as_range(guess)) if guess is not None else (0.0, 1.0)
-        )
-        p = spectral_params(compute_D(config), e)
+        if guess is None:
+            p = collinear_params(masses, e)
+        else:
+            p = collinear_params(masses, e, tuple(_as_range(guess)))
         extra = {"family": family, "masses": list(masses.masses)}
     elif family == "polygon":
         n = _as_int_list(_require(cfg, "n"))[0]
         ratio = _as_float(_require(cfg, "m0_over_m"))
         site = _as_sites(_require(cfg, "site"))[0]
-        bang = solve_site(PolygonSystem.from_mass_ratio(n, ratio), site)
-        p = StabilityParams(bang.lambda3, bang.lambda4, e)
+        p, _ = polygon_params(n, ratio, site, e)
         extra = {"family": family, "n": n, "m0_over_M": ratio, "site": site.value}
     else:
         raise ConfigError(f"family must be 'collinear' or 'polygon', got {family!r}")
-    return p, extra
-
-
-def _cmd_stability(cfg: RunConfig):
-    p, extra = _stability_params(cfg)
-    settings = cfg.settings()
-    mono = integrate_fundamental(p, settings.integrator_tol)
-    verdict = classify_spectrum(mono, settings.circle_tol)
+    result = analyze(p, cfg.settings(), indices=False)
     summary = {
         **extra,
         "e": p.e,
@@ -390,10 +342,10 @@ def _cmd_stability(cfg: RunConfig):
         "alpha": p.alpha,
         "beta": p.beta,
         "beta_hls": None if not p.beta_hls_applicable else p.beta_hls,
-        "verdict": verdict.verdict.value,
-        "on_circle_count": verdict.on_circle_count,
-        "eigenvalues": [[z.real, z.imag] for z in mono.eigenvalues],
-        "sympl_residual": mono.symplectic_residual,
+        "verdict": result.verdict.verdict.value,
+        "on_circle_count": result.verdict.on_circle_count,
+        "eigenvalues": [[z.real, z.imag] for z in result.eigenvalues],
+        "sympl_residual": result.sympl_residual,
     }
     return summary, _json_artifact(cfg, summary)
 
@@ -424,39 +376,50 @@ def _cmd_index(cfg: RunConfig):
     return summary, _json_artifact(cfg, summary)
 
 
+def _sweep_output(cfg: RunConfig, kind: str, columns, records, settings: ScanSettings,
+                  svg=None):
+    """Summary and artifacts of a sweep: CSV and JSON rows, and the SVG that
+    ``svg(rows)`` draws when the sweep has a plot."""
+    rows = _rows(records, columns)
+    digest = settings.digest()
+    artifacts = []
+    if cfg.output.get("csv"):
+        artifacts.append((cfg.output["csv"], _csv(kind, columns, rows, digest)))
+    if cfg.output.get("json"):
+        artifacts.append(
+            (cfg.output["json"], json.dumps({"settings": digest, "rows": rows}, indent=2) + "\n")
+        )
+    if cfg.output.get("svg") and svg is not None:
+        artifacts.append((cfg.output["svg"], svg(rows)))
+    summary = {"rows": len(rows), "settings": digest,
+               "artifacts": [a[0] for a in artifacts]}
+    return summary, artifacts
+
+
+def _theta_svg(rows, e_grid, settings: ScanSettings) -> str:
+    curve_es = [e for e in e_grid if e <= 0.95]
+    if len(curve_es) > 11:
+        curve_es = [curve_es[i] for i in
+                    np.linspace(0, len(curve_es) - 1, 11).astype(int)]
+    curve_points = find_curves(curve_es, settings=settings)
+    curves = [
+        (kind.value, [(p.beta, p.e) for p in curve_points if p.curve is kind])
+        for kind in (CurveKind.BETA_S, CurveKind.BETA_M, CurveKind.BETA_K)
+    ]
+    return emit_svg(
+        [(r["beta"], r["e"], r["verdict"]) for r in rows],
+        curves,
+        PlotStyle(title="stability over (beta, e)", xlabel="beta", ylabel="e"),
+    )
+
+
 def _cmd_scan_theta(cfg: RunConfig):
     beta_grid = _as_range(_require(cfg, "beta"))
     e_grid = _as_range(_require(cfg, "e"))
     settings = cfg.settings()
     records = scan_theta(beta_grid, e_grid, settings)
-    rows = _theta_rows(records)
-    digest = settings.digest()
-    artifacts = []
-    if cfg.output.get("csv"):
-        artifacts.append((cfg.output["csv"], _csv("scan-theta", THETA_COLUMNS, rows, digest)))
-    if cfg.output.get("json"):
-        artifacts.append(
-            (cfg.output["json"], json.dumps({"settings": digest, "rows": rows}, indent=2) + "\n")
-        )
-    if cfg.output.get("svg"):
-        curve_es = [e for e in e_grid if e <= 0.95]
-        if len(curve_es) > 11:
-            curve_es = [curve_es[i] for i in
-                        np.linspace(0, len(curve_es) - 1, 11).astype(int)]
-        curve_points = find_curves(curve_es, settings=settings)
-        curves = [
-            (kind.value, [(p.beta, p.e) for p in curve_points if p.curve is kind])
-            for kind in (CurveKind.BETA_S, CurveKind.BETA_M, CurveKind.BETA_K)
-        ]
-        svg = emit_svg(
-            [(r["beta"], r["e"], r["verdict"]) for r in rows],
-            curves,
-            PlotStyle(title="stability over (beta, e)", xlabel="beta", ylabel="e"),
-        )
-        artifacts.append((cfg.output["svg"], svg))
-    summary = {"rows": len(rows), "settings": digest,
-               "artifacts": [a[0] for a in artifacts]}
-    return summary, artifacts
+    return _sweep_output(cfg, "scan-theta", THETA_COLUMNS, records, settings,
+                         lambda rows: _theta_svg(rows, e_grid, settings))
 
 
 def _cmd_scan_mass(cfg: RunConfig):
@@ -465,21 +428,14 @@ def _cmd_scan_mass(cfg: RunConfig):
     e = _as_float(cfg.parameters.get("e", 0.0))
     settings = cfg.settings()
     points = mass_scan_4body(m1_grid, m3_grid, e, settings)
-    rows = _mass_rows(points)
-    digest = settings.digest()
-    artifacts = []
-    if cfg.output.get("csv"):
-        artifacts.append((cfg.output["csv"], _csv("scan-mass", MASS_COLUMNS, rows, digest)))
-    if cfg.output.get("svg"):
-        svg = emit_svg(
+    return _sweep_output(
+        cfg, "scan-mass", MASS_COLUMNS, points, settings,
+        lambda rows: emit_svg(
             [(r["m1"], r["m3"], r["verdict"]) for r in rows],
             [],
             PlotStyle(title=f"stable masses at e={e:g}", xlabel="m1", ylabel="m3"),
-        )
-        artifacts.append((cfg.output["svg"], svg))
-    summary = {"rows": len(rows), "settings": digest,
-               "artifacts": [a[0] for a in artifacts]}
-    return summary, artifacts
+        ),
+    )
 
 
 def _cmd_find_mstar(cfg: RunConfig):
@@ -504,16 +460,7 @@ def _cmd_polygon_verdicts(cfg: RunConfig):
     sites = _as_sites(cfg.parameters.get("sites", "S1,S2,S3"))
     settings = cfg.settings()
     records = polygon_verdicts(n_list, ratios, e_list, sites, settings)
-    rows = _poly_rows(records)
-    digest = settings.digest()
-    artifacts = []
-    if cfg.output.get("csv"):
-        artifacts.append(
-            (cfg.output["csv"], _csv("polygon-verdicts", POLY_COLUMNS, rows, digest))
-        )
-    summary = {"rows": len(rows), "settings": digest,
-               "artifacts": [a[0] for a in artifacts]}
-    return summary, artifacts
+    return _sweep_output(cfg, "polygon-verdicts", POLY_COLUMNS, records, settings)
 
 
 def _json_artifact(cfg: RunConfig, summary: dict):

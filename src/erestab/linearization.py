@@ -177,19 +177,6 @@ def b_matrix(p: StabilityParams, theta: float) -> np.ndarray:
     return out
 
 
-def b_matrix_d_form(d: DMatrix, e: float, theta: float) -> np.ndarray:
-    """Coefficient matrix carrying the full (undiagonalized) D block."""
-    if not 0.0 <= e < 1.0:
-        raise DomainError(f"eccentricity must lie in [0, 1), got {e}")
-    re = 1.0 / (1.0 + e * math.cos(theta))
-    out = np.empty((4, 4))
-    out[:2, :2] = I2
-    out[:2, 2:] = -J2
-    out[2:, :2] = J2
-    out[2:, 2:] = I2 - re * d.entries
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Symmetric four-body chain in closed form
 # ---------------------------------------------------------------------------

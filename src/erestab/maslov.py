@@ -156,26 +156,6 @@ def morse_index(
     )
 
 
-def positivity_check(
-    p: StabilityParams,
-    omega_samples: int = 16,
-    levels: tuple[int, ...] = DEFAULT_LEVELS,
-) -> bool:
-    """True when the operator is positive definite at every sampled omega.
-
-    Samples rho = j / omega_samples on a uniform circle grid; positive
-    definiteness at all omega certifies hyperbolicity of the monodromy.
-    """
-    if omega_samples < 16:
-        raise DomainError("omega_samples must be at least 16")
-    for j in range(omega_samples):
-        omega = cmath.exp(2j * math.pi * j / omega_samples)
-        result = morse_index(p, omega, levels)
-        if result.phi > 0 or result.nu > 0:
-            return False
-    return True
-
-
 # ---------------------------------------------------------------------------
 # Consistency between operator indices and the monodromy
 # ---------------------------------------------------------------------------

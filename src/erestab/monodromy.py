@@ -13,22 +13,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Sequence
 
 import numpy as np
 from scipy.integrate import solve_ivp
-from scipy.optimize import linear_sum_assignment
 
 from .errors import ConvergenceError, DomainError
-from .linearization import (
-    J2,
-    J4,
-    DMatrix,
-    StabilityParams,
-    b_matrix,
-    b_matrix_d_form,
-    spectral_params,
-)
+from .linearization import J4, StabilityParams
 
 TWO_PI = 2.0 * math.pi
 DEFAULT_TOL = 1e-12
@@ -36,53 +26,9 @@ DEFAULT_CIRCLE_TOL = 1e-6
 MAX_ECCENTRICITY = 0.99
 
 
-def matrix_exponential(a: np.ndarray) -> np.ndarray:
-    """Dense matrix exponential by scaling and squaring with a Taylor tail.
-
-    Written as an independent oracle for the constant-coefficient (e = 0)
-    monodromy; accuracy is limited only by rounding for the small matrices
-    used here.
-    """
-    mat = np.asarray(a, dtype=float)
-    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-        raise DomainError("matrix_exponential needs a square matrix")
-    norm = float(np.max(np.sum(np.abs(mat), axis=1)))
-    squarings = 0 if norm <= 0.5 else int(math.ceil(math.log2(norm / 0.5)))
-    scaled = mat / (2.0**squarings)
-    result = np.eye(mat.shape[0])
-    term = np.eye(mat.shape[0])
-    for k in range(1, 60):
-        term = term @ scaled / k
-        result = result + term
-        if float(np.max(np.abs(term))) < 1e-20 * (1.0 + float(np.max(np.abs(result)))):
-            break
-    for _ in range(squarings):
-        result = result @ result
-    return result
-
-
 def symplectic_residual(mat: np.ndarray) -> float:
     """Max-norm of M^T J M - J."""
     return float(np.max(np.abs(mat.T @ J4 @ mat - J4)))
-
-
-def eigenvalue_quadruple_residual(eigenvalues: Sequence[complex]) -> float:
-    """How far the set is from closure under w -> 1/w and w -> conj(w)."""
-    eigs = np.asarray(eigenvalues, dtype=complex)
-    worst = 0.0
-    for lam in eigs:
-        for image in (1.0 / lam, np.conj(lam)):
-            worst = max(worst, float(np.min(np.abs(eigs - image))))
-    return worst
-
-
-def spectral_distance(eigs_a, eigs_b) -> float:
-    """Max distance under the optimal pairing of two eigenvalue multisets."""
-    a = np.asarray(eigs_a, dtype=complex)
-    b = np.asarray(eigs_b, dtype=complex)
-    cost = np.abs(a[:, None] - b[None, :])
-    rows, cols = linear_sum_assignment(cost)
-    return float(cost[rows, cols].max())
 
 
 @dataclass(frozen=True, eq=False)
@@ -109,22 +55,6 @@ class Monodromy:
     @property
     def determinant(self) -> float:
         return float(np.linalg.det(self.gamma_end))
-
-
-def _solve(rhs: Callable, tol: float, t_eval=None):
-    sol = solve_ivp(
-        rhs,
-        (0.0, TWO_PI),
-        np.eye(4).ravel(),
-        method="DOP853",
-        rtol=tol,
-        atol=tol,
-        t_eval=t_eval,
-        dense_output=False,
-    )
-    if not sol.success:
-        raise ConvergenceError(f"fundamental-solution integration failed: {sol.message}")
-    return sol
 
 
 def integrate_fundamental(p: StabilityParams, tol: float = DEFAULT_TOL) -> Monodromy:
@@ -155,48 +85,20 @@ def integrate_fundamental(p: StabilityParams, tol: float = DEFAULT_TOL) -> Monod
             )
         )
 
-    sol = _solve(rhs, tol)
+    sol = solve_ivp(
+        rhs,
+        (0.0, TWO_PI),
+        np.eye(4).ravel(),
+        method="DOP853",
+        rtol=tol,
+        atol=tol,
+        dense_output=False,
+    )
+    if not sol.success:
+        raise ConvergenceError(f"fundamental-solution integration failed: {sol.message}")
     gamma = sol.y[:, -1].reshape(4, 4)
     meta = {"method": "DOP853", "tol": tol, "nfev": int(sol.nfev), "nsteps": len(sol.t) - 1}
     return Monodromy.from_matrix(gamma, meta)
-
-
-def integrate_coefficient_path(
-    b_of_theta: Callable[[float], np.ndarray], tol: float = DEFAULT_TOL, t_eval=None
-):
-    """Generic fundamental-solution integration for an arbitrary B(theta).
-
-    Returns (gamma(2*pi), list of intermediate gamma samples) where the
-    samples follow ``t_eval`` (empty when t_eval is None).
-    """
-
-    def rhs(theta, y):
-        return (J4 @ b_of_theta(theta) @ y.reshape(4, 4)).ravel()
-
-    sol = _solve(rhs, tol, t_eval=t_eval)
-    samples = [sol.y[:, i].reshape(4, 4) for i in range(sol.y.shape[1])] if t_eval is not None else []
-    return sol.y[:, -1].reshape(4, 4), samples
-
-
-def sample_symplectic_residuals(
-    p: StabilityParams, tol: float = DEFAULT_TOL, samples: int = 64
-) -> np.ndarray:
-    """Symplectic residual of gamma(theta) at evenly spaced theta samples."""
-    t_eval = np.linspace(0.0, TWO_PI, samples + 1)
-    _, mats = integrate_coefficient_path(lambda t: b_matrix(p, t), tol, t_eval=t_eval)
-    return np.array([symplectic_residual(m) for m in mats])
-
-
-def frame_spectra_agreement(d: DMatrix, e: float, tol: float = DEFAULT_TOL) -> float:
-    """Spectral distance between the D-form and K-form monodromies.
-
-    The two coefficient paths are conjugate by a constant symplectic
-    rotation, so the distance is pure integration error.
-    """
-    p = spectral_params(d, e)
-    mono = integrate_fundamental(p, tol)
-    gamma_d, _ = integrate_coefficient_path(lambda t: b_matrix_d_form(d, e, t), tol)
-    return spectral_distance(mono.eigenvalues, np.linalg.eigvals(gamma_d))
 
 
 # ---------------------------------------------------------------------------
@@ -216,20 +118,10 @@ class Verdict(Enum):
 
 
 @dataclass(frozen=True)
-class EigenvalueDetail:
-    value: complex
-    modulus: float
-    on_circle: bool
-    cluster_size: int
-    geometric_multiplicity: int | None
-
-
-@dataclass(frozen=True)
 class SpectrumVerdict:
     verdict: Verdict
     on_circle_count: int
     semisimple: bool
-    details: tuple[EigenvalueDetail, ...]
 
     @property
     def is_stable(self) -> bool:
@@ -267,34 +159,14 @@ def classify_spectrum(m: Monodromy, circle_tol: float = DEFAULT_CIRCLE_TOL) -> S
     on_idx = np.flatnonzero(on_circle)
     clusters = _cluster(eigs[on_idx], cluster_tol)
 
-    cluster_size = {int(i): 1 for i in range(4)}
-    geo_mult: dict[int, int | None] = {int(i): None for i in range(4)}
     semisimple = True
     for group in clusters:
-        idx = [int(on_idx[g]) for g in group]
-        size = len(idx)
-        geo = size
-        if size > 1:
+        if len(group) > 1:
+            idx = [int(on_idx[g]) for g in group]
             center = complex(np.mean(eigs[idx]))
             sv = np.linalg.svd(mat - center * np.eye(4), compute_uv=False)
-            geo = int(np.count_nonzero(sv < cluster_tol * mat_norm))
-            geo = max(1, min(geo, size))
-            if geo < size:
+            if np.count_nonzero(sv < cluster_tol * mat_norm) < len(group):
                 semisimple = False
-        for i in idx:
-            cluster_size[i] = size
-            geo_mult[i] = geo
-
-    details = tuple(
-        EigenvalueDetail(
-            value=complex(eigs[i]),
-            modulus=float(abs(eigs[i])),
-            on_circle=bool(on_circle[i]),
-            cluster_size=cluster_size[int(i)],
-            geometric_multiplicity=geo_mult[int(i)],
-        )
-        for i in range(4)
-    )
 
     if on_count == 0:
         verdict = Verdict.HYPERBOLIC
@@ -303,11 +175,9 @@ def classify_spectrum(m: Monodromy, circle_tol: float = DEFAULT_CIRCLE_TOL) -> S
     elif not semisimple:
         verdict = Verdict.SPECTRALLY_STABLE_NOT_LINEAR
     else:
-        distinct = all(cluster_size[i] == 1 for i in range(4))
+        distinct = all(len(group) == 1 for group in clusters)
         away = bool(np.all(np.abs(eigs - 1.0) > circle_tol) and np.all(np.abs(eigs + 1.0) > circle_tol))
         verdict = (
             Verdict.STRONGLY_LINEARLY_STABLE if (distinct and away) else Verdict.LINEARLY_STABLE
         )
-    return SpectrumVerdict(
-        verdict=verdict, on_circle_count=on_count, semisimple=semisimple, details=details
-    )
+    return SpectrumVerdict(verdict=verdict, on_circle_count=on_count, semisimple=semisimple)

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
 import os
 import warnings
 from concurrent.futures import ProcessPoolExecutor
@@ -21,7 +20,12 @@ from typing import Sequence
 
 import numpy as np
 
-from .central_config import MassSystem, collinear_three_primaries, offline_equilibrium
+from .central_config import (
+    MassSystem,
+    collinear_three_primaries,
+    moulton_collinear,
+    offline_equilibrium,
+)
 from .errors import CurveExtractionError, DomainError, ErestabError
 from .linearization import StabilityParams, compute_D, spectral_params, symmetric_beta
 from .maslov import DEFAULT_LEVELS, morse_index
@@ -35,7 +39,7 @@ from .monodromy import (
 from .polygon_config import PolygonSystem, Site, solve_site
 
 THETA_BETA_MAX = 9.0
-THETA_E_MAX = 0.99
+SWEEP_E_MAX = 0.99
 CURVE_E_MAX = 0.95
 
 
@@ -81,11 +85,103 @@ def _pmap(fn, items, workers: int):
 
 
 # ---------------------------------------------------------------------------
+# The point pipeline shared by every sweep
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True, kw_only=True)
+class PointResult:
+    """Verdict, multipliers and +-1 Morse indices of one parameter point.
+
+    The indices are None when they were not requested; a failed sweep point
+    carries its message in ``error`` and None in every other field.
+    """
+
+    verdict: SpectrumVerdict | None = None
+    eigenvalues: tuple[complex, ...] | None = None
+    sympl_residual: float | None = None
+    phi_1: int | None = None
+    nu_1: int | None = None
+    phi_m1: int | None = None
+    nu_m1: int | None = None
+    error: str | None = None
+
+    @property
+    def stable(self) -> bool:
+        return self.verdict is not None and self.verdict.is_stable
+
+
+def analyze(
+    p: StabilityParams, settings: ScanSettings = DEFAULT_SETTINGS, indices: bool = True
+) -> PointResult:
+    """Monodromy verdict of ``p`` and, with ``indices``, its +-1 Morse indices.
+
+    Numerical failures propagate as :class:`ErestabError`.
+    """
+    mono = integrate_fundamental(p, settings.integrator_tol)
+    out = {
+        "verdict": classify_spectrum(mono, settings.circle_tol),
+        "eigenvalues": mono.eigenvalues,
+        "sympl_residual": mono.symplectic_residual,
+    }
+    if indices:
+        idx1 = morse_index(p, 1.0, settings.morse_levels)
+        idxm = morse_index(p, -1.0, settings.morse_levels)
+        out.update(phi_1=idx1.phi, nu_1=idx1.nu, phi_m1=idxm.phi, nu_m1=idxm.nu)
+    return PointResult(**out)
+
+
+def collinear_params(
+    masses: MassSystem, e: float, guess: Sequence[float] = (0.0, 1.0)
+) -> StabilityParams:
+    """Parameters of a collinear chain with the massless body off the line.
+
+    Three primaries take the spacing quintic, longer chains Moulton's
+    solution; ``guess`` seeds the off-line equilibrium search.
+    """
+    if len(masses) == 3:
+        config = collinear_three_primaries(masses)
+    else:
+        config = moulton_collinear(masses)
+    return spectral_params(compute_D(offline_equilibrium(config, guess)), e)
+
+
+def polygon_params(
+    n: int, m0_over_M: float, site: Site, e: float
+) -> tuple[StabilityParams, float]:
+    """Parameters of a (1+n)-gon equilibrium site, with the site's rho."""
+    bang = solve_site(PolygonSystem.from_mass_ratio(n, m0_over_M), site)
+    return StabilityParams(bang.lambda3, bang.lambda4, e), bang.rho
+
+
+def _check_eccentricities(e_values: Sequence[float]) -> None:
+    for e in e_values:
+        if not 0.0 <= e <= SWEEP_E_MAX:
+            raise DomainError(f"e {e} outside [0, {SWEEP_E_MAX}]")
+
+
+def _point(keys: dict, build, record: type, indices: bool, settings: ScanSettings):
+    """Sweep point ``keys`` as a ``record``: ``build(**keys)`` returns the
+    point's parameters and the columns it derives from them, which are then
+    analyzed.  A failed point keeps only its keys and the message."""
+    try:
+        p, derived = build(**keys)
+        result = analyze(p, settings, indices)
+    except ErestabError as exc:
+        return record(**keys, error=str(exc))
+    return record(**keys, **derived, **vars(result))
+
+
+def _sweep(build, record: type, keys: list[dict], indices: bool, settings: ScanSettings):
+    point = partial(_point, build=build, record=record, indices=indices, settings=settings)
+    return _pmap(point, keys, settings.workers)
+
+
+# ---------------------------------------------------------------------------
 # Theta rectangle scan
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ScanRecord:
+@dataclass(frozen=True, kw_only=True)
+class ScanRecord(PointResult):
     """One point of the (beta, e) rectangle with verdict and indices.
 
     ``beta`` is the collinear-family parameter 9 - (lambda3 - lambda4)^2
@@ -94,45 +190,10 @@ class ScanRecord:
 
     beta: float
     e: float
-    params: StabilityParams | None
-    verdict: SpectrumVerdict | None
-    phi_1: int | None
-    nu_1: int | None
-    phi_m1: int | None
-    nu_m1: int | None
-    eigenvalues: tuple[complex, ...] | None
-    sympl_residual: float | None
-    source: str
-    error: str | None = None
 
 
-def _theta_point(point: tuple[float, float], settings: ScanSettings) -> ScanRecord:
-    beta, e = point
-    try:
-        p = StabilityParams.from_beta_hls(beta, e)
-        mono = integrate_fundamental(p, settings.integrator_tol)
-        verdict = classify_spectrum(mono, settings.circle_tol)
-        idx1 = morse_index(p, 1.0, settings.morse_levels)
-        idxm = morse_index(p, -1.0, settings.morse_levels)
-        return ScanRecord(
-            beta=beta,
-            e=e,
-            params=p,
-            verdict=verdict,
-            phi_1=idx1.phi,
-            nu_1=idx1.nu,
-            phi_m1=idxm.phi,
-            nu_m1=idxm.nu,
-            eigenvalues=mono.eigenvalues,
-            sympl_residual=mono.symplectic_residual,
-            source="grid",
-        )
-    except ErestabError as exc:
-        return ScanRecord(
-            beta=beta, e=e, params=None, verdict=None, phi_1=None, nu_1=None,
-            phi_m1=None, nu_m1=None, eigenvalues=None, sympl_residual=None,
-            source="grid", error=str(exc),
-        )
+def _theta_build(beta: float, e: float) -> tuple[StabilityParams, dict]:
+    return StabilityParams.from_beta_hls(beta, e), {}
 
 
 def scan_theta(
@@ -147,11 +208,9 @@ def scan_theta(
     for b in beta_grid:
         if not 0.0 <= b <= THETA_BETA_MAX:
             raise DomainError(f"beta {b} outside [0, {THETA_BETA_MAX}]")
-    for e in e_grid:
-        if not 0.0 <= e <= THETA_E_MAX:
-            raise DomainError(f"e {e} outside [0, {THETA_E_MAX}]")
-    points = [(float(b), float(e)) for e in e_grid for b in beta_grid]
-    return _pmap(partial(_theta_point, settings=settings), points, settings.workers)
+    _check_eccentricities(e_grid)
+    keys = [{"beta": float(b), "e": float(e)} for e in e_grid for b in beta_grid]
+    return _sweep(_theta_build, ScanRecord, keys, True, settings)
 
 
 # ---------------------------------------------------------------------------
@@ -295,34 +354,21 @@ def region_of(beta: float, beta_s: float, beta_m: float, beta_k: float) -> str:
 # Four-body mass plane
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class MassScanPoint:
+@dataclass(frozen=True, kw_only=True)
+class MassScanPoint(PointResult):
+    """One cell of the (m1, m3) plane; ``beta`` is the chain's beta_hls."""
+
     m1: float
     m3: float
     m2: float
-    beta: float | None
-    verdict: SpectrumVerdict | None
-    error: str | None = None
-
-    @property
-    def stable(self) -> bool:
-        return self.verdict is not None and self.verdict.is_stable
+    beta: float | None = None
 
 
-def _mass_point(point: tuple[float, float], e: float, settings: ScanSettings) -> MassScanPoint:
-    m1, m3 = point
-    m2 = 1.0 - m1 - m3
-    try:
-        if m1 <= 0.0 or m3 <= 0.0 or m2 <= 0.0:
-            raise DomainError("masses must be positive with m1 + m3 < 1")
-        config = collinear_three_primaries(MassSystem.normalized((m1, m2, m3)))
-        config = offline_equilibrium(config)
-        p = spectral_params(compute_D(config), e)
-        mono = integrate_fundamental(p, settings.integrator_tol)
-        verdict = classify_spectrum(mono, settings.circle_tol)
-        return MassScanPoint(m1=m1, m3=m3, m2=m2, beta=p.beta_hls, verdict=verdict)
-    except ErestabError as exc:
-        return MassScanPoint(m1=m1, m3=m3, m2=m2, beta=None, verdict=None, error=str(exc))
+def _mass_build(m1: float, m3: float, m2: float, e: float) -> tuple[StabilityParams, dict]:
+    if m1 <= 0.0 or m3 <= 0.0 or m2 <= 0.0:
+        raise DomainError("masses must be positive with m1 + m3 < 1")
+    p = collinear_params(MassSystem.normalized((m1, m2, m3)), e)
+    return p, {"beta": p.beta_hls}
 
 
 def mass_scan_4body(
@@ -337,9 +383,15 @@ def mass_scan_4body(
     verdict is computed through the full chain: spacing quintic, off-line
     equilibrium, stability matrix, monodromy.  Emits one point per grid
     cell in m1-major order; inadmissible or failed cells carry an error.
+    An ``e`` outside [0, 0.99] raises before any cell is computed.
     """
-    points = [(float(a), float(b)) for a in m1_grid for b in m3_grid]
-    return _pmap(partial(_mass_point, e=float(e), settings=settings), points, settings.workers)
+    _check_eccentricities([e])
+    keys = [
+        {"m1": float(a), "m3": float(b), "m2": 1.0 - float(a) - float(b)}
+        for a in m1_grid
+        for b in m3_grid
+    ]
+    return _sweep(partial(_mass_build, e=float(e)), MassScanPoint, keys, False, settings)
 
 
 # ---------------------------------------------------------------------------
@@ -401,49 +453,28 @@ def find_mstar(tolerance: float = 1e-6, grid_step: float = 1e-3) -> MstarResult:
 # Polygon verdict table
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class PolygonVerdictRecord:
+@dataclass(frozen=True, kw_only=True)
+class PolygonVerdictRecord(PointResult):
+    """One (n, m0/M, e, site) cell of the polygon table."""
+
     n: int
     m0_over_M: float
     e: float
     site: Site
-    rho: float | None
-    lambda3: float | None
-    lambda4: float | None
-    alpha: float | None
-    beta: float | None
-    verdict: SpectrumVerdict | None
-    phi_1: int | None
-    nu_1: int | None
-    phi_m1: int | None
-    nu_m1: int | None
-    error: str | None = None
+    rho: float | None = None
+    lambda3: float | None = None
+    lambda4: float | None = None
+    alpha: float | None = None
+    beta: float | None = None
 
 
-def _polygon_cell(
-    cell: tuple[int, float, float, Site], settings: ScanSettings
-) -> PolygonVerdictRecord:
-    n, ratio, e, site = cell
-    try:
-        sys = PolygonSystem.from_mass_ratio(n, ratio)
-        bang = solve_site(sys, site)
-        p = StabilityParams(bang.lambda3, bang.lambda4, e)
-        mono = integrate_fundamental(p, settings.integrator_tol)
-        verdict = classify_spectrum(mono, settings.circle_tol)
-        idx1 = morse_index(p, 1.0, settings.morse_levels)
-        idxm = morse_index(p, -1.0, settings.morse_levels)
-        return PolygonVerdictRecord(
-            n=n, m0_over_M=ratio, e=e, site=site, rho=bang.rho,
-            lambda3=p.lambda3, lambda4=p.lambda4, alpha=p.alpha, beta=p.beta,
-            verdict=verdict, phi_1=idx1.phi, nu_1=idx1.nu,
-            phi_m1=idxm.phi, nu_m1=idxm.nu,
-        )
-    except ErestabError as exc:
-        return PolygonVerdictRecord(
-            n=n, m0_over_M=ratio, e=e, site=site, rho=None, lambda3=None,
-            lambda4=None, alpha=None, beta=None, verdict=None, phi_1=None,
-            nu_1=None, phi_m1=None, nu_m1=None, error=str(exc),
-        )
+def _polygon_build(
+    n: int, m0_over_M: float, e: float, site: Site
+) -> tuple[StabilityParams, dict]:
+    p, rho = polygon_params(n, m0_over_M, site, e)
+    derived = {"rho": rho, "lambda3": p.lambda3, "lambda4": p.lambda4,
+               "alpha": p.alpha, "beta": p.beta}
+    return p, derived
 
 
 def polygon_verdicts(
@@ -453,14 +484,19 @@ def polygon_verdicts(
     sites: Sequence[Site] = (Site.S1, Site.S2, Site.S3),
     settings: ScanSettings = DEFAULT_SETTINGS,
 ) -> list[PolygonVerdictRecord]:
-    """Verdict and index table over (n, m0/M, e, site) cells."""
+    """Verdict and index table over (n, m0/M, e, site) cells.
+
+    Empty lists and an ``e`` outside [0, 0.99] raise before any cell is
+    computed.
+    """
     if not (n_list and m0_over_M_list and e_list and sites):
         raise DomainError("all sweep lists must be nonempty")
-    cells = [
-        (int(n), float(r), float(e), site)
+    _check_eccentricities(e_list)
+    keys = [
+        {"n": int(n), "m0_over_M": float(r), "e": float(e), "site": site}
         for n in n_list
         for r in m0_over_M_list
         for e in e_list
         for site in sites
     ]
-    return _pmap(partial(_polygon_cell, settings=settings), cells, settings.workers)
+    return _sweep(_polygon_build, PolygonVerdictRecord, keys, True, settings)

@@ -1,14 +1,29 @@
-"""Independent oracles used to freeze and verify expected values.
+"""Oracles and test-only helpers used to freeze and verify expected values.
 
-Everything here deliberately avoids the production code paths: polynomial
+Most of these deliberately avoid the production code paths: polynomial
 companion roots instead of bracketed Brent, high-precision summation
 instead of fsum, closed-form spectra instead of Galerkin matrices, and a
 direct quartic-multiplier formula instead of integrated monodromies.
+
+The helpers after them (matrix exponential, D-form coefficient path,
+spectral distances, symplectic samples, positivity sweep) are checks only
+the tests use.  Some of them drive production code: ``positivity_check``
+calls ``morse_index`` and ``frame_spectra_agreement`` compares against
+``integrate_fundamental``, so they test consistency, not independence.
 """
 
+import cmath
 import math
+from typing import Callable, Sequence
 
 import numpy as np
+from scipy.integrate import solve_ivp
+from scipy.optimize import linear_sum_assignment
+
+from erestab.errors import ConvergenceError, DomainError
+from erestab.linearization import I2, J2, J4, DMatrix, StabilityParams, b_matrix, spectral_params
+from erestab.maslov import DEFAULT_LEVELS, morse_index
+from erestab.monodromy import DEFAULT_TOL, TWO_PI, integrate_fundamental, symplectic_residual
 
 
 def quintic_positive_roots(m1, m2, m3):
@@ -131,3 +146,130 @@ def match_eigs(a, b):
         worst = max(worst, abs(x - b[j]))
         b.pop(j)
     return worst
+
+
+def matrix_exponential(a: np.ndarray) -> np.ndarray:
+    """Dense matrix exponential by scaling and squaring with a Taylor tail.
+
+    Written as an independent oracle for the constant-coefficient (e = 0)
+    monodromy; accuracy is limited only by rounding for the small matrices
+    used here.
+    """
+    mat = np.asarray(a, dtype=float)
+    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
+        raise DomainError("matrix_exponential needs a square matrix")
+    norm = float(np.max(np.sum(np.abs(mat), axis=1)))
+    squarings = 0 if norm <= 0.5 else int(math.ceil(math.log2(norm / 0.5)))
+    scaled = mat / (2.0**squarings)
+    result = np.eye(mat.shape[0])
+    term = np.eye(mat.shape[0])
+    for k in range(1, 60):
+        term = term @ scaled / k
+        result = result + term
+        if float(np.max(np.abs(term))) < 1e-20 * (1.0 + float(np.max(np.abs(result)))):
+            break
+    for _ in range(squarings):
+        result = result @ result
+    return result
+
+
+def eigenvalue_quadruple_residual(eigenvalues: Sequence[complex]) -> float:
+    """How far the set is from closure under w -> 1/w and w -> conj(w)."""
+    eigs = np.asarray(eigenvalues, dtype=complex)
+    worst = 0.0
+    for lam in eigs:
+        for image in (1.0 / lam, np.conj(lam)):
+            worst = max(worst, float(np.min(np.abs(eigs - image))))
+    return worst
+
+
+def spectral_distance(eigs_a, eigs_b) -> float:
+    """Max distance under the optimal pairing of two eigenvalue multisets."""
+    a = np.asarray(eigs_a, dtype=complex)
+    b = np.asarray(eigs_b, dtype=complex)
+    cost = np.abs(a[:, None] - b[None, :])
+    rows, cols = linear_sum_assignment(cost)
+    return float(cost[rows, cols].max())
+
+
+def b_matrix_d_form(d: DMatrix, e: float, theta: float) -> np.ndarray:
+    """Coefficient matrix carrying the full (undiagonalized) D block."""
+    if not 0.0 <= e < 1.0:
+        raise DomainError(f"eccentricity must lie in [0, 1), got {e}")
+    re = 1.0 / (1.0 + e * math.cos(theta))
+    out = np.empty((4, 4))
+    out[:2, :2] = I2
+    out[:2, 2:] = -J2
+    out[2:, :2] = J2
+    out[2:, 2:] = I2 - re * d.entries
+    return out
+
+
+def integrate_coefficient_path(
+    b_of_theta: Callable[[float], np.ndarray], tol: float = DEFAULT_TOL, t_eval=None
+):
+    """Generic fundamental-solution integration for an arbitrary B(theta).
+
+    Returns (gamma(2*pi), list of intermediate gamma samples) where the
+    samples follow ``t_eval`` (empty when t_eval is None).  Same DOP853
+    settings as ``integrate_fundamental``.
+    """
+
+    def rhs(theta, y):
+        return (J4 @ b_of_theta(theta) @ y.reshape(4, 4)).ravel()
+
+    sol = solve_ivp(
+        rhs,
+        (0.0, TWO_PI),
+        np.eye(4).ravel(),
+        method="DOP853",
+        rtol=tol,
+        atol=tol,
+        t_eval=t_eval,
+        dense_output=False,
+    )
+    if not sol.success:
+        raise ConvergenceError(f"fundamental-solution integration failed: {sol.message}")
+    samples = [sol.y[:, i].reshape(4, 4) for i in range(sol.y.shape[1])] if t_eval is not None else []
+    return sol.y[:, -1].reshape(4, 4), samples
+
+
+def sample_symplectic_residuals(
+    p: StabilityParams, tol: float = DEFAULT_TOL, samples: int = 64
+) -> np.ndarray:
+    """Symplectic residual of gamma(theta) at evenly spaced theta samples."""
+    t_eval = np.linspace(0.0, TWO_PI, samples + 1)
+    _, mats = integrate_coefficient_path(lambda t: b_matrix(p, t), tol, t_eval=t_eval)
+    return np.array([symplectic_residual(m) for m in mats])
+
+
+def frame_spectra_agreement(d: DMatrix, e: float, tol: float = DEFAULT_TOL) -> float:
+    """Spectral distance between the D-form and K-form monodromies.
+
+    The two coefficient paths are conjugate by a constant symplectic
+    rotation, so the distance is pure integration error.
+    """
+    p = spectral_params(d, e)
+    mono = integrate_fundamental(p, tol)
+    gamma_d, _ = integrate_coefficient_path(lambda t: b_matrix_d_form(d, e, t), tol)
+    return spectral_distance(mono.eigenvalues, np.linalg.eigvals(gamma_d))
+
+
+def positivity_check(
+    p: StabilityParams,
+    omega_samples: int = 16,
+    levels: tuple[int, ...] = DEFAULT_LEVELS,
+) -> bool:
+    """True when the operator is positive definite at every sampled omega.
+
+    Samples rho = j / omega_samples on a uniform circle grid; positive
+    definiteness at all omega certifies hyperbolicity of the monodromy.
+    """
+    if omega_samples < 16:
+        raise DomainError("omega_samples must be at least 16")
+    for j in range(omega_samples):
+        omega = cmath.exp(2j * math.pi * j / omega_samples)
+        result = morse_index(p, omega, levels)
+        if result.phi > 0 or result.nu > 0:
+            return False
+    return True

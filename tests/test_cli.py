@@ -155,6 +155,20 @@ class TestExitCodes:
         )
         assert code == 3 and "numerical failure" in err
 
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["scan-mass", "--m1", "0.1", "--m3", "0.1", "--e", "2.0"],
+            ["polygon-verdicts", "--n", "8", "--m0-over-m", "1000", "--e", "2.0",
+             "--sites", "S3"],
+        ],
+        ids=["scan-mass", "polygon-verdicts"],
+    )
+    def test_out_of_range_sweep_e_is_2(self, args, tmp_path, monkeypatch, capsys):
+        code, _, err = run_cli(args + ["--csv", "out.csv"], tmp_path, monkeypatch, capsys)
+        assert code == 2 and "configuration error" in err
+        assert not (tmp_path / "out.csv").exists()
+
     def test_missing_parameter_is_2(self, tmp_path, monkeypatch, capsys):
         code, _, _ = run_cli(["scan-theta", "--beta", "0:1:0.5"],
                              tmp_path, monkeypatch, capsys)
@@ -220,10 +234,14 @@ class TestCcAndPolygonCommands:
     def test_polygon_verdicts_csv(self, tmp_path, monkeypatch, capsys):
         code, _, _ = run_cli(
             ["polygon-verdicts", "--n", "8", "--m0-over-m", "1000", "--e", "0",
-             "--sites", "S1,S3", "--csv", "pv.csv", "--tol", "1e-10"],
+             "--sites", "S1,S3", "--csv", "pv.csv", "--json", "pv.json", "--tol", "1e-10"],
             tmp_path, monkeypatch, capsys,
         )
         assert code == 0
         lines = (tmp_path / "pv.csv").read_text().splitlines()
         assert len(lines) == 4  # header comment + columns + 2 rows
         assert "Unstable" in lines[2] and "StronglyLinearlyStable" in lines[3]
+        rows = json.loads((tmp_path / "pv.json").read_text())["rows"]
+        assert [(r["site"], r["verdict"]) for r in rows] == [
+            ("S1", "Unstable"), ("S3", "StronglyLinearlyStable")
+        ]

@@ -9,7 +9,6 @@ from erestab.linearization import (
     DMatrix,
     StabilityParams,
     b_matrix,
-    b_matrix_d_form,
     compute_D,
     rotation,
     spectral_params,
@@ -18,7 +17,7 @@ from erestab.linearization import (
     symmetric_z,
 )
 
-from oracles import routh_beta
+from oracles import b_matrix_d_form, routh_beta
 
 
 def random_restricted_config(rng):

@@ -12,13 +12,12 @@ from erestab.maslov import (
     index_monodromy_consistency,
     kernel_dimension,
     morse_index,
-    positivity_check,
     r_e_fourier_coefficients,
 )
 from erestab.monodromy import integrate_fundamental
 from erestab.polygon_config import PolygonSystem, Site, solve_site
 
-from oracles import operator_spectrum_e0
+from oracles import operator_spectrum_e0, positivity_check
 
 
 def params(alpha, beta, e):

@@ -7,19 +7,19 @@ import scipy.linalg
 from erestab.central_config import MassSystem, collinear_three_primaries, offline_equilibrium
 from erestab.errors import DomainError
 from erestab.linearization import J4, StabilityParams, b_matrix, compute_D
-from erestab.monodromy import (
-    Monodromy,
-    Verdict,
-    classify_spectrum,
+from erestab.monodromy import Monodromy, Verdict, classify_spectrum, integrate_fundamental
+
+from oracles import (
+    diamond,
     eigenvalue_quadruple_residual,
     frame_spectra_agreement,
-    integrate_fundamental,
+    match_eigs,
     matrix_exponential,
+    monodromy_eigs_e0,
+    rot,
     sample_symplectic_residuals,
     spectral_distance,
 )
-
-from oracles import diamond, match_eigs, monodromy_eigs_e0, rot
 
 
 class TestMatrixExponential:

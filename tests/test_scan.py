@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -176,15 +178,35 @@ class TestPolygonVerdicts:
             polygon_verdicts([], [10.0], [0.0], [Site.S1], FAST)
 
 
+@pytest.mark.parametrize("e", [2.0, -0.1])
+@pytest.mark.parametrize(
+    "sweep",
+    [
+        lambda e: mass_scan_4body([0.1], [0.1], e, FAST),
+        lambda e: polygon_verdicts([8], [1e3], [e], [Site.S3], FAST),
+    ],
+    ids=["mass", "polygon"],
+)
+def test_sweep_rejects_out_of_range_e(sweep, e):
+    with pytest.raises(DomainError):
+        sweep(e)
+
+
 class TestParallel:
-    def test_worker_pool_matches_serial(self):
-        serial = scan_theta([0.4, 2.2], [0.0, 0.3], FAST)
-        parallel = scan_theta(
-            [0.4, 2.2], [0.0, 0.3],
-            ScanSettings(integrator_tol=FAST.integrator_tol,
-                         morse_levels=FAST.morse_levels, workers=2),
-        )
-        assert serial == parallel
+    # Each grid holds failed points too: the inadmissible (0.6, 0.6) mass
+    # cell and the 1e30 polygon site-bracket failures.
+    @pytest.mark.parametrize(
+        "sweep",
+        [
+            lambda s: scan_theta([0.4, 2.2], [0.0, 0.3], s),
+            lambda s: mass_scan_4body([0.05, 0.6], [0.05, 0.6], 0.0, s),
+            lambda s: polygon_verdicts([8], [1e3, 1e30], [0.0], [Site.S1, Site.S3], s),
+        ],
+        ids=["theta", "mass", "polygon"],
+    )
+    def test_worker_pool_matches_serial(self, sweep):
+        parallel = sweep(replace(FAST, workers=2))
+        assert sweep(FAST) == parallel
 
     def test_env_var_caps_workers(self, monkeypatch):
         monkeypatch.setenv("ERESTAB_THREADS", "3")
