@@ -191,7 +191,18 @@ _PARAM_KEYS = {
     "find-mstar": {"tol"},
     "polygon-verdicts": {"n", "m0_over_m", "e", "sites"},
 }
-_OUTPUT_KEYS = {"csv", "json", "svg"}
+# The artifacts each command writes; the parser offers only these flags and
+# a config file may name no other output.
+_OUTPUT_KEYS = {
+    "cc": {"json"},
+    "polygon": {"json"},
+    "stability": {"json"},
+    "index": {"json"},
+    "scan-theta": {"csv", "json", "svg"},
+    "scan-mass": {"csv", "json", "svg"},
+    "find-mstar": {"json"},
+    "polygon-verdicts": {"csv", "json"},
+}
 _TOLERANCE_KEYS = {"tol", "circle_tol"}
 
 
@@ -219,7 +230,7 @@ def _merge_config_file(config: RunConfig, path: str) -> RunConfig:
     )
     for section, allowed, target in (
         ("parameters", _PARAM_KEYS.get(command, set()), merged.parameters),
-        ("output", _OUTPUT_KEYS, merged.output),
+        ("output", _OUTPUT_KEYS.get(command, set()), merged.output),
         ("tolerances", _TOLERANCE_KEYS, merged.tolerances),
     ):
         extra = data.get(section, {})
@@ -494,9 +505,8 @@ def _build_parser() -> argparse.ArgumentParser:
         for flag in flags:
             p.add_argument(flag)
         p.add_argument("--config")
-        p.add_argument("--json")
-        p.add_argument("--csv")
-        p.add_argument("--svg")
+        for key in sorted(_OUTPUT_KEYS[name]):
+            p.add_argument(f"--{key}")
         p.add_argument("--tol")
         p.add_argument("--circle-tol", dest="circle_tol")
         return p
@@ -524,7 +534,7 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
         value = getattr(args, attr, None)
         if value is not None:
             params[key] = value
-    output = {k: getattr(args, k) for k in ("csv", "json", "svg") if getattr(args, k, None)}
+    output = {k: getattr(args, k) for k in _OUTPUT_KEYS[command] if getattr(args, k, None)}
     tolerances = {}
     if getattr(args, "tol", None) is not None and command != "find-mstar":
         tolerances["tol"] = args.tol

@@ -14,7 +14,9 @@ Discretization is a Fourier-Galerkin scheme in the twisted basis
 e^{i (k + rho) t} with w = e^{2*pi*i*rho}: r_e has the exact geometric
 Fourier coefficients c_m = b^{|m|} / sqrt(1 - e^2), b = -e/(1 + sqrt(1 - e^2)),
 and S couples modes k and k +- 2 only, so assembly is exact and spectrally
-convergent.
+convergent.  The Hermitian Galerkin matrix is conjugated by I (x) diag(1, i),
+which only multiplies its entries by +-1 and +-i and leaves a real symmetric
+matrix with the same eigenvalues for every w; that matrix is what is solved.
 """
 
 from __future__ import annotations
@@ -38,10 +40,6 @@ from .monodromy import DEFAULT_CIRCLE_TOL, DEFAULT_TOL, Monodromy, integrate_fun
 KERNEL_TOL_FACTOR = 1e-10
 DEFAULT_LEVELS = (64, 128, 256, 512, 1024)
 
-# S(t) = (e^{2it} N_plus + e^{-2it} N_minus) / 2
-N_PLUS = np.array([[1.0, -1.0j], [-1.0j, -1.0]])
-N_MINUS = np.array([[1.0, 1.0j], [1.0j, -1.0]])
-
 
 def r_e_fourier_coefficients(e: float, mmax: int) -> np.ndarray:
     """Fourier coefficients c_0..c_mmax of 1/(1 + e cos t).
@@ -64,10 +62,13 @@ def omega_to_rho(omega: complex) -> float:
 
 
 def assemble_operator(p: StabilityParams, omega: complex, K: int) -> np.ndarray:
-    """Galerkin matrix of the stability operator in the twisted Fourier basis.
+    """Galerkin matrix of the stability operator, real symmetric.
 
-    Size 2(2K+1), exactly Hermitian; at e = 0 the matrix is banded with
-    couplings only at |j - k| in {0, 2}.
+    Size 2(2K+1), with the two components of each mode k + rho interleaved.
+    It equals U^H H U for the Hermitian Galerkin matrix H in the twisted
+    Fourier basis and U = I_{2K+1} (x) diag(1, i); that similarity only
+    multiplies entries by +-1 and +-i, so the equality is exact.  At e = 0
+    the matrix is banded with couplings only at |j - k| in {0, 2}.
     """
     if K < 8:
         raise DomainError("K must be at least 8")
@@ -82,10 +83,19 @@ def assemble_operator(p: StabilityParams, omega: complex, K: int) -> np.ndarray:
     idx = np.arange(2 * K + 1)
     c0 = toeplitz(c[idx])
     cp = toeplitz(c[np.abs(idx - 2)], c[idx + 2])
-    diag = np.diag(modes**2 - 1.0)
 
-    h = np.kron(diag + (1.0 + alpha) * c0, np.eye(2)).astype(complex)
-    h += 0.5 * beta * (np.kron(cp, N_PLUS) + np.kron(cp.T, N_MINUS))
+    # beta S(t) = beta (e^{2it} N+ + e^{-2it} N-) / 2 with N+- = [[1, -+i], [-+i, -1]];
+    # after the conjugation N+ -> [[1, 1], [-1, -1]] and N- -> [[1, -1], [1, -1]]
+    a = (1.0 + alpha) * c0
+    a[idx, idx] += modes**2 - 1.0
+    s = 0.5 * beta * (cp + cp.T)
+    d = 0.5 * beta * (cp - cp.T)
+    n = 2 * (2 * K + 1)
+    h = np.empty((n, n))
+    h[0::2, 0::2] = a + s
+    h[1::2, 1::2] = a - s
+    h[0::2, 1::2] = d
+    h[1::2, 0::2] = -d
     return h
 
 

@@ -2,8 +2,10 @@
 
 Most of these deliberately avoid the production code paths: polynomial
 companion roots instead of bracketed Brent, high-precision summation
-instead of fsum, closed-form spectra instead of Galerkin matrices, and a
-direct quartic-multiplier formula instead of integrated monodromies.
+instead of fsum, closed-form spectra instead of Galerkin matrices, the
+complex Hermitian Galerkin matrix built from Kronecker products instead of
+its real symmetric form, and a direct quartic-multiplier formula instead of
+integrated monodromies.
 
 The helpers after them (matrix exponential, D-form coefficient path,
 spectral distances, symplectic samples, positivity sweep) are checks only
@@ -18,11 +20,12 @@ from typing import Callable, Sequence
 
 import numpy as np
 from scipy.integrate import solve_ivp
+from scipy.linalg import toeplitz
 from scipy.optimize import linear_sum_assignment
 
 from erestab.errors import ConvergenceError, DomainError
 from erestab.linearization import I2, J2, J4, DMatrix, StabilityParams, b_matrix, spectral_params
-from erestab.maslov import DEFAULT_LEVELS, morse_index
+from erestab.maslov import DEFAULT_LEVELS, morse_index, omega_to_rho, r_e_fourier_coefficients
 from erestab.monodromy import DEFAULT_TOL, TWO_PI, integrate_fundamental, symplectic_residual
 
 
@@ -110,6 +113,37 @@ def operator_spectrum_e0(alpha, beta, rho, nmax):
         out.append(nu * nu + 1.0 + alpha - s)
         out.append(nu * nu + 1.0 + alpha + s)
     return np.sort(out)
+
+
+# S(t) = (e^{2it} N_plus + e^{-2it} N_minus) / 2
+N_PLUS = np.array([[1.0, -1.0j], [-1.0j, -1.0]])
+N_MINUS = np.array([[1.0, 1.0j], [1.0j, -1.0]])
+
+
+def complex_galerkin_operator(p: StabilityParams, omega: complex, K: int) -> np.ndarray:
+    """Galerkin matrix of the stability operator in the twisted Fourier basis.
+
+    Size 2(2K+1), exactly Hermitian; at e = 0 the matrix is banded with
+    couplings only at |j - k| in {0, 2}.
+    """
+    if K < 8:
+        raise DomainError("K must be at least 8")
+    if p.e > 0.99:
+        raise DomainError(f"eccentricity {p.e} exceeds the supported limit 0.99")
+    rho = omega_to_rho(omega)
+    alpha, beta = p.alpha, p.beta
+    modes = np.arange(-K, K + 1) + rho
+    c = r_e_fourier_coefficients(p.e, 2 * K + 2)
+
+    # scalar Toeplitz blocks: C0[j,k] = c_|j-k|, CP[j,k] = c_|j-k-2|
+    idx = np.arange(2 * K + 1)
+    c0 = toeplitz(c[idx])
+    cp = toeplitz(c[np.abs(idx - 2)], c[idx + 2])
+    diag = np.diag(modes**2 - 1.0)
+
+    h = np.kron(diag + (1.0 + alpha) * c0, np.eye(2)).astype(complex)
+    h += 0.5 * beta * (np.kron(cp, N_PLUS) + np.kron(cp.T, N_MINUS))
+    return h
 
 
 def monodromy_eigs_e0(lam3, lam4):

@@ -169,6 +169,37 @@ class TestExitCodes:
         assert code == 2 and "configuration error" in err
         assert not (tmp_path / "out.csv").exists()
 
+    UNWRITTEN_OUTPUTS = [
+        (["index", "--alpha", "0.5", "--beta", "1.5", "--e", "0.2", "--omega", "-1"], "csv"),
+        (["index", "--alpha", "0.5", "--beta", "1.5", "--e", "0.2", "--omega", "-1"], "svg"),
+        (["cc", "--m", "2,3,5"], "csv"),
+        (["polygon", "--n", "8", "--m0-over-m", "1000", "--site", "S3"], "svg"),
+        (["stability", "--family", "collinear", "--m", "0.25,0.5,0.25", "--e", "0"], "csv"),
+        (["find-mstar"], "svg"),
+        (["polygon-verdicts", "--n", "8", "--m0-over-m", "1000", "--e", "0",
+          "--sites", "S3"], "svg"),
+    ]
+
+    @pytest.mark.parametrize("args, key", UNWRITTEN_OUTPUTS,
+                             ids=[f"{a[0]}-{k}" for a, k in UNWRITTEN_OUTPUTS])
+    def test_unwritten_output_flag_is_2(self, args, key, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main(args + [f"--{key}", f"out.{key}"])
+        assert exc.value.code == 2
+        assert f"--{key}" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("args, key", UNWRITTEN_OUTPUTS,
+                             ids=[f"{a[0]}-{k}" for a, k in UNWRITTEN_OUTPUTS])
+    def test_unwritten_output_config_key_is_2(self, args, key, tmp_path, monkeypatch,
+                                              capsys):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"output": {key: f"out.{key}"}}))
+        code, _, err = run_cli(args + ["--config", str(cfg)], tmp_path, monkeypatch, capsys)
+        assert code == 2 and "configuration error" in err and key in err
+        assert list(tmp_path.iterdir()) == [cfg]
+
     def test_missing_parameter_is_2(self, tmp_path, monkeypatch, capsys):
         code, _, _ = run_cli(["scan-theta", "--beta", "0:1:0.5"],
                              tmp_path, monkeypatch, capsys)

@@ -8,6 +8,8 @@ from scipy.integrate import quad
 from erestab.errors import ConvergenceError, DomainError
 from erestab.linearization import StabilityParams
 from erestab.maslov import (
+    KERNEL_TOL_FACTOR,
+    _counts,
     assemble_operator,
     index_monodromy_consistency,
     kernel_dimension,
@@ -17,11 +19,33 @@ from erestab.maslov import (
 from erestab.monodromy import integrate_fundamental
 from erestab.polygon_config import PolygonSystem, Site, solve_site
 
-from oracles import operator_spectrum_e0, positivity_check
+from oracles import complex_galerkin_operator, operator_spectrum_e0, positivity_check
+
+# The curve row of bench/reference/curves.json: its e, its beta_s and beta_m,
+# and the jumps themselves there (roots of det(gamma(2 pi) + I) in beta).
+E_ROW = 0.3006888437030501
+BETA_S_REF, BETA_M_REF = 0.36328125, 1.19140625
+BETA_S_ROOT, BETA_M_ROOT = 0.3601339416310468, 1.18964656543386
 
 
 def params(alpha, beta, e):
     return StabilityParams.from_alpha_beta(alpha, beta, e)
+
+
+def kernel_tol(h):
+    return KERNEL_TOL_FACTOR * float(np.max(np.sum(np.abs(h), axis=1)))
+
+
+def ladder_counts(build, p, omega, levels=(64, 128)):
+    """(phi, nu) per level as ``morse_index`` counts them, band from the first level."""
+    tol = None
+    counts = []
+    for K in levels:
+        h = build(p, omega, K)
+        if tol is None:
+            tol = kernel_tol(h)
+        counts.append(_counts(h, tol)[:2])
+    return counts
 
 
 class TestFourierCoefficients:
@@ -60,6 +84,27 @@ class TestAssembly:
             for k in range(n):
                 if abs(j - k) not in (0, 2):
                     assert np.all(blocks[j, :, k, :] == 0.0)
+
+    @pytest.mark.parametrize("omega", [1.0, -1.0])
+    def test_circular_case_banded_both_omegas(self, omega):
+        h = assemble_operator(params(0.5, 1.0, 0.0), omega, 12)
+        rows, cols = np.nonzero(h)
+        assert rows.size > 0
+        assert set(np.abs(rows // 2 - cols // 2).tolist()) <= {0, 2}
+
+    @pytest.mark.parametrize("K", [16, 64])
+    def test_real_symmetric_conjugate_of_complex_operator(self, K):
+        rng = np.random.default_rng(K)
+        u = np.tile([1.0, 1.0j], 2 * K + 1)  # diagonal of U = I (x) diag(1, i)
+        for _ in range(5):
+            p = params(rng.uniform(0, 2), rng.uniform(0, 3), rng.uniform(0, 0.9))
+            omega = cmath.exp(2j * math.pi * rng.uniform(0, 1))
+            h = assemble_operator(p, omega, K)
+            hc = complex_galerkin_operator(p, omega, K)
+            assert h.dtype == np.float64
+            assert np.array_equal(h, h.T)
+            assert np.array_equal(np.diag(u).conj().T @ hc @ np.diag(u), h)
+            assert kernel_tol(h) == kernel_tol(hc)
 
     def test_circular_diagonal_closed_form(self):
         # alpha = 1/2, beta = 0, omega = 1: eigenvalues k^2 + 1/2, doubled
@@ -113,6 +158,28 @@ class TestMorseIndex:
             for alpha in (0.2, 0.5, 1.0, 2.0)
         ]
         assert all(b >= a for a, b in zip(mins, mins[1:]))
+
+    def test_counts_match_complex_operator_where_fragile(self):
+        # beta_s and beta_m of the benchmark's curve row, within 1e-3 and at
+        # the jumps, the e = 0 tongue tip, and the extra rho of the
+        # consistency check
+        cases = [
+            (beta + d, E_ROW, -1.0)
+            for beta in (BETA_S_REF, BETA_M_REF, BETA_S_ROOT, BETA_M_ROOT)
+            for d in (-1e-3, 0.0, 1e-3)
+        ]
+        cases += [(0.75, 0.0, -1.0), (0.75, 0.0, 1.0)]
+        cases += [(beta, e, cmath.exp(2j * math.pi * rho))
+                  for beta, e in ((0.75, 0.0), (BETA_S_ROOT, E_ROW))
+                  for rho in (0.1, 0.25)]
+        seen = set()
+        for beta, e, omega in cases:
+            p = StabilityParams.from_beta_hls(beta, e)
+            counts = ladder_counts(assemble_operator, p, omega)
+            assert counts == ladder_counts(complex_galerkin_operator, p, omega)
+            seen.update(counts)
+        # the cases straddle both jumps and hit the kernel at both of them
+        assert {(2, 0), (1, 1), (1, 0), (0, 1), (0, 0), (0, 2)} <= seen
 
     def test_non_stabilization_raises(self):
         with pytest.raises(ConvergenceError):
