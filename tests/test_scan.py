@@ -90,6 +90,31 @@ class TestCurves:
         with pytest.raises(DomainError):
             find_curves([0.1], beta_resolution=0.05, settings=FAST)
 
+    def test_curves_and_mstar_pinned(self):
+        """Exact bisection outputs: a refactor of the bisection or of the
+        on-circle rule must leave every bit of these unchanged."""
+        def row(e, bs, bm, bk):
+            w = 0.0078125
+            return (
+                f"[CurvePoint(e={e}, beta={bs}, curve=<CurveKind.BETA_S: 'BetaS'>, "
+                f"bracket_width={w}, source='bisection'), "
+                f"CurvePoint(e={e}, beta={bm}, curve=<CurveKind.BETA_M: 'BetaM'>, "
+                f"bracket_width={w}, source='bisection'), "
+                f"CurvePoint(e={e}, beta={bk}, curve=<CurveKind.BETA_K: 'BetaK'>, "
+                f"bracket_width={w}, source='bisection')]"
+            )
+
+        assert repr(find_curves([0.0], 0.01, FAST, coarse_step=1.0)) == row(
+            0.0, 0.74609375, 0.74609375, 1.00390625
+        )
+        assert repr(find_curves([0.3], 0.01, FAST, coarse_step=1.0)) == row(
+            0.3, 0.36328125, 1.19140625, 1.19140625
+        )
+        assert repr(find_mstar(1e-6)) == (
+            "MstarResult(value=0.85423095703125, bracket_low=0.85423046875, "
+            "bracket_high=0.8542314453125, monotone=True, note='')"
+        )
+
     def test_region_agreement_with_verdicts(self):
         e = 0.2
         betas = by_curve(find_curves([e], 0.01, FAST), e)
