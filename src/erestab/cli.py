@@ -15,9 +15,10 @@ import os
 import sys
 import tempfile
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from enum import Enum
+from typing import Callable
 
 import numpy as np
 
@@ -165,45 +166,30 @@ def _as_sites(value) -> list[Site]:
         raise ConfigError(f"sites must be among S1,S2,S3, got {value!r}") from None
 
 
+def _one(convert):
+    """Converter of a single-valued parameter: ``convert`` must yield one value."""
+    def one(value):
+        values = convert(value)
+        if len(values) != 1:
+            raise ConfigError(f"expected one value, got {value!r}")
+        return values[0]
+    return one
+
+
+_as_int = _one(_as_int_list)
+_as_site = _one(_as_sites)
+
+
+# The tolerance keys and the ScanSettings field each one sets.
+_SETTINGS_FIELDS = {"tol": "integrator_tol", "circle_tol": "circle_tol"}
+
+
 @dataclass
 class RunConfig:
     command: str
     parameters: dict
     output: dict
     tolerances: dict
-
-    def settings(self) -> ScanSettings:
-        kwargs = {}
-        if "tol" in self.tolerances:
-            kwargs["integrator_tol"] = _as_float(self.tolerances["tol"])
-        if "circle_tol" in self.tolerances:
-            kwargs["circle_tol"] = _as_float(self.tolerances["circle_tol"])
-        return ScanSettings(**kwargs)
-
-
-_PARAM_KEYS = {
-    "cc": {"m", "ordering"},
-    "polygon": {"n", "m0_over_m", "site"},
-    "stability": {"family", "m", "e", "guess", "n", "m0_over_m", "site"},
-    "index": {"alpha", "beta", "e", "omega", "rho"},
-    "scan-theta": {"beta", "e"},
-    "scan-mass": {"m1", "m3", "e"},
-    "find-mstar": {"tol"},
-    "polygon-verdicts": {"n", "m0_over_m", "e", "sites"},
-}
-# The artifacts each command writes; the parser offers only these flags and
-# a config file may name no other output.
-_OUTPUT_KEYS = {
-    "cc": {"json"},
-    "polygon": {"json"},
-    "stability": {"json"},
-    "index": {"json"},
-    "scan-theta": {"csv", "json", "svg"},
-    "scan-mass": {"csv", "json", "svg"},
-    "find-mstar": {"json"},
-    "polygon-verdicts": {"csv", "json"},
-}
-_TOLERANCE_KEYS = {"tol", "circle_tol"}
 
 
 def _merge_config_file(config: RunConfig, path: str) -> RunConfig:
@@ -222,25 +208,13 @@ def _merge_config_file(config: RunConfig, path: str) -> RunConfig:
         raise ConfigError(
             f"config file command {command!r} conflicts with {config.command!r}"
         )
-    merged = RunConfig(
-        command=command,
-        parameters=dict(config.parameters),
-        output=dict(config.output),
-        tolerances=dict(config.tolerances),
-    )
-    for section, allowed, target in (
-        ("parameters", _PARAM_KEYS.get(command, set()), merged.parameters),
-        ("output", _OUTPUT_KEYS.get(command, set()), merged.output),
-        ("tolerances", _TOLERANCE_KEYS, merged.tolerances),
-    ):
+    sections = {}
+    for section in ("parameters", "output", "tolerances"):
         extra = data.get(section, {})
         if not isinstance(extra, dict):
             raise ConfigError(f"config section {section!r} must be an object")
-        unknown = set(extra) - allowed
-        if unknown:
-            raise ConfigError(f"unknown {section} keys for {command}: {sorted(unknown)}")
-        target.update(extra)
-    return merged
+        sections[section] = {**getattr(config, section), **extra}
+    return RunConfig(command=command, **sections)
 
 
 # ---------------------------------------------------------------------------
@@ -288,63 +262,59 @@ def _config_json(config) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# Command handlers: each returns (summary dict, artifacts list[(path, text)])
+# Command handlers: each takes its converted parameters, the run's settings
+# and output paths, and returns (summary dict, artifacts list[(path, text)])
 # ---------------------------------------------------------------------------
 
-def _require(cfg: RunConfig, key: str):
-    if key not in cfg.parameters or cfg.parameters[key] is None:
+class _Parameters(dict):
+    """Converted parameters; reading one that was not given is a config error."""
+
+    def __missing__(self, key):
         raise ConfigError(f"missing required parameter --{key.replace('_', '-')}")
-    return cfg.parameters[key]
 
 
-def _cmd_cc(cfg: RunConfig):
-    masses = MassSystem.normalized(_as_range(_require(cfg, "m")))
-    ordering = cfg.parameters.get("ordering")
+def _cmd_cc(params: dict, settings: ScanSettings, output: dict):
+    masses = MassSystem.normalized(params["m"])
+    ordering = params.get("ordering")
     if ordering is not None:
-        config = moulton_collinear(masses, _as_int_list(ordering))
+        config = moulton_collinear(masses, ordering)
     elif len(masses) == 3:
         config = collinear_three_primaries(masses)
     else:
         config = moulton_collinear(masses)
     summary = _config_json(config)
-    return summary, _json_artifact(cfg, summary)
+    return summary, _json_artifact(output, summary)
 
 
-def _cmd_polygon(cfg: RunConfig):
-    n = _as_int_list(_require(cfg, "n"))[0]
-    ratio = _as_float(_require(cfg, "m0_over_m"))
-    site = _as_sites(_require(cfg, "site"))[0]
-    sys_ = PolygonSystem.from_mass_ratio(n, ratio)
-    bang = solve_site(sys_, site)
+def _cmd_polygon(params: dict, settings: ScanSettings, output: dict):
+    n, ratio, site = params["n"], params["m0_over_m"], params["site"]
+    bang = solve_site(PolygonSystem.from_mass_ratio(n, ratio), site)
     summary = {
         "n": n, "m0_over_M": ratio, "site": site.value, "rho": bang.rho,
         "theta": bang.theta, "omega_sq": bang.omega_sq, "A": bang.A,
         "B_re": bang.B.real, "B_im": bang.B.imag, "l2": bang.l2, "l3": bang.l3,
         "lambda3": bang.lambda3, "lambda4": bang.lambda4,
     }
-    return summary, _json_artifact(cfg, summary)
+    return summary, _json_artifact(output, summary)
 
 
-def _cmd_stability(cfg: RunConfig):
-    family = str(_require(cfg, "family"))
-    e = _as_float(_require(cfg, "e"))
+def _cmd_stability(params: dict, settings: ScanSettings, output: dict):
+    family, e = params["family"], params["e"]
     if family == "collinear":
-        masses = MassSystem.normalized(_as_range(_require(cfg, "m")))
-        guess = cfg.parameters.get("guess")
+        masses = MassSystem.normalized(params["m"])
+        guess = params.get("guess")
         if guess is None:
             p = collinear_params(masses, e)
         else:
-            p = collinear_params(masses, e, tuple(_as_range(guess)))
+            p = collinear_params(masses, e, tuple(guess))
         extra = {"family": family, "masses": list(masses.masses)}
     elif family == "polygon":
-        n = _as_int_list(_require(cfg, "n"))[0]
-        ratio = _as_float(_require(cfg, "m0_over_m"))
-        site = _as_sites(_require(cfg, "site"))[0]
+        n, ratio, site = params["n"], params["m0_over_m"], params["site"]
         p, _ = polygon_params(n, ratio, site, e)
         extra = {"family": family, "n": n, "m0_over_M": ratio, "site": site.value}
     else:
         raise ConfigError(f"family must be 'collinear' or 'polygon', got {family!r}")
-    result = analyze(p, cfg.settings(), indices=False)
+    result = analyze(p, settings, indices=False)
     summary = {
         **extra,
         "e": p.e,
@@ -358,23 +328,21 @@ def _cmd_stability(cfg: RunConfig):
         "eigenvalues": [[z.real, z.imag] for z in result.eigenvalues],
         "sympl_residual": result.sympl_residual,
     }
-    return summary, _json_artifact(cfg, summary)
+    return summary, _json_artifact(output, summary)
 
 
-def _cmd_index(cfg: RunConfig):
-    alpha = _as_float(_require(cfg, "alpha"))
-    beta = _as_float(_require(cfg, "beta"))
-    e = _as_float(_require(cfg, "e"))
-    omega = cfg.parameters.get("omega")
-    rho = cfg.parameters.get("rho")
+def _cmd_index(params: dict, settings: ScanSettings, output: dict):
+    alpha, beta, e = params["alpha"], params["beta"], params["e"]
+    omega = params.get("omega")
+    rho = params.get("rho")
     if (omega is None) == (rho is None):
         raise ConfigError("exactly one of --omega and --rho is required")
-    w = complex(np.exp(2j * np.pi * _as_float(rho))) if rho is not None else None
-    if omega is not None:
-        ov = _as_float(omega)
-        if ov not in (1.0, -1.0):
-            raise ConfigError("--omega accepts 1 or -1; use --rho for other points")
-        w = complex(ov)
+    if omega is None:
+        w = complex(np.exp(2j * np.pi * rho))
+    elif omega in (1.0, -1.0):
+        w = complex(omega)
+    else:
+        raise ConfigError("--omega accepts 1 or -1; use --rho for other points")
     p = StabilityParams.from_alpha_beta(alpha, beta, e)
     result = morse_index(p, w)
     summary = {
@@ -384,24 +352,24 @@ def _cmd_index(cfg: RunConfig):
         "min_eigenvalue": result.min_eigenvalue, "kernel_gap": result.kernel_gap,
         "stabilized": result.stabilized,
     }
-    return summary, _json_artifact(cfg, summary)
+    return summary, _json_artifact(output, summary)
 
 
-def _sweep_output(cfg: RunConfig, kind: str, columns, records, settings: ScanSettings,
+def _sweep_output(output: dict, kind: str, columns, records, settings: ScanSettings,
                   svg=None):
     """Summary and artifacts of a sweep: CSV and JSON rows, and the SVG that
     ``svg(rows)`` draws when the sweep has a plot."""
     rows = _rows(records, columns)
     digest = settings.digest()
     artifacts = []
-    if cfg.output.get("csv"):
-        artifacts.append((cfg.output["csv"], _csv(kind, columns, rows, digest)))
-    if cfg.output.get("json"):
+    if output.get("csv"):
+        artifacts.append((output["csv"], _csv(kind, columns, rows, digest)))
+    if output.get("json"):
         artifacts.append(
-            (cfg.output["json"], json.dumps({"settings": digest, "rows": rows}, indent=2) + "\n")
+            (output["json"], json.dumps({"settings": digest, "rows": rows}, indent=2) + "\n")
         )
-    if cfg.output.get("svg") and svg is not None:
-        artifacts.append((cfg.output["svg"], svg(rows)))
+    if output.get("svg") and svg is not None:
+        artifacts.append((output["svg"], svg(rows)))
     summary = {"rows": len(rows), "settings": digest,
                "artifacts": [a[0] for a in artifacts]}
     return summary, artifacts
@@ -424,23 +392,18 @@ def _theta_svg(rows, e_grid, settings: ScanSettings) -> str:
     )
 
 
-def _cmd_scan_theta(cfg: RunConfig):
-    beta_grid = _as_range(_require(cfg, "beta"))
-    e_grid = _as_range(_require(cfg, "e"))
-    settings = cfg.settings()
+def _cmd_scan_theta(params: dict, settings: ScanSettings, output: dict):
+    beta_grid, e_grid = params["beta"], params["e"]
     records = scan_theta(beta_grid, e_grid, settings)
-    return _sweep_output(cfg, "scan-theta", THETA_COLUMNS, records, settings,
+    return _sweep_output(output, "scan-theta", THETA_COLUMNS, records, settings,
                          lambda rows: _theta_svg(rows, e_grid, settings))
 
 
-def _cmd_scan_mass(cfg: RunConfig):
-    m1_grid = _as_range(_require(cfg, "m1"))
-    m3_grid = _as_range(_require(cfg, "m3"))
-    e = _as_float(cfg.parameters.get("e", 0.0))
-    settings = cfg.settings()
-    points = mass_scan_4body(m1_grid, m3_grid, e, settings)
+def _cmd_scan_mass(params: dict, settings: ScanSettings, output: dict):
+    e = params.get("e", 0.0)
+    points = mass_scan_4body(params["m1"], params["m3"], e, settings)
     return _sweep_output(
-        cfg, "scan-mass", MASS_COLUMNS, points, settings,
+        output, "scan-mass", MASS_COLUMNS, points, settings,
         lambda rows: emit_svg(
             [(r["m1"], r["m3"], r["verdict"]) for r in rows],
             [],
@@ -449,8 +412,8 @@ def _cmd_scan_mass(cfg: RunConfig):
     )
 
 
-def _cmd_find_mstar(cfg: RunConfig):
-    tol = _as_float(cfg.parameters.get("tol", 1e-6))
+def _cmd_find_mstar(params: dict, settings: ScanSettings, output: dict):
+    tol = params.get("tol", 1e-6)
     result = find_mstar(tol)
     summary = {
         "m_star": result.value,
@@ -460,35 +423,70 @@ def _cmd_find_mstar(cfg: RunConfig):
         "monotone": result.monotone,
         "note": result.note,
     }
-    path = cfg.output.get("json") or "mstar.json"
+    path = output.get("json") or "mstar.json"
     return summary, [(path, json.dumps(summary, indent=2) + "\n")]
 
 
-def _cmd_polygon_verdicts(cfg: RunConfig):
-    n_list = _as_int_list(_require(cfg, "n"))
-    ratios = _as_range(_require(cfg, "m0_over_m"))
-    e_list = _as_range(_require(cfg, "e"))
-    sites = _as_sites(cfg.parameters.get("sites", "S1,S2,S3"))
-    settings = cfg.settings()
-    records = polygon_verdicts(n_list, ratios, e_list, sites, settings)
-    return _sweep_output(cfg, "polygon-verdicts", POLY_COLUMNS, records, settings)
+def _cmd_polygon_verdicts(params: dict, settings: ScanSettings, output: dict):
+    records = polygon_verdicts(params["n"], params["m0_over_m"], params["e"],
+                               params.get("sites", list(Site)), settings)
+    return _sweep_output(output, "polygon-verdicts", POLY_COLUMNS, records, settings)
 
 
-def _json_artifact(cfg: RunConfig, summary: dict):
-    if cfg.output.get("json"):
-        return [(cfg.output["json"], json.dumps(summary, indent=2) + "\n")]
+def _json_artifact(output: dict, summary: dict):
+    if output.get("json"):
+        return [(output["json"], json.dumps(summary, indent=2) + "\n")]
     return []
 
 
-_HANDLERS = {
-    "cc": _cmd_cc,
-    "polygon": _cmd_polygon,
-    "stability": _cmd_stability,
-    "index": _cmd_index,
-    "scan-theta": _cmd_scan_theta,
-    "scan-mass": _cmd_scan_mass,
-    "find-mstar": _cmd_find_mstar,
-    "polygon-verdicts": _cmd_polygon_verdicts,
+# ---------------------------------------------------------------------------
+# The command table: the parser and run() read only this
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class _Command:
+    """A command's handler, the converter of each parameter it reads, the
+    artifacts it writes, and whether it reads --tol/--circle-tol."""
+
+    handler: Callable
+    params: dict[str, Callable]
+    outputs: tuple[str, ...] = ("json",)
+    tolerances: bool = False
+    flags: dict[str, str] = field(default_factory=dict)  # where the flag is not --key
+
+    @property
+    def tolerance_keys(self) -> tuple[str, ...]:
+        return tuple(_SETTINGS_FIELDS) if self.tolerances else ()
+
+
+_COMMANDS = {
+    "cc": _Command(_cmd_cc, {"m": _as_range, "ordering": _as_int_list}),
+    "polygon": _Command(
+        _cmd_polygon, {"n": _as_int, "m0_over_m": _as_float, "site": _as_site}
+    ),
+    "stability": _Command(
+        _cmd_stability,
+        {"family": str, "m": _as_range, "e": _as_float, "guess": _as_range,
+         "n": _as_int, "m0_over_m": _as_float, "site": _as_site},
+        tolerances=True,
+    ),
+    "index": _Command(
+        _cmd_index, {k: _as_float for k in ("alpha", "beta", "e", "omega", "rho")}
+    ),
+    "scan-theta": _Command(
+        _cmd_scan_theta, {"beta": _as_range, "e": _as_range}, ("csv", "json", "svg"),
+        tolerances=True,
+    ),
+    "scan-mass": _Command(
+        _cmd_scan_mass, {"m1": _as_range, "m3": _as_range, "e": _as_float},
+        ("csv", "json", "svg"), tolerances=True,
+    ),
+    "find-mstar": _Command(_cmd_find_mstar, {"tol": _as_float}, flags={"tol": "--mstar-tol"}),
+    "polygon-verdicts": _Command(
+        _cmd_polygon_verdicts,
+        {"n": _as_int_list, "m0_over_m": _as_range, "e": _as_range, "sites": _as_sites},
+        ("csv", "json"), tolerances=True,
+    ),
 }
 
 
@@ -499,60 +497,59 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command")
-
-    def add(name, *flags):
+    for name, command in _COMMANDS.items():
         p = sub.add_parser(name)
-        for flag in flags:
-            p.add_argument(flag)
+        for key in (*command.params, *command.outputs, *command.tolerance_keys):
+            p.add_argument(command.flags.get(key, "--" + key.replace("_", "-")), dest=key)
         p.add_argument("--config")
-        for key in sorted(_OUTPUT_KEYS[name]):
-            p.add_argument(f"--{key}")
-        p.add_argument("--tol")
-        p.add_argument("--circle-tol", dest="circle_tol")
-        return p
-
-    add("cc", "--m", "--ordering")
-    add("polygon", "--n", "--m0-over-m", "--site")
-    add("stability", "--family", "--m", "--e", "--guess", "--n", "--m0-over-m", "--site")
-    add("index", "--alpha", "--beta", "--e", "--omega", "--rho")
-    add("scan-theta", "--beta", "--e")
-    add("scan-mass", "--m1", "--m3", "--e")
-    add("find-mstar")
-    fm = sub.choices["find-mstar"]
-    fm.add_argument("--mstar-tol", dest="tol")
-    add("polygon-verdicts", "--n", "--m0-over-m", "--e", "--sites")
     return parser
 
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    command = args.command
-    if command is None:
+    if args.command is None:
         raise ConfigError("a command is required; see --help")
-    params = {}
-    for key in _PARAM_KEYS[command]:
-        attr = key.replace("-", "_")
-        value = getattr(args, attr, None)
-        if value is not None:
-            params[key] = value
-    output = {k: getattr(args, k) for k in _OUTPUT_KEYS[command] if getattr(args, k, None)}
-    tolerances = {}
-    if getattr(args, "tol", None) is not None and command != "find-mstar":
-        tolerances["tol"] = args.tol
-    if getattr(args, "circle_tol", None) is not None:
-        tolerances["circle_tol"] = args.circle_tol
-    cfg = RunConfig(command=command, parameters=params, output=output, tolerances=tolerances)
-    if getattr(args, "config", None):
+    command = _COMMANDS[args.command]
+
+    def given(keys):
+        return {k: getattr(args, k) for k in keys if getattr(args, k) is not None}
+
+    cfg = RunConfig(
+        command=args.command,
+        parameters=given(command.params),
+        output=given(command.outputs),
+        tolerances=given(command.tolerance_keys),
+    )
+    if args.config:
         cfg = _merge_config_file(cfg, args.config)
     return cfg
 
 
 def run(cfg: RunConfig) -> tuple[dict, list[tuple[str, str]]]:
-    """Execute a validated run configuration; returns (summary, artifacts)."""
-    if cfg.command not in _HANDLERS:
+    """Validate and execute a run configuration; returns (summary, artifacts).
+
+    Every key is checked against the command table and every value converted
+    before the handler runs, so a bad input leaves no artifact behind.
+    """
+    command = _COMMANDS.get(cfg.command)
+    if command is None:
         raise ConfigError(f"unknown command {cfg.command!r}")
+    for section, given, allowed in (
+        ("parameters", cfg.parameters, command.params),
+        ("output", cfg.output, command.outputs),
+        ("tolerances", cfg.tolerances, command.tolerance_keys),
+    ):
+        unknown = set(given) - set(allowed)
+        if unknown:
+            raise ConfigError(f"unknown {section} keys for {cfg.command}: {sorted(unknown)}")
+    params = _Parameters(
+        {k: command.params[k](v) for k, v in cfg.parameters.items() if v is not None}
+    )
+    settings = ScanSettings(
+        **{_SETTINGS_FIELDS[k]: _as_float(v) for k, v in cfg.tolerances.items()}
+    )
     started = datetime.now(timezone.utc)
     t0 = time.monotonic()
-    summary, artifacts = _HANDLERS[cfg.command](cfg)
+    summary, artifacts = command.handler(params, settings, cfg.output)
     duration = time.monotonic() - t0
     for path, text in artifacts:
         _atomic_write(path, text)
@@ -564,7 +561,7 @@ def run(cfg: RunConfig) -> tuple[dict, list[tuple[str, str]]]:
             "version": __version__,
             "started_at": started.isoformat(),
             "duration_s": duration,
-            "settings_digest": cfg.settings().digest(),
+            "settings_digest": settings.digest(),
             "artifacts": [os.path.basename(p) for p, _ in artifacts],
         }
         manifest_path = os.path.join(
@@ -578,9 +575,7 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        cfg = _config_from_args(args)
-        # force parameter parsing up front so bad values exit with code 2
-        summary, _ = run(cfg)
+        summary, _ = run(_config_from_args(args))
     except (ConfigError, DomainError) as exc:
         print(f"erestab: configuration error: {exc}", file=sys.stderr)
         return 2

@@ -233,32 +233,28 @@ class CurvePoint:
 
 
 def _phi_m1(beta: float, e: float, settings: ScanSettings, cache: dict) -> int:
-    key = beta
-    if key not in cache:
+    if beta not in cache:
         p = StabilityParams.from_beta_hls(beta, e)
-        cache[key] = morse_index(p, -1.0, settings.morse_levels).phi
-    return cache[key]
+        cache[beta] = morse_index(p, -1.0, settings.morse_levels).phi
+    return cache[beta]
 
 
 def _has_circle_spectrum(beta: float, e: float, settings: ScanSettings, cache: dict) -> bool:
-    key = beta
-    if key not in cache:
+    if beta not in cache:
         p = StabilityParams.from_beta_hls(beta, e)
-        mono = integrate_fundamental(p, settings.integrator_tol)
-        moduli = np.abs(np.asarray(mono.eigenvalues))
-        cache[key] = bool(np.any(np.abs(moduli - 1.0) < settings.circle_tol))
-    return cache[key]
+        cache[beta] = analyze(p, settings, indices=False).verdict.on_circle_count > 0
+    return cache[beta]
 
 
 def _bisect_boundary(pred, lo: float, hi: float, resolution: float) -> tuple[float, float]:
-    """Shrink [lo, hi] with pred(lo) true, pred(hi) false; returns (mid, width)."""
+    """Shrink [lo, hi] with pred(lo) true, pred(hi) false to width <= resolution."""
     while hi - lo > resolution:
         mid = 0.5 * (lo + hi)
         if pred(mid):
             lo = mid
         else:
             hi = mid
-    return 0.5 * (lo + hi), hi - lo
+    return lo, hi
 
 
 def find_curves(
@@ -308,13 +304,13 @@ def find_curves(
                         f"expected one phi_-1 >= {level} boundary at e={e}, found {drops.size}"
                     )
                 i = int(drops[0])
-                beta, width = _bisect_boundary(
+                lo, hi = _bisect_boundary(
                     lambda b: _phi_m1(b, e, settings, phi_cache) >= level,
                     float(grid[i]),
                     float(grid[i + 1]),
                     beta_resolution,
                 )
-                jump_betas.append((beta, width))
+                jump_betas.append((0.5 * (lo + hi), hi - lo))
             (b1, w1), (b2, w2) = sorted(jump_betas)
             points.append(CurvePoint(e, b1, CurveKind.BETA_S, w1))
             points.append(CurvePoint(e, b2, CurveKind.BETA_M, w2))
@@ -327,13 +323,13 @@ def find_curves(
                 points.append(CurvePoint(e, float(grid[-1]), CurveKind.BETA_K, 0.0))
             else:
                 i = int(fails[0])
-                beta, width = _bisect_boundary(
+                lo, hi = _bisect_boundary(
                     lambda b: _has_circle_spectrum(b, e, settings, circ_cache),
                     float(grid[i - 1]),
                     float(grid[i]),
                     beta_resolution,
                 )
-                points.append(CurvePoint(e, beta, CurveKind.BETA_K, width))
+                points.append(CurvePoint(e, 0.5 * (lo + hi), CurveKind.BETA_K, hi - lo))
         except ErestabError as exc:
             warnings.warn(f"curve extraction failed at e={e}: {exc}", stacklevel=2)
     return points
@@ -440,12 +436,7 @@ def find_mstar(tolerance: float = 1e-6, grid_step: float = 1e-3) -> MstarResult:
         )
         return MstarResult(0.5 * (lo + hi), lo, hi, monotone=False,
                            note="non-monotone chain; grid boundary")
-    while hi - lo > tolerance:
-        mid = 0.5 * (lo + hi)
-        if symmetric_beta(mid) < 1.0:
-            hi = mid
-        else:
-            lo = mid
+    lo, hi = _bisect_boundary(lambda m: symmetric_beta(m) >= 1.0, lo, hi, tolerance)
     return MstarResult(0.5 * (lo + hi), lo, hi, monotone=True)
 
 

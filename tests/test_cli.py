@@ -1,14 +1,16 @@
 import json
 import os
+import shlex
 from pathlib import Path
 
 import pytest
 
-from erestab.cli import ConfigError, main, parse_range
+from erestab.cli import _COMMANDS, ConfigError, _build_parser, main, parse_range
 from erestab.linearization import symmetric_beta
 from erestab.svg import PlotStyle, emit_svg
 
 DATA = Path(__file__).parent / "data"
+README = Path(__file__).parent.parent / "README.md"
 
 
 def run_cli(args, tmp_path, monkeypatch, capsys):
@@ -16,6 +18,27 @@ def run_cli(args, tmp_path, monkeypatch, capsys):
     code = main(args)
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def assert_flag_rejected(args, tmp_path, monkeypatch, capsys):
+    """argparse exits 2 on the last flag of ``args`` and nothing is written."""
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(args)
+    assert exc.value.code == 2
+    assert args[-2] in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def assert_config_rejected(args, config, tmp_path, monkeypatch, capsys) -> str:
+    """``args`` with a config file holding ``config`` exits 2 and writes
+    nothing; returns the error text."""
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps(config))
+    code, _, err = run_cli(args + ["--config", str(cfg)], tmp_path, monkeypatch, capsys)
+    assert code == 2 and "configuration error" in err
+    assert list(tmp_path.iterdir()) == [cfg]
+    return err
 
 
 class TestRangeParsing:
@@ -169,12 +192,19 @@ class TestExitCodes:
         assert code == 2 and "configuration error" in err
         assert not (tmp_path / "out.csv").exists()
 
+    CC = ["cc", "--m", "2,3,5"]
+    POLYGON = ["polygon", "--n", "8", "--m0-over-m", "1000", "--site", "S3"]
+    STABILITY = ["stability", "--family", "collinear", "--m", "0.25,0.5,0.25", "--e", "0"]
+    STABILITY_POLYGON = ["stability", "--family", "polygon", "--n", "8",
+                         "--m0-over-m", "1000", "--site", "S3", "--e", "0.1"]
+    INDEX = ["index", "--alpha", "0.5", "--beta", "1.5", "--e", "0.2", "--omega", "-1"]
+
     UNWRITTEN_OUTPUTS = [
-        (["index", "--alpha", "0.5", "--beta", "1.5", "--e", "0.2", "--omega", "-1"], "csv"),
-        (["index", "--alpha", "0.5", "--beta", "1.5", "--e", "0.2", "--omega", "-1"], "svg"),
-        (["cc", "--m", "2,3,5"], "csv"),
-        (["polygon", "--n", "8", "--m0-over-m", "1000", "--site", "S3"], "svg"),
-        (["stability", "--family", "collinear", "--m", "0.25,0.5,0.25", "--e", "0"], "csv"),
+        (INDEX, "csv"),
+        (INDEX, "svg"),
+        (CC, "csv"),
+        (POLYGON, "svg"),
+        (STABILITY, "csv"),
         (["find-mstar"], "svg"),
         (["polygon-verdicts", "--n", "8", "--m0-over-m", "1000", "--e", "0",
           "--sites", "S3"], "svg"),
@@ -183,22 +213,73 @@ class TestExitCodes:
     @pytest.mark.parametrize("args, key", UNWRITTEN_OUTPUTS,
                              ids=[f"{a[0]}-{k}" for a, k in UNWRITTEN_OUTPUTS])
     def test_unwritten_output_flag_is_2(self, args, key, tmp_path, monkeypatch, capsys):
-        monkeypatch.chdir(tmp_path)
-        with pytest.raises(SystemExit) as exc:
-            main(args + [f"--{key}", f"out.{key}"])
-        assert exc.value.code == 2
-        assert f"--{key}" in capsys.readouterr().err
-        assert list(tmp_path.iterdir()) == []
+        assert_flag_rejected(args + [f"--{key}", f"out.{key}"], tmp_path, monkeypatch, capsys)
 
     @pytest.mark.parametrize("args, key", UNWRITTEN_OUTPUTS,
                              ids=[f"{a[0]}-{k}" for a, k in UNWRITTEN_OUTPUTS])
     def test_unwritten_output_config_key_is_2(self, args, key, tmp_path, monkeypatch,
                                               capsys):
-        cfg = tmp_path / "run.json"
-        cfg.write_text(json.dumps({"output": {key: f"out.{key}"}}))
-        code, _, err = run_cli(args + ["--config", str(cfg)], tmp_path, monkeypatch, capsys)
-        assert code == 2 and "configuration error" in err and key in err
-        assert list(tmp_path.iterdir()) == [cfg]
+        err = assert_config_rejected(args, {"output": {key: f"out.{key}"}},
+                                     tmp_path, monkeypatch, capsys)
+        assert key in err
+
+    # Only stability and the three sweeps integrate, so only they read the
+    # tolerances; find-mstar's own tolerance is --mstar-tol / parameters.tol.
+    UNREAD_TOLERANCES = [
+        (args + ["--json", "out.json"], key)
+        for args in (CC, POLYGON, INDEX, ["find-mstar"])
+        for key in ("tol", "circle_tol")
+    ]
+
+    @pytest.mark.parametrize("args, key", UNREAD_TOLERANCES,
+                             ids=[f"{a[0]}-{k}" for a, k in UNREAD_TOLERANCES])
+    def test_unread_tolerance_flag_is_2(self, args, key, tmp_path, monkeypatch, capsys):
+        flag = "--" + key.replace("_", "-")
+        assert_flag_rejected(args + [flag, "1e-9"], tmp_path, monkeypatch, capsys)
+
+    @pytest.mark.parametrize("args, key", UNREAD_TOLERANCES,
+                             ids=[f"{a[0]}-{k}" for a, k in UNREAD_TOLERANCES])
+    def test_unread_tolerance_config_key_is_2(self, args, key, tmp_path, monkeypatch,
+                                              capsys):
+        err = assert_config_rejected(args, {"tolerances": {key: 1e-9}},
+                                     tmp_path, monkeypatch, capsys)
+        assert key in err
+
+    def test_bad_tolerance_writes_nothing(self, tmp_path, monkeypatch, capsys):
+        code, _, err = run_cli(self.STABILITY + ["--tol", "banana", "--json", "s.json"],
+                               tmp_path, monkeypatch, capsys)
+        assert code == 2 and "banana" in err
+        assert list(tmp_path.iterdir()) == []
+
+    # A list given to a parameter that takes one value, with the flag whose
+    # value it replaces.
+    ONE_VALUE_LISTS = [
+        (POLYGON, "--n", [8, 12]),
+        (POLYGON, "--site", ["S3", "S1"]),
+        (POLYGON, "--m0-over-m", [10, 100]),
+        (STABILITY_POLYGON, "--n", [4, 8]),
+        (STABILITY_POLYGON, "--site", ["S3", "S2"]),
+        (STABILITY_POLYGON, "--e", [0.1, 0.2]),
+        (INDEX, "--alpha", [0.5, 0.7]),
+    ]
+    ONE_VALUE_IDS = [f"{a[0]}{f}" for a, f, _ in ONE_VALUE_LISTS]
+
+    @pytest.mark.parametrize("args, flag, values", ONE_VALUE_LISTS, ids=ONE_VALUE_IDS)
+    def test_list_for_one_value_flag_is_2(self, args, flag, values, tmp_path, monkeypatch,
+                                          capsys):
+        argv = list(args)
+        argv[argv.index(flag) + 1] = ",".join(str(v) for v in values)
+        code, _, err = run_cli(argv + ["--json", "out.json"], tmp_path, monkeypatch, capsys)
+        assert code == 2 and "configuration error" in err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("args, flag, values", ONE_VALUE_LISTS, ids=ONE_VALUE_IDS)
+    def test_list_for_one_value_config_key_is_2(self, args, flag, values, tmp_path,
+                                                monkeypatch, capsys):
+        i = args.index(flag)
+        key = flag[2:].replace("-", "_")
+        assert_config_rejected(args[:i] + args[i + 2:] + ["--json", "out.json"],
+                               {"parameters": {key: values}}, tmp_path, monkeypatch, capsys)
 
     def test_missing_parameter_is_2(self, tmp_path, monkeypatch, capsys):
         code, _, _ = run_cli(["scan-theta", "--beta", "0:1:0.5"],
@@ -276,3 +357,19 @@ class TestCcAndPolygonCommands:
         assert [(r["site"], r["verdict"]) for r in rows] == [
             ("S1", "Unstable"), ("S3", "StronglyLinearlyStable")
         ]
+
+
+def readme_commands() -> list[list[str]]:
+    """The argv of every ``erestab`` line in the README's command-line block."""
+    section = README.read_text().split("## Command line", 1)[1]
+    block = section.split("```sh", 1)[1].split("```", 1)[0].replace("\\\n", " ")
+    return [shlex.split(line, comments=True)[1:]
+            for line in block.splitlines() if line.startswith("erestab ")]
+
+
+def test_readme_commands_parse():
+    argvs = readme_commands()
+    assert {argv[0] for argv in argvs} == set(_COMMANDS)
+    parser = _build_parser()
+    for argv in argvs:
+        parser.parse_args(argv)
