@@ -15,7 +15,7 @@ from enum import Enum
 from typing import Sequence
 
 import numpy as np
-from scipy.optimize import brentq
+from scipy.optimize import brentq, minimize
 
 from .errors import (
     ConvergenceError,
@@ -31,6 +31,7 @@ MASS_SUM_TOL = 1e-14
 CC_RESIDUAL_TOL = 1e-10
 CENTER_TOL = 1e-12
 INERTIA_TOL = 1e-12
+MAX_ITER = 200  # iteration cap of the Moulton and restricted-position solvers
 
 
 class FamilyKind(Enum):
@@ -298,8 +299,6 @@ def _line_cc_residual(masses: np.ndarray, x: np.ndarray) -> np.ndarray:
 def moulton_collinear(
     masses: MassSystem,
     ordering: Sequence[int] | None = None,
-    *,
-    max_iter: int = 200,
 ) -> Configuration:
     """Collinear central configuration of k >= 2 primaries in a fixed ordering.
 
@@ -319,7 +318,7 @@ def moulton_collinear(
     u = np.zeros(k - 1)
     res = _line_cc_residual(m, _line_positions(m, u, ordering))
     norm = float(np.max(np.abs(res)))
-    for _ in range(max_iter):
+    for _ in range(MAX_ITER):
         if norm < 1e-12:
             break
         jac = np.empty((k, k - 1))
@@ -351,7 +350,7 @@ def moulton_collinear(
         norm = float(np.max(np.abs(res)))
     else:
         raise ConvergenceError(
-            f"Moulton iteration did not converge in {max_iter} iterations",
+            f"Moulton iteration did not converge in {MAX_ITER} iterations",
             residual=norm,
         )
     x = _line_positions(m, u, ordering)
@@ -362,11 +361,27 @@ def moulton_collinear(
 # Equilibrium of the massless body off the primaries' line
 # ---------------------------------------------------------------------------
 
+def _amended_potential(config: Configuration, point: np.ndarray):
+    """V(a) = sum_j m_j/|a - a_j| + mu |a|^2 / 2, its gradient and Hessian.
+
+    The gradient sum_j m_j (a_j - a)/|a_j - a|^3 + mu a is the equilibrium
+    equation of the massless body and the Hessian is its Jacobian.
+    """
+    m = config.masses.array
+    diff = config.primary_positions - point[None, :]
+    r = np.hypot(diff[:, 0], diff[:, 1])
+    if np.any(r < 1e-12):
+        raise SingularityError("massless body hit a primary")
+    r3 = r**3
+    value = float(np.sum(m / r)) + 0.5 * config.mu * float(point @ point)
+    grad = (m[:, None] * diff / r3[:, None]).sum(axis=0) + config.mu * point
+    outer = np.einsum("k,ki,kj->ij", m / r**5, diff, diff)
+    hess = 3.0 * outer - np.eye(2) * float(np.sum(m / r3)) + config.mu * np.eye(2)
+    return value, grad, hess
+
+
 def restricted_position(
-    config: Configuration,
-    guess: Sequence[float] = (0.0, 1.0),
-    *,
-    max_iter: int = 200,
+    config: Configuration, guess: Sequence[float] = (0.0, 1.0)
 ) -> Configuration:
     """Solve for the off-line equilibrium position of the massless body.
 
@@ -386,24 +401,9 @@ def restricted_position(
     a = np.asarray(guess, dtype=float).reshape(2)
     if abs(a[1]) < 1e-12:
         raise DomainError("guess must lie off the primaries' line")
-    m = config.masses.array
-    pos = config.primary_positions
-    mu = config.mu
-
-    def f_and_j(point):
-        diff = pos - point[None, :]
-        r = np.hypot(diff[:, 0], diff[:, 1])
-        if np.any(r < 1e-12):
-            raise SingularityError("massless body hit a primary during iteration")
-        r3 = r**3
-        f = (m[:, None] * diff / r3[:, None]).sum(axis=0) + mu * point
-        outer = np.einsum("k,ki,kj->ij", m / r**5, diff, diff)
-        jac = 3.0 * outer - np.eye(2) * float(np.sum(m / r3)) + mu * np.eye(2)
-        return f, jac
-
-    f, jac = f_and_j(a)
+    _, f, jac = _amended_potential(config, a)
     norm = float(np.max(np.abs(f)))
-    for _ in range(max_iter):
+    for _ in range(MAX_ITER):
         if norm < 1e-11:
             break
         step = np.linalg.solve(jac, -f)
@@ -411,7 +411,7 @@ def restricted_position(
         for _ in range(30):
             trial = a + scale * step
             try:
-                trial_f, trial_jac = f_and_j(trial)
+                _, trial_f, trial_jac = _amended_potential(config, trial)
             except SingularityError:
                 scale *= 0.5
                 continue
@@ -427,7 +427,7 @@ def restricted_position(
         norm = float(np.max(np.abs(f)))
     else:
         raise ConvergenceError(
-            f"restricted-position Newton did not converge in {max_iter} iterations",
+            f"restricted-position Newton did not converge in {MAX_ITER} iterations",
             residual=norm,
         )
     if abs(a[1]) < 1e-8:
@@ -435,83 +435,61 @@ def restricted_position(
             "Newton converged to a point on the primaries' line; "
             "choose a different guess"
         )
-    diff = pos - a[None, :]
+    diff = config.primary_positions - a[None, :]
     r = np.hypot(diff[:, 0], diff[:, 1])
-    mu_check = float(np.sum(m / r**3))
-    if abs(mu - mu_check) > 1e-9:
+    mu_check = float(np.sum(config.masses.array / r**3))
+    if abs(config.mu - mu_check) > 1e-9:
         raise InvariantViolation(
             f"off-line multiplier identity violated: |mu - sum m_j/r^3| = "
-            f"{abs(mu - mu_check):.3e}"
+            f"{abs(config.mu - mu_check):.3e}"
         )
     return config.with_massless(a)
 
 
-def locate_offline_equilibria(config: Configuration, samples: int = 2000) -> list[np.ndarray]:
-    """All equilibrium positions of the massless body in the open upper half plane.
+def locate_offline_equilibria(
+    config: Configuration, guess: Sequence[float] = (0.0, 1.0)
+) -> np.ndarray:
+    """An off-line equilibrium of the massless body in the upper half plane.
 
-    For primaries on the x-axis the y-component of the equilibrium equation
-    holds exactly on the locus sum_j m_j / |a - a_j|^3 = mu, which is the
-    graph of a unique y(x) > 0 wherever the on-axis value exceeds mu (the
-    sum is strictly decreasing in y).  Scanning the x-component of the
-    equation along that graph finds every off-line equilibrium; mirror
-    images below the axis are omitted.
+    Descends the amended potential V (see :func:`_amended_potential`) by an
+    exact-Hessian trust region from ``guess`` mirrored into y > 0.  For
+    primaries on the x-axis the Hessian of V at an off-line equilibrium is
+    mu D with eigenvalues lambda_3 + lambda_4 = 3 and
+    lambda_3 - lambda_4 = 3 |sum_j m_j z_j^2 / r_j^5| / mu <= 3, where z_j
+    is a - a_j as a complex number and r_j = |z_j|.  So every off-line
+    equilibrium is a local minimum of V, while the on-line ones,
+    where Newton degenerates, are saddles a descent leaves.  Raises
+    DegenerateSolutionError if the descent still ends on the line.
     """
-    m = config.masses.array
-    pos = config.primary_positions
-    if np.max(np.abs(pos[:, 1])) > 1e-10:
+    if np.max(np.abs(config.primary_positions[:, 1])) > 1e-10:
         raise DomainError("locate_offline_equilibria needs primaries on the x-axis")
-    xs = pos[:, 0]
-    mu = config.mu
-    reach = float(np.max(np.abs(xs)) + mu ** (-1.0 / 3.0) + 1.0)
-
-    def h(x, y):
-        return float(np.sum(m / ((x - xs) ** 2 + y * y) ** 1.5)) - mu
-
-    def y_on_locus(x):
-        if h(x, 1e-9) <= 0.0:
-            return None
-        hi = 1e-6
-        while h(x, hi) > 0.0:
-            hi *= 2.0
-            if hi > 1e6:
-                return None
-        return brentq(lambda y: h(x, y), 1e-9, hi, xtol=1e-14)
-
-    def fx_on_locus(x):
-        y = y_on_locus(x)
-        if y is None:
-            return None
-        return float(np.sum(m * (xs - x) / ((x - xs) ** 2 + y * y) ** 1.5)) + mu * x
-
-    grid = np.linspace(-reach, reach, samples)
-    vals = [fx_on_locus(x) for x in grid]
-    found: list[np.ndarray] = []
-    for (xa, fa), (xb, fb) in zip(zip(grid, vals), zip(grid[1:], vals[1:])):
-        if fa is None or fb is None or (fa > 0.0) == (fb > 0.0):
-            continue
-        xr = brentq(lambda x: fx_on_locus(x), xa, xb, xtol=1e-13)
-        yr = y_on_locus(xr)
-        if yr is not None:
-            found.append(np.array([xr, yr]))
-    return found
+    start = np.array([guess[0], abs(guess[1])], dtype=float)
+    res = minimize(
+        lambda a: _amended_potential(config, a)[:2],
+        start,
+        jac=True,
+        hess=lambda a: _amended_potential(config, a)[2],
+        method="trust-exact",
+        options={"gtol": 1e-10},
+    )
+    x, y = res.x
+    if abs(y) < 1e-8:
+        raise DegenerateSolutionError("the descent ended on the primaries' line")
+    return np.array([x, abs(y)])
 
 
 def offline_equilibrium(config: Configuration, guess: Sequence[float] = (0.0, 1.0)) -> Configuration:
-    """Robust off-line equilibrium: Newton first, locus scan as fallback.
+    """Robust off-line equilibrium: Newton first, a descent of V as fallback.
 
     Tries :func:`restricted_position` from ``guess``; if the iteration
-    degenerates onto the primaries' line, re-seeds it with the globally
-    located equilibrium nearest to the guess.
+    degenerates onto the primaries' line, re-seeds it at the minimum of the
+    amended potential that :func:`locate_offline_equilibria` descends to
+    from the guess.
     """
     try:
         return restricted_position(config, guess)
     except (ConvergenceError, DegenerateSolutionError):
-        candidates = locate_offline_equilibria(config)
-        if not candidates:
-            raise
-        ref = np.asarray(guess, dtype=float)
-        best = min(candidates, key=lambda a: float(np.hypot(*(a - ref))))
-        return restricted_position(config, best)
+        return restricted_position(config, locate_offline_equilibria(config, guess))
 
 
 def solve_symmetric_y(m2: float) -> float:

@@ -29,6 +29,7 @@ from .linearization import StabilityParams
 from .maslov import morse_index
 from .polygon_config import PolygonSystem, Site, solve_site
 from .scan import (
+    CURVE_E_MAX,
     CurveKind,
     ScanSettings,
     analyze,
@@ -376,7 +377,7 @@ def _sweep_output(output: dict, kind: str, columns, records, settings: ScanSetti
 
 
 def _theta_svg(rows, e_grid, settings: ScanSettings) -> str:
-    curve_es = [e for e in e_grid if e <= 0.95]
+    curve_es = [e for e in e_grid if e <= CURVE_E_MAX]
     if len(curve_es) > 11:
         curve_es = [curve_es[i] for i in
                     np.linspace(0, len(curve_es) - 1, 11).astype(int)]
@@ -494,11 +495,12 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="erestab",
         description="Stability of elliptic relative equilibria of restricted N-body problems.",
+        allow_abbrev=False,
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command")
     for name, command in _COMMANDS.items():
-        p = sub.add_parser(name)
+        p = sub.add_parser(name, allow_abbrev=False)
         for key in (*command.params, *command.outputs, *command.tolerance_keys):
             p.add_argument(command.flags.get(key, "--" + key.replace("_", "-")), dest=key)
         p.add_argument("--config")

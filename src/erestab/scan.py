@@ -41,6 +41,7 @@ from .polygon_config import PolygonSystem, Site, solve_site
 THETA_BETA_MAX = 9.0
 SWEEP_E_MAX = 0.99
 CURVE_E_MAX = 0.95
+MSTAR_GRID_STEP = 1e-3
 
 
 def _env_workers() -> int:
@@ -407,7 +408,7 @@ class MstarResult:
         return self.bracket_high - self.bracket_low
 
 
-def find_mstar(tolerance: float = 1e-6, grid_step: float = 1e-3) -> MstarResult:
+def find_mstar(tolerance: float = 1e-6) -> MstarResult:
     """Critical middle mass of the symmetric chain at e = 0.
 
     Bisects beta(m2) < 1 (the circular-case stability criterion) on the
@@ -419,7 +420,7 @@ def find_mstar(tolerance: float = 1e-6, grid_step: float = 1e-3) -> MstarResult:
     """
     if tolerance < 1e-8:
         raise DomainError("tolerance must be >= 1e-8")
-    grid = np.arange(0.0, 1.0 - 1e-9, grid_step)
+    grid = np.arange(0.0, 1.0 - 1e-9, MSTAR_GRID_STEP)
     betas = np.array([symmetric_beta(m) for m in grid])
     stable = betas < 1.0
     if stable[0] or not stable[-1]:

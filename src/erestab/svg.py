@@ -28,8 +28,6 @@ class PlotStyle:
     title: str = ""
     xlabel: str = "x"
     ylabel: str = "y"
-    xlim: tuple[float, float] | None = None
-    ylim: tuple[float, float] | None = None
 
 
 def _fnum(x: float) -> str:
@@ -56,8 +54,8 @@ def emit_svg(
 
     xs = [p[0] for p in points] + [q[0] for _, path in curves for q in path]
     ys = [p[1] for p in points] + [q[1] for _, path in curves for q in path]
-    xlim = style.xlim or ((min(xs), max(xs)) if xs else (0.0, 1.0))
-    ylim = style.ylim or ((min(ys), max(ys)) if ys else (0.0, 1.0))
+    xlim = (min(xs), max(xs)) if xs else (0.0, 1.0)
+    ylim = (min(ys), max(ys)) if ys else (0.0, 1.0)
     if xlim[0] == xlim[1]:
         xlim = (xlim[0] - 0.5, xlim[1] + 0.5)
     if ylim[0] == ylim[1]:

@@ -4,8 +4,9 @@ Most of these deliberately avoid the production code paths: polynomial
 companion roots instead of bracketed Brent, high-precision summation
 instead of fsum, closed-form spectra instead of Galerkin matrices, the
 complex Hermitian Galerkin matrix built from Kronecker products instead of
-its real symmetric form, and a direct quartic-multiplier formula instead of
-integrated monodromies.
+its real symmetric form, a 2000-sample locus scan for every off-line
+equilibrium instead of one descent of the amended potential, and a direct
+quartic-multiplier formula instead of integrated monodromies.
 
 The helpers after them (matrix exponential, D-form coefficient path,
 spectral distances, symplectic samples, positivity sweep) are checks only
@@ -21,7 +22,7 @@ from typing import Callable, Sequence
 import numpy as np
 from scipy.integrate import solve_ivp
 from scipy.linalg import toeplitz
-from scipy.optimize import linear_sum_assignment
+from scipy.optimize import brentq, linear_sum_assignment
 
 from erestab.errors import ConvergenceError, DomainError
 from erestab.linearization import I2, J2, J4, DMatrix, StabilityParams, b_matrix, spectral_params
@@ -62,6 +63,57 @@ def cc_defect_complex(masses, positions, mu, massless=None):
         acc = sum(m * (z - zn) / abs(z - zn) ** 3 for m, z in zip(masses, zs))
         worst = max(worst, abs(acc + mu * zn))
     return worst
+
+
+def locus_scan_equilibria(config, samples: int = 2000) -> list[np.ndarray]:
+    """All equilibrium positions of the massless body in the open upper half plane.
+
+    For primaries on the x-axis the y-component of the equilibrium equation
+    holds exactly on the locus sum_j m_j / |a - a_j|^3 = mu, which is the
+    graph of a unique y(x) > 0 wherever the on-axis value exceeds mu (the
+    sum is strictly decreasing in y).  Scanning the x-component of the
+    equation along that graph finds every off-line equilibrium; mirror
+    images below the axis are omitted.  The reference for the descent in
+    ``locate_offline_equilibria``.
+    """
+    m = config.masses.array
+    pos = config.primary_positions
+    if np.max(np.abs(pos[:, 1])) > 1e-10:
+        raise DomainError("locus_scan_equilibria needs primaries on the x-axis")
+    xs = pos[:, 0]
+    mu = config.mu
+    reach = float(np.max(np.abs(xs)) + mu ** (-1.0 / 3.0) + 1.0)
+
+    def h(x, y):
+        return float(np.sum(m / ((x - xs) ** 2 + y * y) ** 1.5)) - mu
+
+    def y_on_locus(x):
+        if h(x, 1e-9) <= 0.0:
+            return None
+        hi = 1e-6
+        while h(x, hi) > 0.0:
+            hi *= 2.0
+            if hi > 1e6:
+                return None
+        return brentq(lambda y: h(x, y), 1e-9, hi, xtol=1e-14)
+
+    def fx_on_locus(x):
+        y = y_on_locus(x)
+        if y is None:
+            return None
+        return float(np.sum(m * (xs - x) / ((x - xs) ** 2 + y * y) ** 1.5)) + mu * x
+
+    grid = np.linspace(-reach, reach, samples)
+    vals = [fx_on_locus(x) for x in grid]
+    found: list[np.ndarray] = []
+    for (xa, fa), (xb, fb) in zip(zip(grid, vals), zip(grid[1:], vals[1:])):
+        if fa is None or fb is None or (fa > 0.0) == (fb > 0.0):
+            continue
+        xr = brentq(lambda x: fx_on_locus(x), xa, xb, xtol=1e-13)
+        yr = y_on_locus(xr)
+        if yr is not None:
+            found.append(np.array([xr, yr]))
+    return found
 
 
 def hn_highprec(n, x, u, dps=64):

@@ -17,9 +17,14 @@ from erestab.central_config import (
     solve_symmetric_y,
     symmetric_four_body,
 )
-from erestab.errors import ConvergenceError, DomainError
+from erestab.errors import ConvergenceError, DegenerateSolutionError, DomainError
 
-from oracles import cc_defect_complex, quintic_positive_roots, symmetric_y_highprec
+from oracles import (
+    cc_defect_complex,
+    locus_scan_equilibria,
+    quintic_positive_roots,
+    symmetric_y_highprec,
+)
 
 
 def random_triple(rng):
@@ -161,8 +166,23 @@ class TestRestrictedPosition:
     def test_locus_scan_agrees_with_newton(self):
         cfg = collinear_three_primaries(MassSystem((0.5, 0.3, 0.2)))
         newton = restricted_position(cfg).massless_position
-        candidates = locate_offline_equilibria(cfg)
-        assert min(np.hypot(*(a - newton)) for a in candidates) < 1e-9
+        found = locate_offline_equilibria(cfg)
+        assert np.hypot(*(found - newton)) < 1e-9
+
+    # The mass-plane cells ((k1 + 1/4)/14, (k3 + 1/4)/14) where Newton from
+    # (0, 1) lands on the primaries' line, and their mirrors.
+    FALLBACK_CELLS = [(0, 5), (2, 5), (3, 10), (5, 0), (5, 2), (10, 3)]
+
+    @pytest.mark.parametrize("k1, k3", FALLBACK_CELLS)
+    def test_fallback_matches_locus_scan(self, k1, k3):
+        m1, m3 = (k1 + 0.25) / 14, (k3 + 0.25) / 14
+        cfg = collinear_three_primaries(MassSystem((m1, 1.0 - m1 - m3, m3)))
+        with pytest.raises(DegenerateSolutionError):
+            restricted_position(cfg, (0.0, 1.0))
+        nearest = min(locus_scan_equilibria(cfg), key=lambda a: np.hypot(a[0], a[1] - 1.0))
+        found = offline_equilibrium(cfg)
+        assert np.hypot(*(found.massless_position - nearest)) < 1e-9
+        assert found.cc_residual < 1e-10
 
     def test_guess_on_line_rejected(self):
         cfg = collinear_three_primaries(MassSystem((0.5, 0.3, 0.2)))

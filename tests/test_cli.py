@@ -223,6 +223,19 @@ class TestExitCodes:
                                      tmp_path, monkeypatch, capsys)
         assert key in err
 
+    # A prefix of a flag is not that flag: argparse would otherwise take
+    # --m for --m0-over-m and --site for --sites.
+    ABBREVIATED_FLAGS = [
+        ["polygon", "--n", "8", "--site", "S3", "--json", "out.json", "--m", "1000"],
+        ["polygon-verdicts", "--n", "8", "--m0-over-m", "1000", "--e", "0",
+         "--sites", "S3", "--json", "out.json", "--site", "S1"],
+    ]
+
+    @pytest.mark.parametrize("args", ABBREVIATED_FLAGS,
+                             ids=[f"{a[0]}{a[-2]}" for a in ABBREVIATED_FLAGS])
+    def test_abbreviated_flag_is_2(self, args, tmp_path, monkeypatch, capsys):
+        assert_flag_rejected(args, tmp_path, monkeypatch, capsys)
+
     # Only stability and the three sweeps integrate, so only they read the
     # tolerances; find-mstar's own tolerance is --mstar-tol / parameters.tol.
     UNREAD_TOLERANCES = [
