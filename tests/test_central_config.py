@@ -197,6 +197,31 @@ class TestRestrictedPosition:
         assert defect < 1e-10
 
 
+def test_solver_outputs_pinned():
+    """Exact outputs of the two Newton solvers: a refactor of their
+    iteration must leave every bit of these unchanged."""
+    ms = MassSystem((0.1, 0.2, 0.3, 0.4))
+    chain = moulton_collinear(ms)
+    assert repr((chain.primary_positions.tolist(), float(chain.mu))) == (
+        "([[-1.8221608174036068, 0.0], [-1.0407118973413856, 0.0], "
+        "[-0.10949452656046027, 0.0], [1.0580170479419395, 0.0]], 0.2623308663133036)"
+    )
+    permuted = moulton_collinear(ms, ordering=(2, 0, 3, 1))
+    assert repr((permuted.primary_positions.tolist(), float(permuted.mu))) == (
+        "([[-0.4942587279628052, 0.0], [1.4696339838876291, 0.0], "
+        "[-1.2835094193806196, 0.0], [0.3513797545823514, 0.0]], 0.26222895340182695)"
+    )
+    # The benchmark's mass-plane cell where Newton from (0, 1) degenerates
+    # and the descent re-seeds it.
+    m1, m3 = 0.25 / 14, 0.375
+    cfg = offline_equilibrium(
+        collinear_three_primaries(MassSystem.normalized((m1, 1.0 - m1 - m3, m3)))
+    )
+    assert repr((cfg.massless_position.tolist(), float(cfg.cc_residual))) == (
+        "([0.2317026460068428, 1.7406131639655669], 6.938893903907228e-17)"
+    )
+
+
 class TestSymmetricY:
     def test_anchors(self):
         assert solve_symmetric_y(0.0) == pytest.approx(SQRT3, abs=1e-12)
