@@ -275,6 +275,46 @@ def collinear_three_primaries(masses: MassSystem) -> Configuration:
 
 
 # ---------------------------------------------------------------------------
+# Damped Newton iteration shared by the configuration solvers
+# ---------------------------------------------------------------------------
+
+def _damped_newton(residual, newton_step, x: np.ndarray, tol: float, name: str) -> np.ndarray:
+    """Solve residual(x) = 0 by Newton steps halved until the max-norm drops.
+
+    ``residual(x)`` returns the residual vector and whatever ``newton_step``
+    needs besides it; ``newton_step(x, res, extra)`` returns the full step.
+    Each step is halved up to 30 times, and a trial point where ``residual``
+    raises SingularityError counts as no progress.  Stops once the max-norm
+    is below ``tol``; raises ConvergenceError if 30 halvings do not reduce
+    it or MAX_ITER steps do not reach ``tol``.
+    """
+    res, extra = residual(x)
+    norm = float(np.max(np.abs(res)))
+    for _ in range(MAX_ITER):
+        if norm < tol:
+            return x
+        step = newton_step(x, res, extra)
+        scale = 1.0
+        for _ in range(30):
+            trial = x + scale * step
+            try:
+                trial_res, trial_extra = residual(trial)
+            except SingularityError:
+                scale *= 0.5
+                continue
+            if np.max(np.abs(trial_res)) < norm:
+                break
+            scale *= 0.5
+        else:
+            raise ConvergenceError(
+                f"{name} stalled (30 halvings without progress)", residual=norm
+            )
+        x, res, extra = trial, trial_res, trial_extra
+        norm = float(np.max(np.abs(res)))
+    raise ConvergenceError(f"{name} did not converge in {MAX_ITER} iterations", residual=norm)
+
+
+# ---------------------------------------------------------------------------
 # General collinear configurations (any number of primaries, fixed ordering)
 # ---------------------------------------------------------------------------
 
@@ -315,44 +355,18 @@ def moulton_collinear(
     if sorted(ordering) != list(range(k)):
         raise DomainError(f"ordering must be a permutation of 0..{k - 1}")
     m = masses.array
-    u = np.zeros(k - 1)
-    res = _line_cc_residual(m, _line_positions(m, u, ordering))
-    norm = float(np.max(np.abs(res)))
-    for _ in range(MAX_ITER):
-        if norm < 1e-12:
-            break
-        jac = np.empty((k, k - 1))
+
+    def residual(u):
+        return _line_cc_residual(m, _line_positions(m, u, ordering)), None
+
+    def gauss_newton_step(u, res, _):
         h = 1e-7
-        for c in range(k - 1):
-            up = u.copy()
-            up[c] += h
-            um = u.copy()
-            um[c] -= h
-            jac[:, c] = (
-                _line_cc_residual(m, _line_positions(m, up, ordering))
-                - _line_cc_residual(m, _line_positions(m, um, ordering))
-            ) / (2.0 * h)
-        step = np.linalg.lstsq(jac, -res, rcond=None)[0]
-        scale = 1.0
-        for _ in range(30):
-            trial = u + scale * step
-            trial_res = _line_cc_residual(m, _line_positions(m, trial, ordering))
-            if np.max(np.abs(trial_res)) < norm:
-                break
-            scale *= 0.5
-        else:
-            raise ConvergenceError(
-                "Moulton iteration stalled: damping failed to reduce the residual",
-                residual=norm,
-            )
-        u = trial
-        res = trial_res
-        norm = float(np.max(np.abs(res)))
-    else:
-        raise ConvergenceError(
-            f"Moulton iteration did not converge in {MAX_ITER} iterations",
-            residual=norm,
+        jac = np.column_stack(
+            [(residual(u + h * d)[0] - residual(u - h * d)[0]) / (2.0 * h) for d in np.eye(k - 1)]
         )
+        return np.linalg.lstsq(jac, -res, rcond=None)[0]
+
+    u = _damped_newton(residual, gauss_newton_step, np.zeros(k - 1), 1e-12, "Moulton iteration")
     x = _line_positions(m, u, ordering)
     return Configuration.from_primaries(masses, np.column_stack([x, np.zeros(k)]))
 
@@ -401,35 +415,13 @@ def restricted_position(
     a = np.asarray(guess, dtype=float).reshape(2)
     if abs(a[1]) < 1e-12:
         raise DomainError("guess must lie off the primaries' line")
-    _, f, jac = _amended_potential(config, a)
-    norm = float(np.max(np.abs(f)))
-    for _ in range(MAX_ITER):
-        if norm < 1e-11:
-            break
-        step = np.linalg.solve(jac, -f)
-        scale = 1.0
-        for _ in range(30):
-            trial = a + scale * step
-            try:
-                _, trial_f, trial_jac = _amended_potential(config, trial)
-            except SingularityError:
-                scale *= 0.5
-                continue
-            if np.max(np.abs(trial_f)) < norm:
-                break
-            scale *= 0.5
-        else:
-            raise ConvergenceError(
-                "restricted-position Newton stalled (30 halvings without progress)",
-                residual=norm,
-            )
-        a, f, jac = trial, trial_f, trial_jac
-        norm = float(np.max(np.abs(f)))
-    else:
-        raise ConvergenceError(
-            f"restricted-position Newton did not converge in {MAX_ITER} iterations",
-            residual=norm,
-        )
+    a = _damped_newton(
+        lambda x: _amended_potential(config, x)[1:],
+        lambda x, f, jac: np.linalg.solve(jac, -f),
+        a,
+        1e-11,
+        "restricted-position Newton",
+    )
     if abs(a[1]) < 1e-8:
         raise DegenerateSolutionError(
             "Newton converged to a point on the primaries' line; "
@@ -514,23 +506,3 @@ def solve_symmetric_y(m2: float) -> float:
 
     y = brentq(g, 1.0 - 1e-9, SQRT3 + 1e-6, xtol=1e-15)
     return float(min(max(y, 1.0), SQRT3))
-
-
-def symmetric_four_body(m2: float, guess: Sequence[float] | None = None) -> Configuration:
-    """Full symmetric restricted 4-body chain: primaries plus massless body.
-
-    m2 = 0 degenerates to two equal primaries; the middle body is dropped
-    rather than stored with zero mass.
-    """
-    if not 0.0 <= m2 < 1.0:
-        raise DomainError(f"m2 must lie in [0, 1), got {m2}")
-    m1 = 0.5 * (1.0 - m2)
-    if m2 > 0.0:
-        config = collinear_three_primaries(MassSystem((m1, m2, m1)))
-    else:
-        config = Configuration.from_primaries(
-            MassSystem((0.5, 0.5)), [(-1.0, 0.0), (1.0, 0.0)]
-        )
-    y = solve_symmetric_y(m2)
-    start = (0.0, y * (1.0 - m2) ** -0.5) if guess is None else guess
-    return restricted_position(config, start)

@@ -108,40 +108,34 @@ def parse_range(text: str) -> list[float]:
         parts = text.split(":")
         if len(parts) != 3:
             raise ConfigError(f"range must be start:stop:step, got {text!r}")
-        try:
-            start, stop, step = (float(p) for p in parts)
-        except ValueError as exc:
-            raise ConfigError(f"bad range {text!r}: {exc}") from None
+        start, stop, step = (_as_float(p) for p in parts)
         if step <= 0.0 or stop < start:
             raise ConfigError(f"range {text!r} needs step > 0 and stop >= start")
         count = int(math.floor((stop - start) / step + 0.5)) + 1
         return [start + k * step for k in range(count) if start + k * step <= stop + 0.5 * step]
     if "," in text:
-        try:
-            return [float(p) for p in text.split(",") if p.strip()]
-        except ValueError as exc:
-            raise ConfigError(f"bad list {text!r}: {exc}") from None
-    try:
-        return [float(text)]
-    except ValueError as exc:
-        raise ConfigError(f"bad number {text!r}: {exc}") from None
+        return [_as_float(p) for p in text.split(",") if p.strip()]
+    return [_as_float(text)]
 
 
 def _as_range(value) -> list[float]:
     if isinstance(value, str):
         return parse_range(value)
     if isinstance(value, (int, float)):
-        return [float(value)]
+        return [_as_float(value)]
     if isinstance(value, (list, tuple)):
-        return [float(v) for v in value]
+        return [_as_float(v) for v in value]
     raise ConfigError(f"cannot interpret {value!r} as a value list")
 
 
 def _as_float(value) -> float:
     try:
-        return float(value)
+        x = float(value)
     except (TypeError, ValueError):
         raise ConfigError(f"expected a number, got {value!r}") from None
+    if not math.isfinite(x):
+        raise ConfigError(f"expected a finite number, got {value!r}")
+    return x
 
 
 def _as_int_list(value) -> list[int]:
@@ -179,6 +173,13 @@ def _one(convert):
 
 _as_int = _one(_as_int_list)
 _as_site = _one(_as_sites)
+
+
+def _as_point(value) -> tuple[float, float]:
+    values = _as_range(value)
+    if len(values) != 2:
+        raise ConfigError(f"expected two numbers x,y, got {value!r}")
+    return tuple(values)
 
 
 # The tolerance keys and the ScanSettings field each one sets.
@@ -303,11 +304,7 @@ def _cmd_stability(params: dict, settings: ScanSettings, output: dict):
     family, e = params["family"], params["e"]
     if family == "collinear":
         masses = MassSystem.normalized(params["m"])
-        guess = params.get("guess")
-        if guess is None:
-            p = collinear_params(masses, e)
-        else:
-            p = collinear_params(masses, e, tuple(guess))
+        p = collinear_params(masses, e, params.get("guess", (0.0, 1.0)))
         extra = {"family": family, "masses": list(masses.masses)}
     elif family == "polygon":
         n, ratio, site = params["n"], params["m0_over_m"], params["site"]
@@ -467,7 +464,7 @@ _COMMANDS = {
     ),
     "stability": _Command(
         _cmd_stability,
-        {"family": str, "m": _as_range, "e": _as_float, "guess": _as_range,
+        {"family": str, "m": _as_range, "e": _as_float, "guess": _as_point,
          "n": _as_int, "m0_over_m": _as_float, "site": _as_site},
         tolerances=True,
     ),

@@ -33,17 +33,6 @@ TRACE_LAW_TOL = 1e-11
 BETA_HLS_TRACE_TOL = 1e-8
 
 
-def rotation(t: float) -> np.ndarray:
-    c, s = math.cos(t), math.sin(t)
-    return np.array([[c, -s], [s, c]])
-
-
-def spin_matrix(t: float) -> np.ndarray:
-    """S(t) = R(t) diag(1, -1) R(t)^T = [[cos 2t, sin 2t], [sin 2t, -cos 2t]]."""
-    c, s = math.cos(2.0 * t), math.sin(2.0 * t)
-    return np.array([[c, s], [s, -c]])
-
-
 @dataclass(frozen=True, eq=False)
 class DMatrix:
     """Symmetric 2x2 stability matrix with its trace/deviator decomposition.
@@ -64,14 +53,6 @@ class DMatrix:
             raise InvariantViolation("D matrix is not symmetric")
         if abs(np.trace(d) - (3.0 + self.beta20)) > TRACE_LAW_TOL * scale:
             raise InvariantViolation("trace(D) != 3 + beta20")
-
-    @property
-    def trace(self) -> float:
-        return float(np.trace(self.entries))
-
-    @property
-    def det(self) -> float:
-        return float(np.linalg.det(self.entries))
 
     @property
     def eigenvalues(self) -> tuple[float, float]:
@@ -155,26 +136,11 @@ class StabilityParams:
             return float("nan")
         return 9.0 - (self.lambda3 - self.lambda4) ** 2
 
-    @property
-    def k_matrix(self) -> np.ndarray:
-        return np.diag([self.lambda3, self.lambda4])
-
 
 def spectral_params(d: DMatrix, e: float) -> StabilityParams:
     """Ordered eigenvalues of D packaged with the eccentricity."""
     lam3, lam4 = d.eigenvalues
     return StabilityParams(lam3, lam4, e)
-
-
-def b_matrix(p: StabilityParams, theta: float) -> np.ndarray:
-    """Coefficient matrix in the rotated-diagonal form, 2*pi-periodic in theta."""
-    re = 1.0 / (1.0 + p.e * math.cos(theta))
-    out = np.empty((4, 4))
-    out[:2, :2] = I2
-    out[:2, 2:] = -J2
-    out[2:, :2] = J2
-    out[2:, 2:] = I2 - re * p.k_matrix
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -30,7 +30,7 @@ from scipy.linalg import toeplitz
 
 from .errors import ConvergenceError, DomainError
 from .linearization import J4, StabilityParams
-from .monodromy import DEFAULT_CIRCLE_TOL, DEFAULT_TOL, Monodromy, integrate_fundamental
+from .monodromy import DEFAULT_CIRCLE_TOL, MAX_ECCENTRICITY
 
 # Kernel band half-width as a fraction of the base-level matrix norm.  The
 # assembly is exact and eigvalsh is backward stable, so true kernel
@@ -72,8 +72,8 @@ def assemble_operator(p: StabilityParams, omega: complex, K: int) -> np.ndarray:
     """
     if K < 8:
         raise DomainError("K must be at least 8")
-    if p.e > 0.99:
-        raise DomainError(f"eccentricity {p.e} exceeds the supported limit 0.99")
+    if p.e > MAX_ECCENTRICITY:
+        raise DomainError(f"eccentricity {p.e} exceeds the supported limit {MAX_ECCENTRICITY}")
     rho = omega_to_rho(omega)
     alpha, beta = p.alpha, p.beta
     modes = np.arange(-K, K + 1) + rho
@@ -213,73 +213,3 @@ def _circle_jump_sum(mat: np.ndarray, circle_tol: float) -> int | None:
             return None
         total += -1 if sign_q > 0 else 1
     return total
-
-
-@dataclass(frozen=True)
-class ConsistencyReport:
-    """Cross-checks between operator indices and the monodromy spectrum."""
-
-    params: StabilityParams
-    omegas: tuple[complex, ...]
-    nu_operator: tuple[int, ...]
-    nu_monodromy: tuple[int, ...]
-    phi_1: int
-    phi_m1: int
-    jump_from_indices: int
-    jump_from_monodromy: int | None
-
-    @property
-    def nu_consistent(self) -> bool:
-        return self.nu_operator == self.nu_monodromy
-
-    @property
-    def jump_consistent(self) -> bool | None:
-        if self.jump_from_monodromy is None:
-            return None
-        return self.jump_from_indices == self.jump_from_monodromy
-
-    @property
-    def consistent(self) -> bool:
-        return self.nu_consistent and self.jump_consistent is not False
-
-
-def index_monodromy_consistency(
-    p: StabilityParams,
-    *,
-    tol: float = DEFAULT_TOL,
-    circle_tol: float = DEFAULT_CIRCLE_TOL,
-    extra_rhos: tuple[float, ...] = (0.1, 0.25),
-    levels: tuple[int, ...] = DEFAULT_LEVELS,
-    monodromy: Monodromy | None = None,
-) -> ConsistencyReport:
-    """Check nu_w against dim ker(gamma(2*pi) - w I) and the index jump sum.
-
-    The jump check compares phi_{-1} - phi_1 with the total signed splitting
-    jump read off the on-circle monodromy eigenvalues; a discrepancy is
-    reported in the result, never raised.
-    """
-    mono = monodromy if monodromy is not None else integrate_fundamental(p, tol)
-    mat = mono.gamma_end
-    omegas = [1.0 + 0.0j, -1.0 + 0.0j]
-    omegas += [cmath.exp(2j * math.pi * r) for r in extra_rhos]
-    nu_op = []
-    nu_mono = []
-    phi1 = phim1 = 0
-    for w in omegas:
-        res = morse_index(p, w, levels)
-        nu_op.append(res.nu)
-        nu_mono.append(kernel_dimension(mat, w, circle_tol))
-        if w == 1.0 + 0.0j:
-            phi1 = res.phi
-        elif w == -1.0 + 0.0j:
-            phim1 = res.phi
-    return ConsistencyReport(
-        params=p,
-        omegas=tuple(omegas),
-        nu_operator=tuple(nu_op),
-        nu_monodromy=tuple(nu_mono),
-        phi_1=phi1,
-        phi_m1=phim1,
-        jump_from_indices=phim1 - phi1,
-        jump_from_monodromy=_circle_jump_sum(mat, circle_tol),
-    )

@@ -52,10 +52,6 @@ class Monodromy:
             step_metadata=step_metadata or {},
         )
 
-    @property
-    def determinant(self) -> float:
-        return float(np.linalg.det(self.gamma_end))
-
 
 def integrate_fundamental(p: StabilityParams, tol: float = DEFAULT_TOL) -> Monodromy:
     """Integrate gamma' = J B(theta) gamma, gamma(0) = I, over [0, 2*pi].
@@ -66,7 +62,7 @@ def integrate_fundamental(p: StabilityParams, tol: float = DEFAULT_TOL) -> Monod
     documented domain limit.
     """
     if p.e > MAX_ECCENTRICITY:
-        raise DomainError(f"eccentricity {p.e} exceeds the supported limit 0.99")
+        raise DomainError(f"eccentricity {p.e} exceeds the supported limit {MAX_ECCENTRICITY}")
     if tol < 1e-13:
         raise DomainError("tolerance below 1e-13 is not supported")
     e = p.e

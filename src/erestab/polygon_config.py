@@ -144,7 +144,7 @@ class BangQuantities:
     l3: float
 
     def __post_init__(self):
-        aligned = self.B * np.exp(-2j * self.theta)
+        aligned = self.aligned_B
         if abs(aligned.imag) > 1e-10 * max(1.0, abs(self.B)):
             raise InvariantViolation(
                 f"B is not real in the site-aligned frame: Im = {aligned.imag:.3e}"

@@ -32,6 +32,7 @@ from .maslov import DEFAULT_LEVELS, morse_index
 from .monodromy import (
     DEFAULT_CIRCLE_TOL,
     DEFAULT_TOL,
+    MAX_ECCENTRICITY,
     SpectrumVerdict,
     classify_spectrum,
     integrate_fundamental,
@@ -39,7 +40,6 @@ from .monodromy import (
 from .polygon_config import PolygonSystem, Site, solve_site
 
 THETA_BETA_MAX = 9.0
-SWEEP_E_MAX = 0.99
 CURVE_E_MAX = 0.95
 MSTAR_GRID_STEP = 1e-3
 
@@ -156,8 +156,8 @@ def polygon_params(
 
 def _check_eccentricities(e_values: Sequence[float]) -> None:
     for e in e_values:
-        if not 0.0 <= e <= SWEEP_E_MAX:
-            raise DomainError(f"e {e} outside [0, {SWEEP_E_MAX}]")
+        if not 0.0 <= e <= MAX_ECCENTRICITY:
+            raise DomainError(f"e {e} outside [0, {MAX_ECCENTRICITY}]")
 
 
 def _point(keys: dict, build, record: type, indices: bool, settings: ScanSettings):
@@ -202,7 +202,7 @@ def scan_theta(
     e_grid: Sequence[float],
     settings: ScanSettings = DEFAULT_SETTINGS,
 ) -> list[ScanRecord]:
-    """Verdicts and indices over the parameter rectangle [0, 9] x [0, 0.99).
+    """Verdicts and indices over the parameter rectangle [0, 9] x [0, 0.99].
 
     One record per grid point, e-major then beta, in the given order.
     """
@@ -334,17 +334,6 @@ def find_curves(
         except ErestabError as exc:
             warnings.warn(f"curve extraction failed at e={e}: {exc}", stacklevel=2)
     return points
-
-
-def region_of(beta: float, beta_s: float, beta_m: float, beta_k: float) -> str:
-    """Region label I..IV of a beta value relative to the three curves."""
-    if beta < beta_s:
-        return "I"
-    if beta < beta_m:
-        return "II"
-    if beta < beta_k:
-        return "III"
-    return "IV"
 
 
 # ---------------------------------------------------------------------------

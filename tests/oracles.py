@@ -9,14 +9,20 @@ equilibrium instead of one descent of the amended potential, and a direct
 quartic-multiplier formula instead of integrated monodromies.
 
 The helpers after them (matrix exponential, D-form coefficient path,
-spectral distances, symplectic samples, positivity sweep) are checks only
-the tests use.  Some of them drive production code: ``positivity_check``
-calls ``morse_index`` and ``frame_spectra_agreement`` compares against
-``integrate_fundamental``, so they test consistency, not independence.
+spectral distances, symplectic samples, positivity sweep, the K-form
+coefficient matrix B(theta) with its rotations, the symmetric four-body
+chain, region labels and the nu_w cross-check) are checks only the tests
+use.  Some of them drive production code: ``positivity_check`` calls
+``morse_index``, ``frame_spectra_agreement`` compares against
+``integrate_fundamental``, ``symmetric_four_body`` runs
+``restricted_position`` and ``index_monodromy_consistency`` compares
+``morse_index`` with ``maslov.kernel_dimension`` and
+``maslov._circle_jump_sum``, so they test consistency, not independence.
 """
 
 import cmath
 import math
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -24,10 +30,31 @@ from scipy.integrate import solve_ivp
 from scipy.linalg import toeplitz
 from scipy.optimize import brentq, linear_sum_assignment
 
+from erestab.central_config import (
+    Configuration,
+    MassSystem,
+    collinear_three_primaries,
+    restricted_position,
+    solve_symmetric_y,
+)
 from erestab.errors import ConvergenceError, DomainError
-from erestab.linearization import I2, J2, J4, DMatrix, StabilityParams, b_matrix, spectral_params
-from erestab.maslov import DEFAULT_LEVELS, morse_index, omega_to_rho, r_e_fourier_coefficients
-from erestab.monodromy import DEFAULT_TOL, TWO_PI, integrate_fundamental, symplectic_residual
+from erestab.linearization import I2, J2, J4, DMatrix, StabilityParams, spectral_params
+from erestab.maslov import (
+    DEFAULT_LEVELS,
+    _circle_jump_sum,
+    kernel_dimension,
+    morse_index,
+    omega_to_rho,
+    r_e_fourier_coefficients,
+)
+from erestab.monodromy import (
+    DEFAULT_CIRCLE_TOL,
+    DEFAULT_TOL,
+    TWO_PI,
+    Monodromy,
+    integrate_fundamental,
+    symplectic_residual,
+)
 
 
 def quintic_positive_roots(m1, m2, m3):
@@ -359,3 +386,134 @@ def positivity_check(
         if result.phi > 0 or result.nu > 0:
             return False
     return True
+
+
+# ---------------------------------------------------------------------------
+# Coefficient matrix, symmetric chain, region labels and the nu_w cross-check
+# ---------------------------------------------------------------------------
+
+def rotation(t: float) -> np.ndarray:
+    c, s = math.cos(t), math.sin(t)
+    return np.array([[c, -s], [s, c]])
+
+
+def spin_matrix(t: float) -> np.ndarray:
+    """S(t) = R(t) diag(1, -1) R(t)^T = [[cos 2t, sin 2t], [sin 2t, -cos 2t]]."""
+    c, s = math.cos(2.0 * t), math.sin(2.0 * t)
+    return np.array([[c, s], [s, -c]])
+
+
+def k_matrix(p: StabilityParams) -> np.ndarray:
+    return np.diag([p.lambda3, p.lambda4])
+
+
+def b_matrix(p: StabilityParams, theta: float) -> np.ndarray:
+    """Coefficient matrix in the rotated-diagonal form, 2*pi-periodic in theta."""
+    re = 1.0 / (1.0 + p.e * math.cos(theta))
+    out = np.empty((4, 4))
+    out[:2, :2] = I2
+    out[:2, 2:] = -J2
+    out[2:, :2] = J2
+    out[2:, 2:] = I2 - re * k_matrix(p)
+    return out
+
+
+def symmetric_four_body(m2: float, guess: Sequence[float] | None = None) -> Configuration:
+    """Full symmetric restricted 4-body chain: primaries plus massless body.
+
+    m2 = 0 degenerates to two equal primaries; the middle body is dropped
+    rather than stored with zero mass.
+    """
+    if not 0.0 <= m2 < 1.0:
+        raise DomainError(f"m2 must lie in [0, 1), got {m2}")
+    m1 = 0.5 * (1.0 - m2)
+    if m2 > 0.0:
+        config = collinear_three_primaries(MassSystem((m1, m2, m1)))
+    else:
+        config = Configuration.from_primaries(
+            MassSystem((0.5, 0.5)), [(-1.0, 0.0), (1.0, 0.0)]
+        )
+    y = solve_symmetric_y(m2)
+    start = (0.0, y * (1.0 - m2) ** -0.5) if guess is None else guess
+    return restricted_position(config, start)
+
+
+def region_of(beta: float, beta_s: float, beta_m: float, beta_k: float) -> str:
+    """Region label I..IV of a beta value relative to the three curves."""
+    if beta < beta_s:
+        return "I"
+    if beta < beta_m:
+        return "II"
+    if beta < beta_k:
+        return "III"
+    return "IV"
+
+
+@dataclass(frozen=True)
+class ConsistencyReport:
+    """Cross-checks between operator indices and the monodromy spectrum."""
+
+    params: StabilityParams
+    omegas: tuple[complex, ...]
+    nu_operator: tuple[int, ...]
+    nu_monodromy: tuple[int, ...]
+    phi_1: int
+    phi_m1: int
+    jump_from_indices: int
+    jump_from_monodromy: int | None
+
+    @property
+    def nu_consistent(self) -> bool:
+        return self.nu_operator == self.nu_monodromy
+
+    @property
+    def jump_consistent(self) -> bool | None:
+        if self.jump_from_monodromy is None:
+            return None
+        return self.jump_from_indices == self.jump_from_monodromy
+
+    @property
+    def consistent(self) -> bool:
+        return self.nu_consistent and self.jump_consistent is not False
+
+
+def index_monodromy_consistency(
+    p: StabilityParams,
+    *,
+    tol: float = DEFAULT_TOL,
+    circle_tol: float = DEFAULT_CIRCLE_TOL,
+    extra_rhos: tuple[float, ...] = (0.1, 0.25),
+    levels: tuple[int, ...] = DEFAULT_LEVELS,
+    monodromy: Monodromy | None = None,
+) -> ConsistencyReport:
+    """Check nu_w against dim ker(gamma(2*pi) - w I) and the index jump sum.
+
+    The jump check compares phi_{-1} - phi_1 with the total signed splitting
+    jump read off the on-circle monodromy eigenvalues; a discrepancy is
+    reported in the result, never raised.
+    """
+    mono = monodromy if monodromy is not None else integrate_fundamental(p, tol)
+    mat = mono.gamma_end
+    omegas = [1.0 + 0.0j, -1.0 + 0.0j]
+    omegas += [cmath.exp(2j * math.pi * r) for r in extra_rhos]
+    nu_op = []
+    nu_mono = []
+    phi1 = phim1 = 0
+    for w in omegas:
+        res = morse_index(p, w, levels)
+        nu_op.append(res.nu)
+        nu_mono.append(kernel_dimension(mat, w, circle_tol))
+        if w == 1.0 + 0.0j:
+            phi1 = res.phi
+        elif w == -1.0 + 0.0j:
+            phim1 = res.phi
+    return ConsistencyReport(
+        params=p,
+        omegas=tuple(omegas),
+        nu_operator=tuple(nu_op),
+        nu_monodromy=tuple(nu_mono),
+        phi_1=phi1,
+        phi_m1=phim1,
+        jump_from_indices=phim1 - phi1,
+        jump_from_monodromy=_circle_jump_sum(mat, circle_tol),
+    )

@@ -20,7 +20,7 @@ from erestab.central_config import (
     offline_equilibrium,
     solve_symmetric_y,
 )
-from erestab.linearization import J4, StabilityParams, b_matrix, compute_D, spectral_params, symmetric_beta
+from erestab.linearization import J4, StabilityParams, compute_D, spectral_params, symmetric_beta
 from erestab.maslov import kernel_dimension, morse_index
 from erestab.monodromy import Verdict, classify_spectrum, integrate_fundamental
 from erestab.polygon_config import PolygonSystem, Site, polygon_configuration, polygon_limits, solve_site
@@ -32,7 +32,7 @@ from erestab.scan import (
     mass_scan_4body,
 )
 
-from oracles import match_eigs, matrix_exponential, routh_beta
+from oracles import b_matrix, match_eigs, matrix_exponential, routh_beta
 
 
 def _report(cid: str, ok: bool, detail: str = ""):

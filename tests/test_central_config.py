@@ -15,7 +15,6 @@ from erestab.central_config import (
     restricted_position,
     solve_euler_quintic,
     solve_symmetric_y,
-    symmetric_four_body,
 )
 from erestab.errors import ConvergenceError, DegenerateSolutionError, DomainError
 
@@ -23,6 +22,7 @@ from oracles import (
     cc_defect_complex,
     locus_scan_equilibria,
     quintic_positive_roots,
+    symmetric_four_body,
     symmetric_y_highprec,
 )
 

@@ -74,6 +74,15 @@ class TestStabilityCommand:
         assert data["verdict"] == "Hyperbolic"
         assert len(data["eigenvalues"]) == 4
 
+    def test_guess_seeds_equilibrium(self, tmp_path, monkeypatch, capsys):
+        args = ["stability", "--family", "collinear", "--m", "0.25,0.5,0.25", "--e", "0"]
+        runs = [run_cli(args + extra, tmp_path, monkeypatch, capsys)
+                for extra in ([], ["--guess", "0,1"], ["--guess", "0.1,1.2"])]
+        assert [code for code, _, _ in runs] == [0, 0, 0]
+        default, same, near = (json.loads(out) for _, out, _ in runs)
+        assert same == default
+        assert near["beta_hls"] == pytest.approx(default["beta_hls"], abs=1e-9)
+
     def test_polygon_family(self, tmp_path, monkeypatch, capsys):
         code, out, _ = run_cli(
             ["stability", "--family", "polygon", "--n", "8", "--m0-over-m", "1000",
@@ -293,6 +302,53 @@ class TestExitCodes:
         key = flag[2:].replace("-", "_")
         assert_config_rejected(args[:i] + args[i + 2:] + ["--json", "out.json"],
                                {"parameters": {key: values}}, tmp_path, monkeypatch, capsys)
+
+    # A number that is not finite, with the flag whose value it replaces.
+    NON_FINITE = [
+        (INDEX, "--alpha", "nan"),
+        (INDEX, "--beta", "inf"),
+        (INDEX[:-2] + ["--rho", "0.25"], "--rho", "nan"),
+        (POLYGON, "--m0-over-m", "inf"),
+        (STABILITY, "--m", "0.25,nan,0.25"),
+        (["scan-mass", "--m1", "0.1", "--m3", "0.1"], "--m1", "nan"),
+        (["scan-theta", "--beta", "1", "--e", "0"], "--beta", "0:inf:1"),
+        (["polygon-verdicts", "--n", "8", "--m0-over-m", "1000", "--e", "0",
+          "--sites", "S3"], "--m0-over-m", "10,nan"),
+    ]
+
+    @pytest.mark.parametrize("args, flag, value", NON_FINITE,
+                             ids=[f"{a[0]}{f}={v}" for a, f, v in NON_FINITE])
+    def test_non_finite_number_is_2(self, args, flag, value, tmp_path, monkeypatch, capsys):
+        argv = list(args)
+        if flag in argv:
+            argv[argv.index(flag) + 1] = value
+        else:
+            argv += [flag, value]
+        code, _, err = run_cli(argv + ["--json", "out.json"], tmp_path, monkeypatch, capsys)
+        assert code == 2 and "finite" in err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "args, config",
+        [
+            (INDEX, {"parameters": {"alpha": float("nan")}}),
+            (["scan-mass", "--m3", "0.1"], {"parameters": {"m1": [0.1, float("inf")]}}),
+            (STABILITY, {"tolerances": {"tol": float("nan")}}),
+        ],
+        ids=["index-alpha", "scan-mass-m1", "stability-tol"],
+    )
+    def test_non_finite_config_value_is_2(self, args, config, tmp_path, monkeypatch,
+                                          capsys):
+        err = assert_config_rejected(args + ["--json", "out.json"], config,
+                                     tmp_path, monkeypatch, capsys)
+        assert "finite" in err
+
+    @pytest.mark.parametrize("guess", ["0.5", "0.5,1,2"], ids=["one", "three"])
+    def test_guess_not_a_point_is_2(self, guess, tmp_path, monkeypatch, capsys):
+        code, _, err = run_cli(self.STABILITY + ["--guess", guess, "--json", "out.json"],
+                               tmp_path, monkeypatch, capsys)
+        assert code == 2 and "two numbers" in err
+        assert list(tmp_path.iterdir()) == []
 
     def test_missing_parameter_is_2(self, tmp_path, monkeypatch, capsys):
         code, _, _ = run_cli(["scan-theta", "--beta", "0:1:0.5"],

@@ -11,7 +11,6 @@ from erestab.maslov import (
     KERNEL_TOL_FACTOR,
     _counts,
     assemble_operator,
-    index_monodromy_consistency,
     kernel_dimension,
     morse_index,
     r_e_fourier_coefficients,
@@ -19,7 +18,12 @@ from erestab.maslov import (
 from erestab.monodromy import integrate_fundamental
 from erestab.polygon_config import PolygonSystem, Site, solve_site
 
-from oracles import complex_galerkin_operator, operator_spectrum_e0, positivity_check
+from oracles import (
+    complex_galerkin_operator,
+    index_monodromy_consistency,
+    operator_spectrum_e0,
+    positivity_check,
+)
 
 # The curve row of bench/reference/curves.json: its e, its beta_s and beta_m,
 # and the jumps themselves there (roots of det(gamma(2 pi) + I) in beta).

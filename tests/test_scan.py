@@ -14,10 +14,11 @@ from erestab.scan import (
     find_mstar,
     mass_scan_4body,
     polygon_verdicts,
-    region_of,
     scan_theta,
 )
 from erestab.polygon_config import Site
+
+from oracles import region_of
 
 FAST = ScanSettings(integrator_tol=1e-10, morse_levels=(32, 64, 128, 256))
 
