@@ -320,10 +320,7 @@ class TestExitCodes:
                              ids=[f"{a[0]}{f}={v}" for a, f, v in NON_FINITE])
     def test_non_finite_number_is_2(self, args, flag, value, tmp_path, monkeypatch, capsys):
         argv = list(args)
-        if flag in argv:
-            argv[argv.index(flag) + 1] = value
-        else:
-            argv += [flag, value]
+        argv[argv.index(flag) + 1] = value
         code, _, err = run_cli(argv + ["--json", "out.json"], tmp_path, monkeypatch, capsys)
         assert code == 2 and "finite" in err
         assert list(tmp_path.iterdir()) == []
