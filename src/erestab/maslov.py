@@ -187,13 +187,15 @@ def kernel_dimension(mat: np.ndarray, omega: complex, circle_tol: float = DEFAUL
     return min(geometric, algebraic)
 
 
-def _circle_jump_sum(mat: np.ndarray, circle_tol: float) -> int | None:
+def circle_jump_sum(mat: np.ndarray, circle_tol: float) -> int | None:
     """Signed index-jump total over upper-half-circle eigenvalues of ``mat``.
 
-    Each simple on-circle eigenvalue in the open upper half plane carries a
-    splitting jump of -sign(Im(v^H J v)) (its negative Krein sign); returns
-    None when eigenvalues sit at or cluster near +-1 and the jump cannot be
-    resolved from the spectrum alone.
+    For a symplectic ``mat`` = gamma(2*pi) this is phi_{-1} - phi_1.  Each
+    simple on-circle eigenvalue in the open upper half plane carries a
+    splitting jump of -sign(Im(v^H J v)) (its negative Krein sign).  Returns
+    None when the jump cannot be resolved from the spectrum alone: an
+    on-circle eigenvalue within sqrt(circle_tol) of +-1, two upper ones
+    that close to each other, or a Krein form too small to sign.
     """
     eigs, vecs = np.linalg.eig(mat)
     guard = math.sqrt(circle_tol)

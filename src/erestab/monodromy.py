@@ -22,6 +22,7 @@ from .linearization import J4, StabilityParams
 
 TWO_PI = 2.0 * math.pi
 DEFAULT_TOL = 1e-12
+MIN_TOL = 1e-13  # the tightest integrator tolerance accepted
 DEFAULT_CIRCLE_TOL = 1e-6
 MAX_ECCENTRICITY = 0.99
 
@@ -63,8 +64,8 @@ def integrate_fundamental(p: StabilityParams, tol: float = DEFAULT_TOL) -> Monod
     """
     if p.e > MAX_ECCENTRICITY:
         raise DomainError(f"eccentricity {p.e} exceeds the supported limit {MAX_ECCENTRICITY}")
-    if tol < 1e-13:
-        raise DomainError("tolerance below 1e-13 is not supported")
+    if tol < MIN_TOL:
+        raise DomainError(f"tolerance below {MIN_TOL:g} is not supported")
     e = p.e
     lam3, lam4 = p.lambda3, p.lambda4
 

@@ -28,11 +28,12 @@ from .central_config import (
 )
 from .errors import CurveExtractionError, DomainError, ErestabError
 from .linearization import StabilityParams, compute_D, spectral_params, symmetric_beta
-from .maslov import DEFAULT_LEVELS, morse_index
+from .maslov import DEFAULT_LEVELS, circle_jump_sum, kernel_dimension, morse_index
 from .monodromy import (
     DEFAULT_CIRCLE_TOL,
     DEFAULT_TOL,
     MAX_ECCENTRICITY,
+    MIN_TOL,
     SpectrumVerdict,
     classify_spectrum,
     integrate_fundamental,
@@ -53,12 +54,24 @@ def _env_workers() -> int:
 
 @dataclass(frozen=True)
 class ScanSettings:
-    """Everything that influences a scan's numbers, hashable for provenance."""
+    """Everything that influences a scan's numbers, hashable for provenance.
+
+    The tolerances are checked here, once, so that a sweep never starts with
+    values every one of its points would reject.
+    """
 
     integrator_tol: float = DEFAULT_TOL
     circle_tol: float = DEFAULT_CIRCLE_TOL
     morse_levels: tuple[int, ...] = DEFAULT_LEVELS
     workers: int = field(default_factory=_env_workers)
+
+    def __post_init__(self) -> None:
+        if not self.integrator_tol >= MIN_TOL:
+            raise DomainError(
+                f"integrator tolerance must be at least {MIN_TOL:g}, got {self.integrator_tol}"
+            )
+        if not self.circle_tol > 0.0:
+            raise DomainError(f"circle tolerance must be positive, got {self.circle_tol}")
 
     def canonical_json(self) -> str:
         return json.dumps(
@@ -116,7 +129,14 @@ def analyze(
 ) -> PointResult:
     """Monodromy verdict of ``p`` and, with ``indices``, its +-1 Morse indices.
 
-    Numerical failures propagate as :class:`ErestabError`.
+    phi_1 and nu_1 come from the Galerkin operator at w = 1.  phi_{-1} is
+    phi_1 plus the Krein-signed jump sum over the upper-semicircle
+    multipliers of gamma(2 pi) (Long's splitting numbers), and nu_{-1} is
+    dim ker(gamma(2 pi) + I).  The operator at w = -1 is solved instead,
+    and its counts reported, when the spectrum cannot decide: the jump sum
+    is unresolved, -1 is a multiplier, or dim ker(gamma(2 pi) - I)
+    disagrees with nu_1.  Numerical failures propagate as
+    :class:`ErestabError`.
     """
     mono = integrate_fundamental(p, settings.integrator_tol)
     out = {
@@ -126,8 +146,15 @@ def analyze(
     }
     if indices:
         idx1 = morse_index(p, 1.0, settings.morse_levels)
-        idxm = morse_index(p, -1.0, settings.morse_levels)
-        out.update(phi_1=idx1.phi, nu_1=idx1.nu, phi_m1=idxm.phi, nu_m1=idxm.nu)
+        gamma, tol = mono.gamma_end, settings.circle_tol
+        jump = circle_jump_sum(gamma, tol)
+        nu_m1 = kernel_dimension(gamma, -1.0, tol)
+        if jump is None or nu_m1 > 0 or kernel_dimension(gamma, 1.0, tol) != idx1.nu:
+            idxm = morse_index(p, -1.0, settings.morse_levels)
+            phi_m1, nu_m1 = idxm.phi, idxm.nu
+        else:
+            phi_m1 = idx1.phi + jump
+        out.update(phi_1=idx1.phi, nu_1=idx1.nu, phi_m1=phi_m1, nu_m1=nu_m1)
     return PointResult(**out)
 
 

@@ -17,7 +17,7 @@ use.  Some of them drive production code: ``positivity_check`` calls
 ``integrate_fundamental``, ``symmetric_four_body`` runs
 ``restricted_position`` and ``index_monodromy_consistency`` compares
 ``morse_index`` with ``maslov.kernel_dimension`` and
-``maslov._circle_jump_sum``, so they test consistency, not independence.
+``maslov.circle_jump_sum``, so they test consistency, not independence.
 """
 
 import cmath
@@ -41,7 +41,7 @@ from erestab.errors import ConvergenceError, DomainError
 from erestab.linearization import I2, J2, J4, DMatrix, StabilityParams, spectral_params
 from erestab.maslov import (
     DEFAULT_LEVELS,
-    _circle_jump_sum,
+    circle_jump_sum,
     kernel_dimension,
     morse_index,
     omega_to_rho,
@@ -515,5 +515,5 @@ def index_monodromy_consistency(
         phi_1=phi1,
         phi_m1=phim1,
         jump_from_indices=phim1 - phi1,
-        jump_from_monodromy=_circle_jump_sum(mat, circle_tol),
+        jump_from_monodromy=circle_jump_sum(mat, circle_tol),
     )

@@ -273,6 +273,33 @@ class TestExitCodes:
         assert code == 2 and "banana" in err
         assert list(tmp_path.iterdir()) == []
 
+    # Tolerances every point would reject: an integrator tolerance below
+    # 1e-13 or a circle tolerance that is not positive.
+    BAD_TOLERANCES = [
+        (STABILITY_POLYGON, "circle_tol", -1.0),
+        (["scan-theta", "--beta", "1,2", "--e", "0.1"], "tol", 1e-20),
+        (["scan-theta", "--beta", "1,2", "--e", "0.1"], "circle_tol", 0.0),
+        (["scan-mass", "--m1", "0.1", "--m3", "0.1"], "circle_tol", -1e-6),
+        (["polygon-verdicts", "--n", "8", "--m0-over-m", "1000", "--e", "0",
+          "--sites", "S3"], "tol", 1e-20),
+    ]
+    BAD_TOLERANCE_IDS = [f"{a[0]}-{k}={v:g}" for a, k, v in BAD_TOLERANCES]
+
+    @pytest.mark.parametrize("args, key, value", BAD_TOLERANCES, ids=BAD_TOLERANCE_IDS)
+    def test_bad_tolerance_value_is_2(self, args, key, value, tmp_path, monkeypatch, capsys):
+        flag = "--" + key.replace("_", "-")
+        code, _, err = run_cli(args + [f"{flag}={value}", "--json", "out.json"],
+                               tmp_path, monkeypatch, capsys)
+        assert code == 2 and "tolerance" in err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("args, key, value", BAD_TOLERANCES, ids=BAD_TOLERANCE_IDS)
+    def test_bad_tolerance_config_value_is_2(self, args, key, value, tmp_path, monkeypatch,
+                                             capsys):
+        err = assert_config_rejected(args + ["--json", "out.json"],
+                                     {"tolerances": {key: value}}, tmp_path, monkeypatch, capsys)
+        assert "tolerance" in err
+
     # A list given to a parameter that takes one value, with the flag whose
     # value it replaces.
     ONE_VALUE_LISTS = [

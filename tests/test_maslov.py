@@ -11,18 +11,21 @@ from erestab.maslov import (
     KERNEL_TOL_FACTOR,
     _counts,
     assemble_operator,
+    circle_jump_sum,
     kernel_dimension,
     morse_index,
     r_e_fourier_coefficients,
 )
-from erestab.monodromy import integrate_fundamental
+from erestab.monodromy import DEFAULT_CIRCLE_TOL, integrate_fundamental, symplectic_residual
 from erestab.polygon_config import PolygonSystem, Site, solve_site
 
 from oracles import (
     complex_galerkin_operator,
+    diamond,
     index_monodromy_consistency,
     operator_spectrum_e0,
     positivity_check,
+    rot,
 )
 
 # The curve row of bench/reference/curves.json: its e, its beta_s and beta_m,
@@ -245,3 +248,55 @@ class TestConsistency:
         mono = integrate_fundamental(StabilityParams.from_beta_hls(3.0, 0.2))
         assert kernel_dimension(mono.gamma_end, 1.0) == 0
         assert kernel_dimension(np.eye(4), 1.0) == 4
+
+
+class TestCircleJumpSum:
+    """The Krein-signed jump total on hand-built symplectic matrices.
+
+    In the block's (Z, z) plane, rot(a) with 0 < a < pi has the upper
+    multiplier e^{ia} with eigenvector (1, -i): Im(v^H J v) > 0, a jump of
+    -1.  rot(-a) has the same multiplier with eigenvector (1, i) and a jump
+    of +1.  A hyperbolic block has no multiplier on the circle.
+    """
+
+    HYPERBOLIC = np.diag([2.0, 0.5])
+    SHEAR = np.array([[1.0, 1.0], [0.0, 1.0]])
+    # a symplectic change of basis that mixes both blocks; Krein signs are
+    # invariant under it
+    MIX = np.block([[np.eye(2), np.array([[1.0, 0.5], [0.5, 2.0]])],
+                    [np.zeros((2, 2)), np.eye(2)]])
+
+    def jump(self, *blocks):
+        mat = diamond(*blocks)
+        mixed = self.MIX @ mat @ np.linalg.inv(self.MIX)
+        assert symplectic_residual(mixed) < 1e-12
+        jumps = {circle_jump_sum(m, DEFAULT_CIRCLE_TOL) for m in (mat, mixed)}
+        assert len(jumps) == 1
+        return jumps.pop()
+
+    @pytest.mark.parametrize(
+        "blocks, expected",
+        [
+            ((rot(1.0), HYPERBOLIC), -1),
+            ((rot(-1.0), HYPERBOLIC), 1),
+            ((rot(1.0), rot(-2.0)), 0),
+            ((rot(1.0), rot(2.0)), -2),
+            ((HYPERBOLIC, -HYPERBOLIC), 0),
+        ],
+        ids=["positive", "negative", "opposite-pair", "same-pair", "no-circle"],
+    )
+    def test_known_krein_signs(self, blocks, expected):
+        assert self.jump(*blocks) == expected
+
+    @pytest.mark.parametrize(
+        "blocks",
+        [
+            (rot(1.0), SHEAR),
+            (rot(1.0), -np.eye(2)),
+            (rot(1.0), rot(1.0 + 1e-5)),
+            (rot(1.0), rot(-1.0 - 1e-5)),
+        ],
+        ids=["at-plus-one", "at-minus-one", "cluster-same", "cluster-opposite"],
+    )
+    def test_unresolved_spectrum_is_none(self, blocks):
+        assert self.jump(*blocks) is None

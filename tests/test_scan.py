@@ -3,16 +3,20 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import erestab.scan
 from erestab.errors import DomainError
 from erestab.linearization import symmetric_beta
+from erestab.maslov import kernel_dimension, morse_index
 from erestab.monodromy import Verdict, classify_spectrum, integrate_fundamental
 from erestab.linearization import StabilityParams
 from erestab.scan import (
     CurveKind,
     ScanSettings,
+    analyze,
     find_curves,
     find_mstar,
     mass_scan_4body,
+    polygon_params,
     polygon_verdicts,
     scan_theta,
 )
@@ -204,6 +208,72 @@ class TestPolygonVerdicts:
             polygon_verdicts([], [10.0], [0.0], [Site.S1], FAST)
 
 
+def two_solve_indices(p):
+    """(phi, nu) at +1 and -1 from two direct Galerkin solves."""
+    plus, minus = morse_index(p, 1.0), morse_index(p, -1.0)
+    return (plus.phi, plus.nu), (minus.phi, minus.nu)
+
+
+def indices_of(result):
+    return (result.phi_1, result.nu_1), (result.phi_m1, result.nu_m1)
+
+
+@pytest.fixture
+def solved_omegas(monkeypatch):
+    """The omegas ``analyze`` passes to the Morse solver, in call order."""
+    omegas = []
+
+    def spy(p, omega, levels):
+        omegas.append(omega)
+        return morse_index(p, omega, levels)
+
+    monkeypatch.setattr(erestab.scan, "morse_index", spy)
+    return omegas
+
+
+class TestIndicesFromMonodromy:
+    """``analyze`` solves the operator at w = 1 and reads the w = -1 data off
+    the monodromy, falling back to the w = -1 solve where the spectrum
+    cannot decide; either way it must match two direct solves."""
+
+    GRID = [StabilityParams.from_beta_hls(b, e)
+            for e in (0.0, 0.3, 0.7) for b in (0.5, 1.5, 4.0)]
+    POLYGON = [polygon_params(8, 1e3, site, 0.1)[0] for site in (Site.S1, Site.S3)]
+
+    # beta = 0 (nu_1 = 3), the e = 0 tongue tip (nu_-1 = 2) and the two roots
+    # of det(gamma(2 pi) + I) at e = 0.3 (nu_-1 = 1)
+    FRAGILE = [(0.0, 0.0), (0.75, 0.0), (0.3609005, 0.3), (1.1886708, 0.3)]
+
+    @pytest.mark.parametrize("p", GRID + POLYGON,
+                             ids=[f"beta{p.beta_hls:g}-e{p.e:g}" for p in GRID]
+                             + ["polygon-S1", "polygon-S3"])
+    def test_matches_two_solves(self, p):
+        assert indices_of(analyze(p)) == two_solve_indices(p)
+
+    @pytest.mark.parametrize("beta, e", FRAGILE, ids=[f"beta{b}-e{e}" for b, e in FRAGILE])
+    def test_fragile_points_solve_at_minus_one(self, beta, e, solved_omegas):
+        p = StabilityParams.from_beta_hls(beta, e)
+        result = analyze(p)
+        assert solved_omegas == [1.0, -1.0]
+        assert indices_of(result) == two_solve_indices(p)
+
+    def test_generic_point_solves_once(self, solved_omegas):
+        p = StabilityParams.from_beta_hls(0.5, 0.3)
+        result = analyze(p)
+        assert solved_omegas == [1.0]
+        assert indices_of(result) == two_solve_indices(p)
+
+    def test_kernel_disagreement_forces_minus_one_solve(self, solved_omegas, monkeypatch):
+        def disagreeing(mat, omega, circle_tol):
+            return kernel_dimension(mat, omega, circle_tol) + (omega == 1.0)
+
+        monkeypatch.setattr(erestab.scan, "kernel_dimension", disagreeing)
+        p = StabilityParams.from_beta_hls(0.5, 0.3)
+        result = analyze(p)
+        assert solved_omegas == [1.0, -1.0]
+        assert indices_of(result) == two_solve_indices(p)
+
+
 @pytest.mark.parametrize("e", [2.0, -0.1])
 @pytest.mark.parametrize(
     "sweep",
@@ -244,3 +314,13 @@ class TestParallel:
         a = ScanSettings(workers=1)
         b = ScanSettings(workers=4)
         assert a.digest() == b.digest()
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("integrator_tol", 1e-14), ("integrator_tol", float("nan")),
+     ("circle_tol", 0.0), ("circle_tol", -1e-6), ("circle_tol", float("nan"))],
+)
+def test_settings_reject_bad_tolerances(field, value):
+    with pytest.raises(DomainError):
+        ScanSettings(**{field: value})
