@@ -436,6 +436,19 @@ class TestCcAndPolygonCommands:
         assert data["cc_residual"] < 1e-10
         assert len(data["positions"]) == 3
 
+    @pytest.mark.parametrize(
+        "golden, args",
+        [
+            ("golden_cc_three.json", ["--m", "0.25,0.5,0.25"]),
+            ("golden_cc_ordered.json", ["--m", "0.1,0.2,0.3,0.4", "--ordering", "2,0,3,1"]),
+        ],
+        ids=["three", "ordered"],
+    )
+    def test_cc_json_matches_golden(self, golden, args, tmp_path, monkeypatch, capsys):
+        code, _, _ = run_cli(["cc", *args, "--json", "cc.json"], tmp_path, monkeypatch, capsys)
+        assert code == 0
+        assert (tmp_path / "cc.json").read_text() == (DATA / golden).read_text()
+
     def test_polygon_verdicts_csv(self, tmp_path, monkeypatch, capsys):
         code, _, _ = run_cli(
             ["polygon-verdicts", "--n", "8", "--m0-over-m", "1000", "--e", "0",
