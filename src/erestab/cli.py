@@ -23,7 +23,7 @@ from typing import Callable
 import numpy as np
 
 from . import __version__
-from .central_config import MassSystem, collinear_three_primaries, moulton_collinear
+from .central_config import MassSystem
 from .errors import DomainError, ErestabError
 from .linearization import StabilityParams
 from .maslov import morse_index
@@ -33,6 +33,7 @@ from .scan import (
     CurveKind,
     ScanSettings,
     analyze,
+    collinear_config,
     collinear_params,
     find_curves,
     find_mstar,
@@ -62,20 +63,11 @@ class ConfigError(ValueError):
     """Invalid command-line or config-file input."""
 
 
-def _f17(x) -> str:
-    if x is None:
-        return ""
-    x = float(x)
-    if math.isnan(x):
-        return "nan"
-    return f"{x:.17g}"
-
-
 def _cell(value) -> str:
     if value is None:
         return ""
     if isinstance(value, float):
-        return _f17(value)
+        return f"{value:.17g}"
     return str(value)
 
 
@@ -276,14 +268,7 @@ class _Parameters(dict):
 
 
 def _cmd_cc(params: dict, settings: ScanSettings, output: dict):
-    masses = MassSystem.normalized(params["m"])
-    ordering = params.get("ordering")
-    if ordering is not None:
-        config = moulton_collinear(masses, ordering)
-    elif len(masses) == 3:
-        config = collinear_three_primaries(masses)
-    else:
-        config = moulton_collinear(masses)
+    config = collinear_config(MassSystem.normalized(params["m"]), params.get("ordering"))
     summary = _config_json(config)
     return summary, _json_artifact(output, summary)
 

@@ -8,7 +8,8 @@ with r_e(t) = 1/(1 + e cos t) and S(t) = [[cos 2t, sin 2t], [sin 2t, -cos 2t]],
 acts on the twisted domain {y : y(2*pi) = w y(0), y'(2*pi) = w y'(0)} for a
 unit complex w.  Its Morse index phi_w (number of negative eigenvalues) and
 nullity nu_w (kernel dimension) equal the w-indices of the monodromy path,
-with nu_w also equal to dim ker(gamma(2*pi) - w I).
+with nu_w also equal to dim ker(gamma(2*pi) - w I), which
+:mod:`erestab.monodromy` computes with the other tests on the multipliers.
 
 Discretization is a Fourier-Galerkin scheme in the twisted basis
 e^{i (k + rho) t} with w = e^{2*pi*i*rho}: r_e has the exact geometric
@@ -29,8 +30,8 @@ import numpy as np
 from scipy.linalg import toeplitz
 
 from .errors import ConvergenceError, DomainError
-from .linearization import J4, StabilityParams
-from .monodromy import DEFAULT_CIRCLE_TOL, MAX_ECCENTRICITY
+from .linearization import StabilityParams
+from .monodromy import MAX_ECCENTRICITY
 
 # Kernel band half-width as a fraction of the base-level matrix norm.  The
 # assembly is exact and eigvalsh is backward stable, so true kernel
@@ -141,7 +142,6 @@ def morse_index(
     """
     rho = omega_to_rho(omega)
     prev: tuple[int, int] | None = None
-    last = None
     tol = None
     for K in levels:
         h = assemble_operator(p, omega, K)
@@ -160,58 +160,6 @@ def morse_index(
                 stabilized=True,
             )
         prev = (phi, nu)
-        last = (phi, nu)
     raise ConvergenceError(
-        f"Morse index did not stabilize up to K={levels[-1]}; last counts {last}"
+        f"Morse index did not stabilize up to K={levels[-1]}; last counts {prev}"
     )
-
-
-# ---------------------------------------------------------------------------
-# Consistency between operator indices and the monodromy
-# ---------------------------------------------------------------------------
-
-def kernel_dimension(mat: np.ndarray, omega: complex, circle_tol: float = DEFAULT_CIRCLE_TOL) -> int:
-    """dim ker(M - omega I) by singular-value rank with threshold sqrt(circle_tol).
-
-    The kernel is empty unless omega is close to an eigenvalue, so the rank
-    test only runs behind that gate; a bare singular-value threshold would
-    report spurious kernels for strongly non-normal matrices.
-    """
-    guard = math.sqrt(circle_tol)
-    eigs = np.linalg.eigvals(mat)
-    algebraic = int(np.count_nonzero(np.abs(eigs - complex(omega)) < guard))
-    if algebraic == 0:
-        return 0
-    sv = np.linalg.svd(mat - complex(omega) * np.eye(mat.shape[0]), compute_uv=False)
-    geometric = int(np.count_nonzero(sv < guard * np.linalg.norm(mat, 2)))
-    return min(geometric, algebraic)
-
-
-def circle_jump_sum(mat: np.ndarray, circle_tol: float) -> int | None:
-    """Signed index-jump total over upper-half-circle eigenvalues of ``mat``.
-
-    For a symplectic ``mat`` = gamma(2*pi) this is phi_{-1} - phi_1.  Each
-    simple on-circle eigenvalue in the open upper half plane carries a
-    splitting jump of -sign(Im(v^H J v)) (its negative Krein sign).  Returns
-    None when the jump cannot be resolved from the spectrum alone: an
-    on-circle eigenvalue within sqrt(circle_tol) of +-1, two upper ones
-    that close to each other, or a Krein form too small to sign.
-    """
-    eigs, vecs = np.linalg.eig(mat)
-    guard = math.sqrt(circle_tol)
-    on = np.abs(np.abs(eigs) - 1.0) < circle_tol
-    if np.any(on & ((np.abs(eigs - 1.0) < guard) | (np.abs(eigs + 1.0) < guard))):
-        return None
-    upper = np.flatnonzero(on & (eigs.imag > 0.0))
-    for a in range(len(upper)):
-        for b in range(a + 1, len(upper)):
-            if abs(eigs[upper[a]] - eigs[upper[b]]) < guard:
-                return None  # clustered pair: Krein signs unresolved
-    total = 0
-    for i in upper:
-        v = vecs[:, i]
-        sign_q = (np.conj(v) @ (J4 @ v)).imag
-        if abs(sign_q) < 1e-12:
-            return None
-        total += -1 if sign_q > 0 else 1
-    return total

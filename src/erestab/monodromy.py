@@ -5,7 +5,9 @@ all eigenvalues on the unit circle and the matrix semisimple means linearly
 stable; eigenvalues off the circle mean instability; an empty intersection
 with the circle means hyperbolicity.  Eigenvalues of a real symplectic
 matrix come in quadruples {w, 1/w, conj(w), 1/conj(w)}, which is monitored
-as a check but never imposed.
+as a check but never imposed.  Every test on the multipliers (the verdict,
+dim ker(M - w I) and the Krein-signed jump sum) lives here and shares one
+on-circle mask, one clustering and one rank rule.
 """
 
 from __future__ import annotations
@@ -125,7 +127,12 @@ class SpectrumVerdict:
         return self.verdict.is_stable
 
 
+def _on_circle(eigs: np.ndarray, circle_tol: float) -> np.ndarray:
+    return np.abs(np.abs(eigs) - 1.0) < circle_tol
+
+
 def _cluster(values: np.ndarray, tol: float) -> list[list[int]]:
+    """Group indices of ``values`` lying within ``tol`` of a group's first member."""
     groups: list[list[int]] = []
     for i, v in enumerate(values):
         for g in groups:
@@ -135,6 +142,12 @@ def _cluster(values: np.ndarray, tol: float) -> list[list[int]]:
         else:
             groups.append([i])
     return groups
+
+
+def _geometric_multiplicity(mat: np.ndarray, center: complex, guard: float) -> int:
+    """Number of singular values of (M - center I) below guard * ||M||_2."""
+    sv = np.linalg.svd(mat - center * np.eye(mat.shape[0]), compute_uv=False)
+    return int(np.count_nonzero(sv < guard * np.linalg.norm(mat, 2)))
 
 
 def classify_spectrum(m: Monodromy, circle_tol: float = DEFAULT_CIRCLE_TOL) -> SpectrumVerdict:
@@ -147,22 +160,18 @@ def classify_spectrum(m: Monodromy, circle_tol: float = DEFAULT_CIRCLE_TOL) -> S
     at distance > circle_tol from +-1.
     """
     eigs = np.asarray(m.eigenvalues, dtype=complex)
-    mat = m.gamma_end
-    mat_norm = float(np.linalg.norm(mat, 2))
-    on_circle = np.abs(np.abs(eigs) - 1.0) < circle_tol
+    on_circle = _on_circle(eigs, circle_tol)
     on_count = int(np.count_nonzero(on_circle))
 
-    cluster_tol = math.sqrt(circle_tol)
+    guard = math.sqrt(circle_tol)
     on_idx = np.flatnonzero(on_circle)
-    clusters = _cluster(eigs[on_idx], cluster_tol)
+    clusters = _cluster(eigs[on_idx], guard)
 
     semisimple = True
     for group in clusters:
         if len(group) > 1:
-            idx = [int(on_idx[g]) for g in group]
-            center = complex(np.mean(eigs[idx]))
-            sv = np.linalg.svd(mat - center * np.eye(4), compute_uv=False)
-            if np.count_nonzero(sv < cluster_tol * mat_norm) < len(group):
+            center = complex(np.mean(eigs[on_idx[group]]))
+            if _geometric_multiplicity(m.gamma_end, center, guard) < len(group):
                 semisimple = False
 
     if on_count == 0:
@@ -178,3 +187,47 @@ def classify_spectrum(m: Monodromy, circle_tol: float = DEFAULT_CIRCLE_TOL) -> S
             Verdict.STRONGLY_LINEARLY_STABLE if (distinct and away) else Verdict.LINEARLY_STABLE
         )
     return SpectrumVerdict(verdict=verdict, on_circle_count=on_count, semisimple=semisimple)
+
+
+def kernel_dimension(mat: np.ndarray, omega: complex, circle_tol: float = DEFAULT_CIRCLE_TOL) -> int:
+    """dim ker(M - omega I) by the rank rule of :func:`classify_spectrum`.
+
+    The kernel is empty unless omega is within sqrt(circle_tol) of an
+    eigenvalue, so the rank test only runs behind that gate; a bare
+    singular-value threshold would report spurious kernels for strongly
+    non-normal matrices.
+    """
+    guard = math.sqrt(circle_tol)
+    eigs = np.linalg.eigvals(mat)
+    algebraic = int(np.count_nonzero(np.abs(eigs - complex(omega)) < guard))
+    if algebraic == 0:
+        return 0
+    return min(_geometric_multiplicity(mat, complex(omega), guard), algebraic)
+
+
+def circle_jump_sum(mat: np.ndarray, circle_tol: float) -> int | None:
+    """Signed index-jump total over upper-half-circle eigenvalues of ``mat``.
+
+    For a symplectic ``mat`` = gamma(2*pi) this is phi_{-1} - phi_1.  Each
+    simple on-circle eigenvalue in the open upper half plane carries a
+    splitting jump of -sign(Im(v^H J v)) (its negative Krein sign).  Returns
+    None when the jump cannot be resolved from the spectrum alone: an
+    on-circle eigenvalue within sqrt(circle_tol) of +-1, two upper ones
+    clustered, or a Krein form too small to sign.
+    """
+    eigs, vecs = np.linalg.eig(mat)
+    guard = math.sqrt(circle_tol)
+    on = _on_circle(eigs, circle_tol)
+    if np.any(on & ((np.abs(eigs - 1.0) < guard) | (np.abs(eigs + 1.0) < guard))):
+        return None
+    upper = np.flatnonzero(on & (eigs.imag > 0.0))
+    if any(len(group) > 1 for group in _cluster(eigs[upper], guard)):
+        return None
+    total = 0
+    for i in upper:
+        v = vecs[:, i]
+        sign_q = (np.conj(v) @ (J4 @ v)).imag
+        if abs(sign_q) < 1e-12:
+            return None
+        total += -1 if sign_q > 0 else 1
+    return total

@@ -10,17 +10,19 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import partial
+from functools import cache, partial
 from typing import Sequence
 
 import numpy as np
 
 from .central_config import (
+    Configuration,
     MassSystem,
     collinear_three_primaries,
     moulton_collinear,
@@ -28,15 +30,17 @@ from .central_config import (
 )
 from .errors import CurveExtractionError, DomainError, ErestabError
 from .linearization import StabilityParams, compute_D, spectral_params, symmetric_beta
-from .maslov import DEFAULT_LEVELS, circle_jump_sum, kernel_dimension, morse_index
+from .maslov import DEFAULT_LEVELS, morse_index
 from .monodromy import (
     DEFAULT_CIRCLE_TOL,
     DEFAULT_TOL,
     MAX_ECCENTRICITY,
     MIN_TOL,
     SpectrumVerdict,
+    circle_jump_sum,
     classify_spectrum,
     integrate_fundamental,
+    kernel_dimension,
 )
 from .polygon_config import PolygonSystem, Site, solve_site
 
@@ -93,6 +97,7 @@ DEFAULT_SETTINGS = ScanSettings()
 def _pmap(fn, items, workers: int):
     if workers <= 1 or len(items) < 2:
         return [fn(item) for item in items]
+    workers = min(workers, len(items))
     chunk = max(1, len(items) // (workers * 8))
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, items, chunksize=chunk))
@@ -158,18 +163,22 @@ def analyze(
     return PointResult(**out)
 
 
+def collinear_config(
+    masses: MassSystem, ordering: Sequence[int] | None = None
+) -> Configuration:
+    """Collinear central configuration: the spacing quintic for three primaries
+    without an ``ordering``, Moulton's solution in ``ordering`` otherwise."""
+    if ordering is None and len(masses) == 3:
+        return collinear_three_primaries(masses)
+    return moulton_collinear(masses, ordering)
+
+
 def collinear_params(
     masses: MassSystem, e: float, guess: Sequence[float] = (0.0, 1.0)
 ) -> StabilityParams:
-    """Parameters of a collinear chain with the massless body off the line.
-
-    Three primaries take the spacing quintic, longer chains Moulton's
-    solution; ``guess`` seeds the off-line equilibrium search.
-    """
-    if len(masses) == 3:
-        config = collinear_three_primaries(masses)
-    else:
-        config = moulton_collinear(masses)
+    """Parameters of a collinear chain with the massless body off the line;
+    ``guess`` seeds the off-line equilibrium search."""
+    config = collinear_config(masses)
     return spectral_params(compute_D(offline_equilibrium(config, guess)), e)
 
 
@@ -181,10 +190,10 @@ def polygon_params(
     return StabilityParams(bang.lambda3, bang.lambda4, e), bang.rho
 
 
-def _check_eccentricities(e_values: Sequence[float]) -> None:
+def _check_eccentricities(e_values: Sequence[float], e_max: float = MAX_ECCENTRICITY) -> None:
     for e in e_values:
-        if not 0.0 <= e <= MAX_ECCENTRICITY:
-            raise DomainError(f"e {e} outside [0, {MAX_ECCENTRICITY}]")
+        if not 0.0 <= e <= e_max:
+            raise DomainError(f"e {e} outside [0, {e_max}]")
 
 
 def _point(keys: dict, build, record: type, indices: bool, settings: ScanSettings):
@@ -260,29 +269,29 @@ class CurvePoint:
     source: str = "bisection"
 
 
-def _phi_m1(beta: float, e: float, settings: ScanSettings, cache: dict) -> int:
-    if beta not in cache:
-        p = StabilityParams.from_beta_hls(beta, e)
-        cache[beta] = morse_index(p, -1.0, settings.morse_levels).phi
-    return cache[beta]
-
-
-def _has_circle_spectrum(beta: float, e: float, settings: ScanSettings, cache: dict) -> bool:
-    if beta not in cache:
-        p = StabilityParams.from_beta_hls(beta, e)
-        cache[beta] = analyze(p, settings, indices=False).verdict.on_circle_count > 0
-    return cache[beta]
-
-
 def _bisect_boundary(pred, lo: float, hi: float, resolution: float) -> tuple[float, float]:
-    """Shrink [lo, hi] with pred(lo) true, pred(hi) false to width <= resolution."""
+    """Shrink [lo, hi] with pred(lo) true, pred(hi) false to width <= resolution,
+    or until lo and hi are adjacent floats."""
     while hi - lo > resolution:
         mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break
         if pred(mid):
             lo = mid
         else:
             hi = mid
     return lo, hi
+
+
+def _first_failure(pred, grid: np.ndarray, resolution: float) -> tuple[float, float] | None:
+    """Midpoint and width of the bracket below the first grid point where
+    ``pred`` (true at ``grid[0]``) fails, bisected to ``resolution``; None if
+    it never fails.  ``pred`` is evaluated in grid order up to that point."""
+    for i, b in enumerate(grid):
+        if not pred(b):
+            lo, hi = _bisect_boundary(pred, float(grid[i - 1]), float(b), resolution)
+            return 0.5 * (lo + hi), hi - lo
+    return None
 
 
 def find_curves(
@@ -303,61 +312,48 @@ def find_curves(
     Rows where the index data does not show the expected structure are
     skipped with a warning.
     """
-    if beta_resolution > 0.01:
-        raise DomainError("beta_resolution must be <= 0.01")
+    if not 0.0 < beta_resolution <= 0.01:
+        raise DomainError(f"beta_resolution must lie in (0, 0.01], got {beta_resolution}")
+    if not (math.isfinite(coarse_step) and coarse_step > 0.0):
+        raise DomainError(f"coarse_step must be positive and finite, got {coarse_step}")
+    _check_eccentricities(e_list, CURVE_E_MAX)
     points: list[CurvePoint] = []
     grid = np.arange(0.0, THETA_BETA_MAX + 0.5 * coarse_step, coarse_step)
     grid[-1] = min(grid[-1], THETA_BETA_MAX)
     for e in e_list:
         e = float(e)
-        if not 0.0 <= e <= CURVE_E_MAX:
-            raise DomainError(f"curve extraction limited to e in [0, {CURVE_E_MAX}]")
-        phi_cache: dict = {}
-        circ_cache: dict = {}
+
+        @cache
+        def phi_m1(beta: float) -> int:
+            p = StabilityParams.from_beta_hls(beta, e)
+            return morse_index(p, -1.0, settings.morse_levels).phi
+
+        @cache
+        def circle_spectrum(beta: float) -> bool:
+            p = StabilityParams.from_beta_hls(beta, e)
+            return analyze(p, settings, indices=False).verdict.on_circle_count > 0
+
         try:
-            phis = [_phi_m1(b, e, settings, phi_cache) for b in grid]
+            phis = [phi_m1(b) for b in grid]
             if any(b > a for a, b in zip(phis, phis[1:])):
                 raise CurveExtractionError(f"phi_-1 not non-increasing at e={e}")
             if phis[0] != 2 or phis[-1] != 0:
                 raise CurveExtractionError(
                     f"phi_-1 endpoints ({phis[0]}, {phis[-1]}) != (2, 0) at e={e}"
                 )
-            jump_betas = []
-            for level in (2, 1):
-                drops = np.flatnonzero(
-                    (np.asarray(phis[:-1]) >= level) & (np.asarray(phis[1:]) < level)
-                )
-                if drops.size != 1:
-                    raise CurveExtractionError(
-                        f"expected one phi_-1 >= {level} boundary at e={e}, found {drops.size}"
-                    )
-                i = int(drops[0])
-                lo, hi = _bisect_boundary(
-                    lambda b: _phi_m1(b, e, settings, phi_cache) >= level,
-                    float(grid[i]),
-                    float(grid[i + 1]),
-                    beta_resolution,
-                )
-                jump_betas.append((0.5 * (lo + hi), hi - lo))
-            (b1, w1), (b2, w2) = sorted(jump_betas)
+            # a non-increasing phi_-1 from 2 to 0 leaves each level exactly once
+            (b1, w1), (b2, w2) = sorted(
+                _first_failure(lambda b: phi_m1(b) >= level, grid, beta_resolution)
+                for level in (2, 1)
+            )
             points.append(CurvePoint(e, b1, CurveKind.BETA_S, w1))
             points.append(CurvePoint(e, b2, CurveKind.BETA_M, w2))
 
-            circ = [_has_circle_spectrum(b, e, settings, circ_cache) for b in grid]
-            if not circ[0]:
+            if not circle_spectrum(grid[0]):
                 raise CurveExtractionError(f"no circle spectrum at beta=0, e={e}")
-            fails = np.flatnonzero(~np.asarray(circ))
-            if fails.size == 0:
-                points.append(CurvePoint(e, float(grid[-1]), CurveKind.BETA_K, 0.0))
-            else:
-                i = int(fails[0])
-                lo, hi = _bisect_boundary(
-                    lambda b: _has_circle_spectrum(b, e, settings, circ_cache),
-                    float(grid[i - 1]),
-                    float(grid[i]),
-                    beta_resolution,
-                )
-                points.append(CurvePoint(e, 0.5 * (lo + hi), CurveKind.BETA_K, hi - lo))
+            beta_k = _first_failure(circle_spectrum, grid, beta_resolution)
+            b, w = (float(grid[-1]), 0.0) if beta_k is None else beta_k
+            points.append(CurvePoint(e, b, CurveKind.BETA_K, w))
         except ErestabError as exc:
             warnings.warn(f"curve extraction failed at e={e}: {exc}", stacklevel=2)
     return points
@@ -434,8 +430,8 @@ def find_mstar(tolerance: float = 1e-6) -> MstarResult:
     strictly decreasing from the last unstable grid point onward.  If that
     fails, the finest-grid boundary is returned with a warning.
     """
-    if tolerance < 1e-8:
-        raise DomainError("tolerance must be >= 1e-8")
+    if not (math.isfinite(tolerance) and tolerance >= 1e-8):
+        raise DomainError(f"tolerance must be finite and >= 1e-8, got {tolerance}")
     grid = np.arange(0.0, 1.0 - 1e-9, MSTAR_GRID_STEP)
     betas = np.array([symmetric_beta(m) for m in grid])
     stable = betas < 1.0

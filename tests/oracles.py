@@ -16,8 +16,8 @@ use.  Some of them drive production code: ``positivity_check`` calls
 ``morse_index``, ``frame_spectra_agreement`` compares against
 ``integrate_fundamental``, ``symmetric_four_body`` runs
 ``restricted_position`` and ``index_monodromy_consistency`` compares
-``morse_index`` with ``maslov.kernel_dimension`` and
-``maslov.circle_jump_sum``, so they test consistency, not independence.
+``morse_index`` with ``monodromy.kernel_dimension`` and
+``monodromy.circle_jump_sum``, so they test consistency, not independence.
 """
 
 import cmath
@@ -39,20 +39,15 @@ from erestab.central_config import (
 )
 from erestab.errors import ConvergenceError, DomainError
 from erestab.linearization import I2, J2, J4, DMatrix, StabilityParams, spectral_params
-from erestab.maslov import (
-    DEFAULT_LEVELS,
-    circle_jump_sum,
-    kernel_dimension,
-    morse_index,
-    omega_to_rho,
-    r_e_fourier_coefficients,
-)
+from erestab.maslov import DEFAULT_LEVELS, morse_index, omega_to_rho, r_e_fourier_coefficients
 from erestab.monodromy import (
     DEFAULT_CIRCLE_TOL,
     DEFAULT_TOL,
     TWO_PI,
     Monodromy,
+    circle_jump_sum,
     integrate_fundamental,
+    kernel_dimension,
     symplectic_residual,
 )
 

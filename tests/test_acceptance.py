@@ -21,8 +21,8 @@ from erestab.central_config import (
     solve_symmetric_y,
 )
 from erestab.linearization import J4, StabilityParams, compute_D, spectral_params, symmetric_beta
-from erestab.maslov import kernel_dimension, morse_index
-from erestab.monodromy import Verdict, classify_spectrum, integrate_fundamental
+from erestab.maslov import morse_index
+from erestab.monodromy import Verdict, classify_spectrum, integrate_fundamental, kernel_dimension
 from erestab.polygon_config import PolygonSystem, Site, polygon_configuration, polygon_limits, solve_site
 from erestab.scan import (
     CurveKind,

@@ -11,12 +11,18 @@ from erestab.maslov import (
     KERNEL_TOL_FACTOR,
     _counts,
     assemble_operator,
-    circle_jump_sum,
-    kernel_dimension,
     morse_index,
     r_e_fourier_coefficients,
 )
-from erestab.monodromy import DEFAULT_CIRCLE_TOL, integrate_fundamental, symplectic_residual
+from erestab.monodromy import (
+    DEFAULT_CIRCLE_TOL,
+    Monodromy,
+    circle_jump_sum,
+    classify_spectrum,
+    integrate_fundamental,
+    kernel_dimension,
+    symplectic_residual,
+)
 from erestab.polygon_config import PolygonSystem, Site, solve_site
 
 from oracles import (
@@ -248,6 +254,12 @@ class TestConsistency:
         mono = integrate_fundamental(StabilityParams.from_beta_hls(3.0, 0.2))
         assert kernel_dimension(mono.gamma_end, 1.0) == 0
         assert kernel_dimension(np.eye(4), 1.0) == 4
+        # the rank rule classify_spectrum uses for semisimplicity: a Jordan
+        # block at +1 has a one-dimensional kernel, -I a two-dimensional one
+        jordan = diamond(TestCircleJumpSum.SHEAR, rot(0.5))
+        assert kernel_dimension(jordan, 1.0) == 1
+        assert not classify_spectrum(Monodromy.from_matrix(jordan)).semisimple
+        assert kernel_dimension(diamond(-np.eye(2), rot(0.5)), -1.0) == 2
 
 
 class TestCircleJumpSum:

@@ -1,4 +1,5 @@
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
@@ -6,8 +7,8 @@ import pytest
 import erestab.scan
 from erestab.errors import DomainError
 from erestab.linearization import symmetric_beta
-from erestab.maslov import kernel_dimension, morse_index
-from erestab.monodromy import Verdict, classify_spectrum, integrate_fundamental
+from erestab.maslov import morse_index
+from erestab.monodromy import Verdict, classify_spectrum, integrate_fundamental, kernel_dimension
 from erestab.linearization import StabilityParams
 from erestab.scan import (
     CurveKind,
@@ -20,6 +21,7 @@ from erestab.scan import (
     polygon_verdicts,
     scan_theta,
 )
+from erestab.scan import _bisect_boundary, _pmap
 from erestab.polygon_config import Site
 
 from oracles import region_of
@@ -91,9 +93,32 @@ class TestCurves:
         for kind in coarse:
             assert abs(coarse[kind] - fine[kind]) <= 0.01
 
-    def test_resolution_validated(self):
+    # Each bad value is rejected before any point is computed; a nan resolution
+    # would otherwise leave every bracket at the coarse grid width.
+    @pytest.mark.parametrize(
+        "call",
+        [
+            partial(find_curves, [0.1], beta_resolution=0.05, settings=FAST),
+            partial(find_curves, [0.1], beta_resolution=0.0, settings=FAST),
+            partial(find_curves, [0.1], beta_resolution=-0.01, settings=FAST),
+            partial(find_curves, [0.1], beta_resolution=float("nan"), settings=FAST),
+            partial(find_curves, [0.1], settings=FAST, coarse_step=0.0),
+            partial(find_curves, [0.1], settings=FAST, coarse_step=-1.0),
+            partial(find_curves, [0.1], settings=FAST, coarse_step=float("nan")),
+            partial(find_mstar, float("nan")),
+            partial(find_mstar, float("inf")),
+        ],
+        ids=["beta_resolution-0.05", "beta_resolution-0", "beta_resolution-negative",
+             "beta_resolution-nan", "coarse_step-0", "coarse_step-negative",
+             "coarse_step-nan", "mstar_tol-nan", "mstar_tol-inf"],
+    )
+    def test_resolution_validated(self, call):
         with pytest.raises(DomainError):
-            find_curves([0.1], beta_resolution=0.05, settings=FAST)
+            call()
+
+    def test_bisection_stops_at_adjacent_floats(self):
+        lo, hi = _bisect_boundary(lambda x: x < 0.3, 0.0, 1.0, 1e-300)
+        assert lo < 0.3 <= hi and np.nextafter(lo, 1.0) == hi
 
     def test_curves_and_mstar_pinned(self):
         """Exact bisection outputs: a refactor of the bisection or of the
@@ -280,8 +305,9 @@ class TestIndicesFromMonodromy:
     [
         lambda e: mass_scan_4body([0.1], [0.1], e, FAST),
         lambda e: polygon_verdicts([8], [1e3], [e], [Site.S3], FAST),
+        lambda e: find_curves([0.3, e], settings=FAST, coarse_step=1.0),
     ],
-    ids=["mass", "polygon"],
+    ids=["mass", "polygon", "curves"],
 )
 def test_sweep_rejects_out_of_range_e(sweep, e):
     with pytest.raises(DomainError):
@@ -309,6 +335,27 @@ class TestParallel:
         assert ScanSettings().workers == 3
         monkeypatch.setenv("ERESTAB_THREADS", "junk")
         assert ScanSettings().workers == 1
+
+    def test_pool_never_exceeds_points(self, monkeypatch):
+        sizes = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items, chunksize):
+                return map(fn, items)
+
+        monkeypatch.setattr(erestab.scan, "ProcessPoolExecutor", RecordingPool)
+        assert _pmap(abs, [-1, -2, -3, -4], 64) == [1, 2, 3, 4]
+        assert _pmap(abs, [-1, -2, -3, -4], 2) == [1, 2, 3, 4]
+        assert sizes == [4, 2]
 
     def test_settings_digest_ignores_workers(self):
         a = ScanSettings(workers=1)
