@@ -11,7 +11,6 @@ __version__ = "0.1.0"
 
 from .central_config import (
     Configuration,
-    FamilyKind,
     MassSystem,
     collinear_three_primaries,
     locate_offline_equilibria,
@@ -59,8 +58,6 @@ from .polygon_config import (
     bang_quantities,
     h1,
     hn,
-    polygon_configuration,
-    polygon_limits,
     solve_site,
 )
 from .scan import (
@@ -93,7 +90,6 @@ __all__ = [
     "DomainError",
     "ErestabError",
     "ExistenceError",
-    "FamilyKind",
     "IndexResult",
     "InvariantViolation",
     "MassScanPoint",
@@ -126,8 +122,6 @@ __all__ = [
     "morse_index",
     "moulton_collinear",
     "offline_equilibrium",
-    "polygon_configuration",
-    "polygon_limits",
     "polygon_verdicts",
     "r_e_fourier_coefficients",
     "restricted_position",

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 from typing import Sequence
 
 import numpy as np
@@ -29,14 +28,7 @@ SQRT3 = math.sqrt(3.0)
 
 MASS_SUM_TOL = 1e-14
 CC_RESIDUAL_TOL = 1e-10
-CENTER_TOL = 1e-12
-INERTIA_TOL = 1e-12
 MAX_ITER = 200  # iteration cap of the Moulton and restricted-position solvers
-
-
-class FamilyKind(Enum):
-    COLLINEAR = "collinear"
-    POLYGON = "polygon"
 
 
 @dataclass(frozen=True)
@@ -49,7 +41,6 @@ class MassSystem:
     """
 
     masses: tuple[float, ...]
-    kind: FamilyKind = FamilyKind.COLLINEAR
 
     def __post_init__(self):
         if len(self.masses) < 2:
@@ -62,11 +53,11 @@ class MassSystem:
             )
 
     @classmethod
-    def normalized(cls, masses: Sequence[float], kind: FamilyKind = FamilyKind.COLLINEAR):
+    def normalized(cls, masses: Sequence[float]):
         total = math.fsum(float(m) for m in masses)
         if not total > 0.0:
             raise DomainError("total mass must be positive")
-        return cls(tuple(float(m) / total for m in masses), kind)
+        return cls(tuple(float(m) / total for m in masses))
 
     def __len__(self) -> int:
         return len(self.masses)
@@ -267,7 +258,7 @@ def solve_euler_quintic(m1: float, m2: float, m3: float) -> float:
 
 def collinear_three_primaries(masses: MassSystem) -> Configuration:
     """Collinear central configuration of three primaries ordered left to right."""
-    if masses.kind is not FamilyKind.COLLINEAR or len(masses) != 3:
+    if len(masses) != 3:
         raise DomainError("collinear_three_primaries needs a 3-mass collinear system")
     x = solve_euler_quintic(*masses.masses)
     raw = [(0.0, 0.0), (x, 0.0), (1.0 + x, 0.0)]
@@ -347,8 +338,6 @@ def moulton_collinear(
     k-1 gap lengths (keeping every gap positive) with the multiplier pinned
     to 1; the result is rescaled to the standard normalization.
     """
-    if masses.kind is not FamilyKind.COLLINEAR:
-        raise DomainError("moulton_collinear needs a collinear mass system")
     k = len(masses)
     if ordering is None:
         ordering = tuple(range(k))

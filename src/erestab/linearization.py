@@ -31,20 +31,20 @@ J2.setflags(write=False)
 
 TRACE_LAW_TOL = 1e-11
 BETA_HLS_TRACE_TOL = 1e-8
+MAX_ECCENTRICITY = 0.99  # past it the monodromy integrator is too stiff
 
 
 @dataclass(frozen=True, eq=False)
 class DMatrix:
-    """Symmetric 2x2 stability matrix with its trace/deviator decomposition.
+    """Symmetric 2x2 stability matrix with its trace excess.
 
-    beta20 measures the trace excess over 3; beta220 is the complex deviator,
-    so the eigenvalues are (3 + beta20)/2 +- |beta220|.  For collinear
-    primaries beta20 vanishes identically.
+    beta20 measures the trace excess over 3, trace(D) = 3 + beta20, which
+    is checked at construction.  For collinear primaries beta20 vanishes
+    identically.
     """
 
     entries: np.ndarray
     beta20: float
-    beta220: complex
 
     def __post_init__(self):
         d = self.entries
@@ -76,12 +76,10 @@ def compute_D(config: Configuration) -> DMatrix:
     mu = config.mu
     s1 = float(np.sum(m / r**3))
     s2 = np.einsum("k,ki,kj->ij", m / r**5, diff, diff)
-    zsq = (diff[:, 0] + 1j * diff[:, 1]) ** 2
-    s_dev = complex(np.sum(m * zsq / r**5))
     d = I2 - (s1 / mu) * I2 + (3.0 / mu) * s2
     d = 0.5 * (d + d.T)
     d.setflags(write=False)
-    return DMatrix(entries=d, beta20=s1 / mu - 1.0, beta220=1.5 * s_dev / mu)
+    return DMatrix(entries=d, beta20=s1 / mu - 1.0)
 
 
 @dataclass(frozen=True)
@@ -91,7 +89,8 @@ class StabilityParams:
     alpha and beta are the half-sum and half-difference shifts
     alpha = (lambda_3 + lambda_4)/2 - 1 and beta = (lambda_3 - lambda_4)/2.
     beta_hls = 9 - (lambda_3 - lambda_4)^2 parameterizes the collinear family
-    (where lambda_3 + lambda_4 = 3) and is NaN otherwise.
+    (where lambda_3 + lambda_4 = 3) and is NaN otherwise.  Construction is the
+    one check of 0 <= e <= MAX_ECCENTRICITY that families and engines rely on.
     """
 
     lambda3: float
@@ -101,8 +100,8 @@ class StabilityParams:
     def __post_init__(self):
         if self.lambda3 < self.lambda4:
             raise DomainError("ordering convention requires lambda3 >= lambda4")
-        if not 0.0 <= self.e < 1.0:
-            raise DomainError(f"eccentricity must lie in [0, 1), got {self.e}")
+        if not 0.0 <= self.e <= MAX_ECCENTRICITY:
+            raise DomainError(f"eccentricity must lie in [0, {MAX_ECCENTRICITY}], got {self.e}")
 
     @classmethod
     def from_beta_hls(cls, beta_hls: float, e: float) -> "StabilityParams":

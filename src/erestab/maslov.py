@@ -31,7 +31,6 @@ from scipy.linalg import toeplitz
 
 from .errors import ConvergenceError, DomainError
 from .linearization import StabilityParams
-from .monodromy import MAX_ECCENTRICITY
 
 # Kernel band half-width as a fraction of the base-level matrix norm.  The
 # assembly is exact and eigvalsh is backward stable, so true kernel
@@ -73,8 +72,6 @@ def assemble_operator(p: StabilityParams, omega: complex, K: int) -> np.ndarray:
     """
     if K < 8:
         raise DomainError("K must be at least 8")
-    if p.e > MAX_ECCENTRICITY:
-        raise DomainError(f"eccentricity {p.e} exceeds the supported limit {MAX_ECCENTRICITY}")
     rho = omega_to_rho(omega)
     alpha, beta = p.alpha, p.beta
     modes = np.arange(-K, K + 1) + rho

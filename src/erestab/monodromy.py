@@ -26,7 +26,6 @@ TWO_PI = 2.0 * math.pi
 DEFAULT_TOL = 1e-12
 MIN_TOL = 1e-13  # the tightest integrator tolerance accepted
 DEFAULT_CIRCLE_TOL = 1e-6
-MAX_ECCENTRICITY = 0.99
 
 
 def symplectic_residual(mat: np.ndarray) -> float:
@@ -61,11 +60,9 @@ def integrate_fundamental(p: StabilityParams, tol: float = DEFAULT_TOL) -> Monod
 
     Adaptive 8th-order explicit Runge-Kutta with local tolerance ``tol``;
     deterministic for fixed inputs.  The coefficient 1/(1 + e cos theta)
-    makes the system too stiff for this scheme past e = 0.99, which is a
-    documented domain limit.
+    makes the system too stiff for this scheme past e = 0.99; ``p`` never
+    carries a larger e, because :class:`StabilityParams` rejects it.
     """
-    if p.e > MAX_ECCENTRICITY:
-        raise DomainError(f"eccentricity {p.e} exceeds the supported limit {MAX_ECCENTRICITY}")
     if tol < MIN_TOL:
         raise DomainError(f"tolerance below {MIN_TOL:g} is not supported")
     e = p.e

@@ -19,7 +19,6 @@ from enum import Enum
 import numpy as np
 from scipy.optimize import brentq
 
-from .central_config import Configuration, FamilyKind, MassSystem
 from .errors import ConvergenceError, DomainError, ExistenceError, InvariantViolation, SingularityError
 
 MAX_N = 64
@@ -213,50 +212,3 @@ def solve_site(sys: PolygonSystem, site: Site) -> BangQuantities:
     if residual > 1e-12:
         raise ConvergenceError("site equation residual too large", residual=residual)
     return bang_quantities(sys, rho, theta, site)
-
-
-@dataclass(frozen=True)
-class PolygonLimitRow:
-    m0_over_M: float
-    rho: float
-    a_ratio: float       # A / w^2
-    b_ratio: float       # |B| / w^2
-    l2: float
-    l3: float
-    lambda3: float
-    lambda4: float
-
-
-def polygon_limits(n: int, m0_over_M_list, site: Site) -> list[PolygonLimitRow]:
-    """Tabulate the site quantities along a list of central-mass ratios."""
-    rows = []
-    for ratio in m0_over_M_list:
-        sys = PolygonSystem.from_mass_ratio(n, float(ratio))
-        b = solve_site(sys, site)
-        rows.append(
-            PolygonLimitRow(
-                m0_over_M=float(ratio),
-                rho=b.rho,
-                a_ratio=b.A / b.omega_sq,
-                b_ratio=abs(b.B) / b.omega_sq,
-                l2=b.l2,
-                l3=b.l3,
-                lambda3=b.lambda3,
-                lambda4=b.lambda4,
-            )
-        )
-    return rows
-
-
-def polygon_configuration(sys: PolygonSystem, bang: BangQuantities) -> Configuration:
-    """Explicit planar configuration (vertices, center, massless site).
-
-    Cross-validates the lattice-sum route: the returned Configuration
-    recomputes mu = U(a) from the positions, and mu * alpha^3 equals
-    omega_sq up to rounding.
-    """
-    verts = sys.alpha * sys.vertices()
-    positions = [(v.real, v.imag) for v in verts] + [(0.0, 0.0)]
-    masses = MassSystem(tuple([sys.m] * sys.n + [sys.m0]), FamilyKind.POLYGON)
-    w0 = sys.alpha * bang.rho * complex(math.cos(bang.theta), math.sin(bang.theta))
-    return Configuration.from_primaries(masses, positions, (w0.real, w0.imag))

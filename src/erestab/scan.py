@@ -29,12 +29,11 @@ from .central_config import (
     offline_equilibrium,
 )
 from .errors import CurveExtractionError, DomainError, ErestabError
-from .linearization import StabilityParams, compute_D, spectral_params, symmetric_beta
+from .linearization import MAX_ECCENTRICITY, StabilityParams, compute_D, spectral_params, symmetric_beta
 from .maslov import DEFAULT_LEVELS, morse_index
 from .monodromy import (
     DEFAULT_CIRCLE_TOL,
     DEFAULT_TOL,
-    MAX_ECCENTRICITY,
     MIN_TOL,
     SpectrumVerdict,
     circle_jump_sum,
@@ -283,6 +282,12 @@ def _bisect_boundary(pred, lo: float, hi: float, resolution: float) -> tuple[flo
     return lo, hi
 
 
+def _beta_grid(coarse_step: float) -> np.ndarray:
+    """0, step, 2 step, ... below THETA_BETA_MAX, then THETA_BETA_MAX itself."""
+    grid = np.arange(0.0, THETA_BETA_MAX + 0.5 * coarse_step, coarse_step)
+    return np.append(grid[grid < THETA_BETA_MAX], THETA_BETA_MAX)
+
+
 def _first_failure(pred, grid: np.ndarray, resolution: float) -> tuple[float, float] | None:
     """Midpoint and width of the bracket below the first grid point where
     ``pred`` (true at ``grid[0]``) fails, bisected to ``resolution``; None if
@@ -318,8 +323,7 @@ def find_curves(
         raise DomainError(f"coarse_step must be positive and finite, got {coarse_step}")
     _check_eccentricities(e_list, CURVE_E_MAX)
     points: list[CurvePoint] = []
-    grid = np.arange(0.0, THETA_BETA_MAX + 0.5 * coarse_step, coarse_step)
-    grid[-1] = min(grid[-1], THETA_BETA_MAX)
+    grid = _beta_grid(coarse_step)
     for e in e_list:
         e = float(e)
 
@@ -439,7 +443,7 @@ def find_mstar(tolerance: float = 1e-6) -> MstarResult:
         raise CurveExtractionError("beta(m2) does not cross 1 on the grid")
     first = int(np.flatnonzero(stable)[0])
     lo, hi = float(grid[first - 1]), float(grid[first])
-    single_crossing = bool(np.all(stable[first:]) and not np.any(stable[:first]))
+    single_crossing = bool(np.all(stable[first:]))
     decreasing_past = bool(np.all(np.diff(betas[first - 1 :]) < 0.0))
     if not (single_crossing and decreasing_past):
         warnings.warn(

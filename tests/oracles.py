@@ -18,6 +18,12 @@ use.  Some of them drive production code: ``positivity_check`` calls
 ``restricted_position`` and ``index_monodromy_consistency`` compares
 ``morse_index`` with ``monodromy.kernel_dimension`` and
 ``monodromy.circle_jump_sum``, so they test consistency, not independence.
+
+Last come the polygon checks of acceptance criterion C9 (the large-m0
+limits): ``PolygonLimitRow`` and ``polygon_limits`` tabulate
+``solve_site`` along a list of central-mass ratios, and
+``polygon_configuration`` lays the (1+n)-gon and its site out in the plane
+so that ``Configuration`` recomputes mu from the positions.
 """
 
 import cmath
@@ -50,6 +56,7 @@ from erestab.monodromy import (
     kernel_dimension,
     symplectic_residual,
 )
+from erestab.polygon_config import BangQuantities, PolygonSystem, Site, solve_site
 
 
 def quintic_positive_roots(m1, m2, m3):
@@ -512,3 +519,54 @@ def index_monodromy_consistency(
         jump_from_indices=phim1 - phi1,
         jump_from_monodromy=circle_jump_sum(mat, circle_tol),
     )
+
+
+# ---------------------------------------------------------------------------
+# Polygon large-m0 limits (acceptance criterion C9)
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class PolygonLimitRow:
+    m0_over_M: float
+    rho: float
+    a_ratio: float       # A / w^2
+    b_ratio: float       # |B| / w^2
+    l2: float
+    l3: float
+    lambda3: float
+    lambda4: float
+
+
+def polygon_limits(n: int, m0_over_M_list, site: Site) -> list[PolygonLimitRow]:
+    """Tabulate the site quantities along a list of central-mass ratios."""
+    rows = []
+    for ratio in m0_over_M_list:
+        sys = PolygonSystem.from_mass_ratio(n, float(ratio))
+        b = solve_site(sys, site)
+        rows.append(
+            PolygonLimitRow(
+                m0_over_M=float(ratio),
+                rho=b.rho,
+                a_ratio=b.A / b.omega_sq,
+                b_ratio=abs(b.B) / b.omega_sq,
+                l2=b.l2,
+                l3=b.l3,
+                lambda3=b.lambda3,
+                lambda4=b.lambda4,
+            )
+        )
+    return rows
+
+
+def polygon_configuration(sys: PolygonSystem, bang: BangQuantities) -> Configuration:
+    """Explicit planar configuration (vertices, center, massless site).
+
+    Cross-validates the lattice-sum route: the returned Configuration
+    recomputes mu = U(a) from the positions, and mu * alpha^3 equals
+    omega_sq up to rounding.
+    """
+    verts = sys.alpha * sys.vertices()
+    positions = [(v.real, v.imag) for v in verts] + [(0.0, 0.0)]
+    masses = MassSystem(tuple([sys.m] * sys.n + [sys.m0]))
+    w0 = sys.alpha * bang.rho * complex(math.cos(bang.theta), math.sin(bang.theta))
+    return Configuration.from_primaries(masses, positions, (w0.real, w0.imag))

@@ -23,7 +23,7 @@ from erestab.central_config import (
 from erestab.linearization import J4, StabilityParams, compute_D, spectral_params, symmetric_beta
 from erestab.maslov import morse_index
 from erestab.monodromy import Verdict, classify_spectrum, integrate_fundamental, kernel_dimension
-from erestab.polygon_config import PolygonSystem, Site, polygon_configuration, polygon_limits, solve_site
+from erestab.polygon_config import PolygonSystem, Site, solve_site
 from erestab.scan import (
     CurveKind,
     ScanSettings,
@@ -32,7 +32,14 @@ from erestab.scan import (
     mass_scan_4body,
 )
 
-from oracles import b_matrix, match_eigs, matrix_exponential, routh_beta
+from oracles import (
+    b_matrix,
+    match_eigs,
+    matrix_exponential,
+    polygon_configuration,
+    polygon_limits,
+    routh_beta,
+)
 
 
 def _report(cid: str, ok: bool, detail: str = ""):

@@ -7,10 +7,6 @@ import erestab
 SRC = Path(erestab.__file__).parent
 README = Path(__file__).parent.parent / "README.md"
 
-# Exported although nothing in the package calls them: they reproduce the
-# paper's large-m0 claim (acceptance criterion C9).
-PAPER_CHECKS = {"polygon_limits", "polygon_configuration"}
-
 
 def package_uses() -> set[str]:
     """Names read anywhere in the package outside ``__init__.py`` and outside
@@ -34,13 +30,28 @@ def package_uses() -> set[str]:
 
 
 def test_every_export_has_a_user():
-    """A public name is run by the package itself, shown in the README, or
-    is one of the paper checks; test-only helpers live in tests/oracles.py."""
+    """A public name is run by the package itself or shown in the README;
+    test-only helpers live in tests/oracles.py."""
     used = package_uses()
     readme = set(re.findall(r"\w+", README.read_text()))
-    unused = [
-        name
-        for name in erestab.__all__
-        if name not in used | readme | PAPER_CHECKS
-    ]
+    unused = [name for name in erestab.__all__ if name not in used | readme]
     assert unused == []
+
+
+def package_imports(module: str) -> set[str]:
+    """Sibling modules named in ``module``'s ``from .x import`` statements."""
+    tree = ast.parse((SRC / f"{module}.py").read_text())
+    return {
+        node.module
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module
+    }
+
+
+def test_module_layering():
+    """The families and the engines meet only at ``StabilityParams``: the
+    polygon family needs nothing but the errors, and the two stability
+    engines need nothing but the linearized system and the errors."""
+    assert package_imports("polygon_config") <= {"errors"}
+    for engine in ("monodromy", "maslov"):
+        assert package_imports(engine) <= {"linearization", "errors"}

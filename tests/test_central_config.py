@@ -6,7 +6,6 @@ import pytest
 from erestab.central_config import (
     SQRT3,
     Configuration,
-    FamilyKind,
     MassSystem,
     collinear_three_primaries,
     locate_offline_equilibria,
@@ -46,7 +45,6 @@ class TestMassSystem:
     def test_normalized(self):
         ms = MassSystem.normalized((2.0, 3.0, 5.0))
         assert abs(sum(ms.masses) - 1.0) <= 1e-14
-        assert ms.kind is FamilyKind.COLLINEAR
 
 
 class TestEulerQuintic:

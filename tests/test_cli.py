@@ -201,6 +201,22 @@ class TestExitCodes:
         assert code == 2 and "configuration error" in err
         assert not (tmp_path / "out.csv").exists()
 
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["index", "--alpha", "0.5", "--beta", "1.5", "--e", "0.995", "--omega", "-1"],
+            ["stability", "--family", "collinear", "--m", "0.25,0.5,0.25", "--e", "0.995"],
+            ["stability", "--family", "polygon", "--n", "8", "--m0-over-m", "1000",
+             "--site", "S3", "--e", "0.995"],
+        ],
+        ids=["index", "stability-collinear", "stability-polygon"],
+    )
+    def test_eccentricity_above_limit_is_2(self, args, tmp_path, monkeypatch, capsys):
+        code, out, err = run_cli(args, tmp_path, monkeypatch, capsys)
+        assert code == 2 and "configuration error" in err
+        assert out == ""
+        assert list(tmp_path.iterdir()) == []
+
     CC = ["cc", "--m", "2,3,5"]
     POLYGON = ["polygon", "--n", "8", "--m0-over-m", "1000", "--site", "S3"]
     STABILITY = ["stability", "--family", "collinear", "--m", "0.25,0.5,0.25", "--e", "0"]

@@ -6,6 +6,7 @@ import pytest
 from erestab.central_config import MassSystem, collinear_three_primaries, offline_equilibrium
 from erestab.errors import DomainError
 from erestab.linearization import (
+    MAX_ECCENTRICITY,
     DMatrix,
     StabilityParams,
     compute_D,
@@ -51,7 +52,7 @@ class TestComputeD:
 
 class TestStabilityParams:
     def test_spectral_params_identity_on_diagonal(self):
-        d = DMatrix(np.diag([2.2, 0.8]), beta20=0.0, beta220=0.7 + 0.0j)
+        d = DMatrix(np.diag([2.2, 0.8]), beta20=0.0)
         p = spectral_params(d, 0.1)
         assert (p.lambda3, p.lambda4) == pytest.approx((2.2, 0.8), abs=1e-15)
         assert p.alpha == pytest.approx(0.5)
@@ -59,7 +60,7 @@ class TestStabilityParams:
         assert p.beta_hls == pytest.approx(9.0 - 1.4**2)
 
     def test_identity_matrix_flags_beta_not_applicable(self):
-        d = DMatrix(np.eye(2), beta20=-1.0, beta220=0.0 + 0.0j)
+        d = DMatrix(np.eye(2), beta20=-1.0)
         p = spectral_params(d, 0.0)
         assert p.lambda3 == p.lambda4 == 1.0
         assert p.alpha == pytest.approx(0.0)
@@ -72,6 +73,11 @@ class TestStabilityParams:
             StabilityParams(1.0, 2.0, 0.0)
         with pytest.raises(DomainError):
             StabilityParams(2.0, 1.0, 1.0)
+        assert StabilityParams(2.0, 1.0, MAX_ECCENTRICITY).e == 0.99
+        with pytest.raises(DomainError, match=r"\[0, 0\.99\]"):
+            StabilityParams(2.0, 1.0, 0.995)
+        with pytest.raises(DomainError):
+            StabilityParams(2.0, 1.0, float("nan"))
         with pytest.raises(DomainError):
             StabilityParams.from_beta_hls(9.5, 0.0)
 
@@ -123,7 +129,7 @@ class TestBMatrix:
             assert np.max(np.abs(b_matrix(p, theta + 2 * math.pi) - b_matrix(p, theta))) < 1e-12
 
     def test_d_form_matches_k_form_for_diagonal_D(self):
-        d = DMatrix(np.diag([2.0, 1.0]), beta20=0.0, beta220=0.5 + 0.0j)
+        d = DMatrix(np.diag([2.0, 1.0]), beta20=0.0)
         p = spectral_params(d, 0.3)
         for theta in (0.0, 1.0):
             assert np.max(np.abs(b_matrix_d_form(d, 0.3, theta) - b_matrix(p, theta))) < 1e-14

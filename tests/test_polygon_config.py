@@ -11,13 +11,11 @@ from erestab.polygon_config import (
     bang_quantities,
     h1,
     hn,
-    polygon_configuration,
-    polygon_limits,
     site_equation,
     solve_site,
 )
 
-from oracles import hn_highprec
+from oracles import hn_highprec, polygon_configuration, polygon_limits
 
 
 class TestLatticeMeans:

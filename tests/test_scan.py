@@ -21,7 +21,7 @@ from erestab.scan import (
     polygon_verdicts,
     scan_theta,
 )
-from erestab.scan import _bisect_boundary, _pmap
+from erestab.scan import _beta_grid, _bisect_boundary, _pmap
 from erestab.polygon_config import Site
 
 from oracles import region_of
@@ -119,6 +119,22 @@ class TestCurves:
     def test_bisection_stops_at_adjacent_floats(self):
         lo, hi = _bisect_boundary(lambda x: x < 0.3, 0.0, 1.0, 1e-300)
         assert lo < 0.3 <= hi and np.nextafter(lo, 1.0) == hi
+
+    @pytest.mark.parametrize("step", [0.05, 0.25, 0.7, 1.0, 2.0, 4.0, 10.0])
+    def test_beta_grid_ends_at_nine(self, step):
+        grid = _beta_grid(step)
+        gaps = np.diff(grid)
+        assert grid[0] == 0.0 and grid[-1] == 9.0
+        # arange's multiples of the step may overshoot it by a rounding error
+        assert np.all(gaps > 0.0) and np.all(gaps <= step * (1.0 + 1e-12))
+
+    @pytest.mark.parametrize("step", [0.05, 1.0])
+    def test_beta_grid_unchanged_where_it_reached_nine(self, step):
+        """Where arange reaches 9 (the default step and the curves workload's 1.0),
+        the grid is arange with its last point clipped to 9, bit for bit."""
+        old = np.arange(0.0, 9.0 + 0.5 * step, step)
+        old[-1] = min(old[-1], 9.0)
+        assert _beta_grid(step).tobytes() == old.tobytes()
 
     def test_curves_and_mstar_pinned(self):
         """Exact bisection outputs: a refactor of the bisection or of the
