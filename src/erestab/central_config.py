@@ -91,17 +91,11 @@ def _attraction(masses: np.ndarray, positions: np.ndarray, point: np.ndarray) ->
     return (masses[:, None] * diff / (r**3)[:, None]).sum(axis=0)
 
 
-def cc_defect(
-    masses: np.ndarray,
-    positions: np.ndarray,
-    mu: float,
-    massless_position: np.ndarray | None = None,
-) -> float:
+def cc_defect(masses: np.ndarray, positions: np.ndarray, mu: float) -> float:
     """Worst-case norm of the central-configuration equation defect.
 
     For each primary i the defect is sum_{j!=i} m_j (a_j - a_i)/|a_j - a_i|^3
-    + mu a_i; the massless body, when present, satisfies the same equation
-    with the sum running over every primary.
+    + mu a_i.
     """
     worst = 0.0
     k = len(masses)
@@ -109,9 +103,6 @@ def cc_defect(
         others = np.delete(np.arange(k), i)
         f = _attraction(masses[others], positions[others], positions[i])
         worst = max(worst, float(np.hypot(*(f + mu * positions[i]))))
-    if massless_position is not None:
-        f = _attraction(masses, positions, massless_position)
-        worst = max(worst, float(np.hypot(*(f + mu * massless_position))))
     return worst
 
 
@@ -138,10 +129,7 @@ class Configuration:
 
     @classmethod
     def from_primaries(
-        cls,
-        masses: MassSystem,
-        positions: Sequence[Sequence[float]],
-        massless_position: Sequence[float] | None = None,
+        cls, masses: MassSystem, positions: Sequence[Sequence[float]]
     ) -> "Configuration":
         """Recenter, rescale and validate a raw configuration.
 
@@ -150,24 +138,14 @@ class Configuration:
         """
         m = masses.array
         pos = np.array(positions, dtype=float).reshape(len(masses), 2)
-        extra = (
-            None
-            if massless_position is None
-            else np.asarray(massless_position, dtype=float).reshape(2)
-        )
-        com = m @ pos
-        pos = pos - com
-        if extra is not None:
-            extra = extra - com
+        pos = pos - m @ pos
         inertia = float(np.sum(m * np.sum(pos * pos, axis=1)))
         if not inertia > 0.0:
             raise DomainError("degenerate configuration: zero moment of inertia")
         scale = 1.0 / math.sqrt(inertia)
         pos = pos * scale
-        if extra is not None:
-            extra = extra * scale
         mu = potential(m, pos)
-        residual = cc_defect(m, pos, mu, extra)
+        residual = cc_defect(m, pos, mu)
         if residual > CC_RESIDUAL_TOL:
             raise ConvergenceError(
                 "positions do not satisfy the central-configuration equations",
@@ -177,17 +155,22 @@ class Configuration:
         return cls(
             masses=masses,
             primary_positions=_readonly(pos),
-            massless_position=None if extra is None else _readonly(extra),
+            massless_position=None,
             mu=mu,
             cc_residual=residual,
             inertia_residual=inertia_res,
         )
 
     def with_massless(self, position: Sequence[float]) -> "Configuration":
-        """Attach a massless-body position without renormalizing the primaries."""
+        """Attach a massless-body position without renormalizing the primaries.
+
+        ``cc_residual`` becomes the larger of the primaries' defect and the
+        norm of the massless body's equilibrium equation, the gradient of the
+        amended potential V at ``position``.
+        """
         p = np.asarray(position, dtype=float).reshape(2)
-        m = self.masses.array
-        residual = cc_defect(m, self.primary_positions, self.mu, p)
+        grad = _amended_potential(self, p)[1]
+        residual = max(self.cc_residual, float(np.hypot(*grad)))
         return Configuration(
             masses=self.masses,
             primary_positions=self.primary_positions,
@@ -469,7 +452,7 @@ def offline_equilibrium(config: Configuration, guess: Sequence[float] = (0.0, 1.
     """
     try:
         return restricted_position(config, guess)
-    except (ConvergenceError, DegenerateSolutionError):
+    except ConvergenceError:
         return restricted_position(config, locate_offline_equilibria(config, guess))
 
 

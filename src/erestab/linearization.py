@@ -90,7 +90,8 @@ class StabilityParams:
     alpha = (lambda_3 + lambda_4)/2 - 1 and beta = (lambda_3 - lambda_4)/2.
     beta_hls = 9 - (lambda_3 - lambda_4)^2 parameterizes the collinear family
     (where lambda_3 + lambda_4 = 3) and is NaN otherwise.  Construction is the
-    one check of 0 <= e <= MAX_ECCENTRICITY that families and engines rely on.
+    one check of finite lambdas and 0 <= e <= MAX_ECCENTRICITY that families
+    and engines rely on.
     """
 
     lambda3: float
@@ -98,6 +99,8 @@ class StabilityParams:
     e: float
 
     def __post_init__(self):
+        if not (math.isfinite(self.lambda3) and math.isfinite(self.lambda4)):
+            raise DomainError(f"lambdas must be finite, got ({self.lambda3}, {self.lambda4})")
         if self.lambda3 < self.lambda4:
             raise DomainError("ordering convention requires lambda3 >= lambda4")
         if not 0.0 <= self.e <= MAX_ECCENTRICITY:

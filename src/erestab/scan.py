@@ -11,10 +11,8 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-import os
 import warnings
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from functools import cache, partial
 from typing import Sequence
@@ -48,13 +46,6 @@ CURVE_E_MAX = 0.95
 MSTAR_GRID_STEP = 1e-3
 
 
-def _env_workers() -> int:
-    try:
-        return max(1, int(os.environ.get("ERESTAB_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
 @dataclass(frozen=True)
 class ScanSettings:
     """Everything that influences a scan's numbers, hashable for provenance.
@@ -66,7 +57,6 @@ class ScanSettings:
     integrator_tol: float = DEFAULT_TOL
     circle_tol: float = DEFAULT_CIRCLE_TOL
     morse_levels: tuple[int, ...] = DEFAULT_LEVELS
-    workers: int = field(default_factory=_env_workers)
 
     def __post_init__(self) -> None:
         if not self.integrator_tol >= MIN_TOL:
@@ -91,15 +81,6 @@ class ScanSettings:
 
 
 DEFAULT_SETTINGS = ScanSettings()
-
-
-def _pmap(fn, items, workers: int):
-    if workers <= 1 or len(items) < 2:
-        return [fn(item) for item in items]
-    workers = min(workers, len(items))
-    chunk = max(1, len(items) // (workers * 8))
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items, chunksize=chunk))
 
 
 # ---------------------------------------------------------------------------
@@ -208,8 +189,7 @@ def _point(keys: dict, build, record: type, indices: bool, settings: ScanSetting
 
 
 def _sweep(build, record: type, keys: list[dict], indices: bool, settings: ScanSettings):
-    point = partial(_point, build=build, record=record, indices=indices, settings=settings)
-    return _pmap(point, keys, settings.workers)
+    return [_point(k, build, record, indices, settings) for k in keys]
 
 
 # ---------------------------------------------------------------------------

@@ -569,4 +569,4 @@ def polygon_configuration(sys: PolygonSystem, bang: BangQuantities) -> Configura
     positions = [(v.real, v.imag) for v in verts] + [(0.0, 0.0)]
     masses = MassSystem(tuple([sys.m] * sys.n + [sys.m0]))
     w0 = sys.alpha * bang.rho * complex(math.cos(bang.theta), math.sin(bang.theta))
-    return Configuration.from_primaries(masses, positions, (w0.real, w0.imag))
+    return Configuration.from_primaries(masses, positions).with_massless((w0.real, w0.imag))

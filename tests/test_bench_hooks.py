@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from erestab.cli import main
 from erestab.scan import mass_scan_4body
 
 LAYERS = Path(__file__).parent.parent / "bench" / "layers.py"
@@ -33,3 +34,15 @@ def test_fallback_cell_is_traced(layers):
     names = [span[0] for span in tracer.spans]
     assert names.count("central_config.locate_offline_equilibria") == 1
     assert names.count("central_config.restricted_position") == 2
+
+
+def test_sweeps_run_in_the_calling_process(layers, monkeypatch, tmp_path):
+    # Every point is traced here, whatever ERESTAB_THREADS says: a point
+    # run in a worker process would record its spans in that process.
+    monkeypatch.setenv("ERESTAB_THREADS", "2")
+    argv = ["scan-mass", "--m1", "0.2,0.3", "--m3", "0.2,0.3", "--e", "0",
+            "--csv", str(tmp_path / "mass.csv")]
+    with layers.Tracer().installed() as tracer:
+        assert main(argv) == 0
+    names = [span[0] for span in tracer.spans]
+    assert names.count("monodromy.integrate_fundamental") == 4

@@ -80,6 +80,16 @@ class TestStabilityParams:
             StabilityParams(2.0, 1.0, float("nan"))
         with pytest.raises(DomainError):
             StabilityParams.from_beta_hls(9.5, 0.0)
+        nan, inf = float("nan"), float("inf")
+        for build, args in [
+            (StabilityParams, (nan, 1.0, 0.1)),
+            (StabilityParams, (1.0, nan, 0.1)),
+            (StabilityParams, (inf, 1.0, 0.1)),
+            (StabilityParams.from_alpha_beta, (nan, 1.0, 0.1)),
+            (StabilityParams.from_alpha_beta, (0.5, nan, 0.1)),
+        ]:
+            with pytest.raises(DomainError, match="finite"):
+                build(*args)
 
     def test_from_beta_hls_round_trip(self):
         p = StabilityParams.from_beta_hls(4.0, 0.2)

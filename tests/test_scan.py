@@ -1,4 +1,3 @@
-from dataclasses import replace
 from functools import partial
 
 import numpy as np
@@ -21,7 +20,7 @@ from erestab.scan import (
     polygon_verdicts,
     scan_theta,
 )
-from erestab.scan import _beta_grid, _bisect_boundary, _pmap
+from erestab.scan import _beta_grid, _bisect_boundary
 from erestab.polygon_config import Site
 
 from oracles import region_of
@@ -328,55 +327,6 @@ class TestIndicesFromMonodromy:
 def test_sweep_rejects_out_of_range_e(sweep, e):
     with pytest.raises(DomainError):
         sweep(e)
-
-
-class TestParallel:
-    # Each grid holds failed points too: the inadmissible (0.6, 0.6) mass
-    # cell and the 1e30 polygon site-bracket failures.
-    @pytest.mark.parametrize(
-        "sweep",
-        [
-            lambda s: scan_theta([0.4, 2.2], [0.0, 0.3], s),
-            lambda s: mass_scan_4body([0.05, 0.6], [0.05, 0.6], 0.0, s),
-            lambda s: polygon_verdicts([8], [1e3, 1e30], [0.0], [Site.S1, Site.S3], s),
-        ],
-        ids=["theta", "mass", "polygon"],
-    )
-    def test_worker_pool_matches_serial(self, sweep):
-        parallel = sweep(replace(FAST, workers=2))
-        assert sweep(FAST) == parallel
-
-    def test_env_var_caps_workers(self, monkeypatch):
-        monkeypatch.setenv("ERESTAB_THREADS", "3")
-        assert ScanSettings().workers == 3
-        monkeypatch.setenv("ERESTAB_THREADS", "junk")
-        assert ScanSettings().workers == 1
-
-    def test_pool_never_exceeds_points(self, monkeypatch):
-        sizes = []
-
-        class RecordingPool:
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, items, chunksize):
-                return map(fn, items)
-
-        monkeypatch.setattr(erestab.scan, "ProcessPoolExecutor", RecordingPool)
-        assert _pmap(abs, [-1, -2, -3, -4], 64) == [1, 2, 3, 4]
-        assert _pmap(abs, [-1, -2, -3, -4], 2) == [1, 2, 3, 4]
-        assert sizes == [4, 2]
-
-    def test_settings_digest_ignores_workers(self):
-        a = ScanSettings(workers=1)
-        b = ScanSettings(workers=4)
-        assert a.digest() == b.digest()
 
 
 @pytest.mark.parametrize(
