@@ -333,7 +333,6 @@ def _cmd_index(params: dict, settings: ScanSettings, output: dict):
         "omega_re": w.real, "omega_im": w.imag, "rho": result.rho,
         "phi": result.phi, "nu": result.nu, "num_modes": result.num_modes,
         "min_eigenvalue": result.min_eigenvalue, "kernel_gap": result.kernel_gap,
-        "stabilized": result.stabilized,
     }
     return summary, _json_artifact(output, summary)
 

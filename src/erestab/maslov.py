@@ -102,8 +102,7 @@ class IndexResult:
     """Morse index data at one unit-circle point.
 
     phi counts discretized eigenvalues below -kernel_tol, nu those within
-    [-kernel_tol, kernel_tol]; ``stabilized`` records that two consecutive
-    truncation levels agreed on both counts.
+    [-kernel_tol, kernel_tol].
     """
 
     omega: complex
@@ -113,7 +112,6 @@ class IndexResult:
     num_modes: int
     min_eigenvalue: float
     kernel_gap: float
-    stabilized: bool
 
 
 def _counts(h: np.ndarray, tol: float) -> tuple[int, int, float, float]:
@@ -154,7 +152,6 @@ def morse_index(
                 num_modes=2 * K + 1,
                 min_eigenvalue=min_eig,
                 kernel_gap=gap,
-                stabilized=True,
             )
         prev = (phi, nu)
     raise ConvergenceError(

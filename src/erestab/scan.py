@@ -28,11 +28,12 @@ from .central_config import (
 )
 from .errors import CurveExtractionError, DomainError, ErestabError
 from .linearization import MAX_ECCENTRICITY, StabilityParams, compute_D, spectral_params, symmetric_beta
-from .maslov import DEFAULT_LEVELS, morse_index
+from .maslov import DEFAULT_LEVELS, IndexResult, morse_index
 from .monodromy import (
     DEFAULT_CIRCLE_TOL,
     DEFAULT_TOL,
     MIN_TOL,
+    Monodromy,
     SpectrumVerdict,
     circle_jump_sum,
     classify_spectrum,
@@ -56,7 +57,6 @@ class ScanSettings:
 
     integrator_tol: float = DEFAULT_TOL
     circle_tol: float = DEFAULT_CIRCLE_TOL
-    morse_levels: tuple[int, ...] = DEFAULT_LEVELS
 
     def __post_init__(self) -> None:
         if not self.integrator_tol >= MIN_TOL:
@@ -71,7 +71,7 @@ class ScanSettings:
             {
                 "integrator_tol": repr(self.integrator_tol),
                 "circle_tol": repr(self.circle_tol),
-                "morse_levels": list(self.morse_levels),
+                "morse_levels": list(DEFAULT_LEVELS),
             },
             sort_keys=True,
         )
@@ -114,14 +114,8 @@ def analyze(
 ) -> PointResult:
     """Monodromy verdict of ``p`` and, with ``indices``, its +-1 Morse indices.
 
-    phi_1 and nu_1 come from the Galerkin operator at w = 1.  phi_{-1} is
-    phi_1 plus the Krein-signed jump sum over the upper-semicircle
-    multipliers of gamma(2 pi) (Long's splitting numbers), and nu_{-1} is
-    dim ker(gamma(2 pi) + I).  The operator at w = -1 is solved instead,
-    and its counts reported, when the spectrum cannot decide: the jump sum
-    is unresolved, -1 is a multiplier, or dim ker(gamma(2 pi) - I)
-    disagrees with nu_1.  Numerical failures propagate as
-    :class:`ErestabError`.
+    phi_1 and nu_1 come from the operator at w = 1, phi_{-1} and nu_{-1} from
+    :func:`_minus_one`.  Numerical failures propagate as :class:`ErestabError`.
     """
     mono = integrate_fundamental(p, settings.integrator_tol)
     out = {
@@ -130,17 +124,26 @@ def analyze(
         "sympl_residual": mono.symplectic_residual,
     }
     if indices:
-        idx1 = morse_index(p, 1.0, settings.morse_levels)
-        gamma, tol = mono.gamma_end, settings.circle_tol
-        jump = circle_jump_sum(gamma, tol)
-        nu_m1 = kernel_dimension(gamma, -1.0, tol)
-        if jump is None or nu_m1 > 0 or kernel_dimension(gamma, 1.0, tol) != idx1.nu:
-            idxm = morse_index(p, -1.0, settings.morse_levels)
-            phi_m1, nu_m1 = idxm.phi, idxm.nu
-        else:
-            phi_m1 = idx1.phi + jump
+        idx1 = morse_index(p, 1.0)
+        phi_m1, nu_m1 = _minus_one(p, mono, idx1, settings.circle_tol)
         out.update(phi_1=idx1.phi, nu_1=idx1.nu, phi_m1=phi_m1, nu_m1=nu_m1)
     return PointResult(**out)
+
+
+def _minus_one(
+    p: StabilityParams, mono: Monodromy, idx1: IndexResult, circle_tol: float
+) -> tuple[int, int]:
+    """phi_{-1} and nu_{-1}: phi_1 plus the Krein-signed jump sum over the
+    upper-semicircle multipliers of gamma(2 pi) (Long's splitting numbers),
+    and dim ker(gamma(2 pi) + I).  Where the spectrum cannot decide (the jump
+    sum is unresolved, -1 is a multiplier, or dim ker(gamma(2 pi) - I)
+    disagrees with nu_1) the counts of the operator at w = -1 are returned."""
+    jump = circle_jump_sum(mono.gamma_end, circle_tol)
+    nu_m1 = kernel_dimension(mono.gamma_end, -1.0, circle_tol)
+    if jump is None or nu_m1 > 0 or kernel_dimension(mono.gamma_end, 1.0, circle_tol) != idx1.nu:
+        idxm = morse_index(p, -1.0)
+        return idxm.phi, idxm.nu
+    return idx1.phi + jump, nu_m1
 
 
 def collinear_config(
@@ -188,10 +191,6 @@ def _point(keys: dict, build, record: type, indices: bool, settings: ScanSetting
     return record(**keys, **derived, **vars(result))
 
 
-def _sweep(build, record: type, keys: list[dict], indices: bool, settings: ScanSettings):
-    return [_point(k, build, record, indices, settings) for k in keys]
-
-
 # ---------------------------------------------------------------------------
 # Theta rectangle scan
 # ---------------------------------------------------------------------------
@@ -221,12 +220,14 @@ def scan_theta(
 
     One record per grid point, e-major then beta, in the given order.
     """
+    if not (len(beta_grid) and len(e_grid)):
+        raise DomainError("all sweep lists must be nonempty")
     for b in beta_grid:
         if not 0.0 <= b <= THETA_BETA_MAX:
             raise DomainError(f"beta {b} outside [0, {THETA_BETA_MAX}]")
     _check_eccentricities(e_grid)
     keys = [{"beta": float(b), "e": float(e)} for e in e_grid for b in beta_grid]
-    return _sweep(_theta_build, ScanRecord, keys, True, settings)
+    return [_point(k, _theta_build, ScanRecord, True, settings) for k in keys]
 
 
 # ---------------------------------------------------------------------------
@@ -245,7 +246,6 @@ class CurvePoint:
     beta: float
     curve: CurveKind
     bracket_width: float
-    source: str = "bisection"
 
 
 def _bisect_boundary(pred, lo: float, hi: float, resolution: float) -> tuple[float, float]:
@@ -294,8 +294,10 @@ def find_curves(
     monodromy spectrum keeps intersecting the unit circle; the first grid
     failure is refined under the fine-grid reading of the supremum.
 
-    Rows where the index data does not show the expected structure are
-    skipped with a warning.
+    Both searches read one monodromy per beta.  phi_1 vanishes for beta > 0
+    (Hu, Long & Sun 2014): a row checks (phi_1, nu_1) = (0, 0) at beta = 9
+    and passes those counts to :func:`_minus_one` everywhere.  Rows where the
+    index data does not show the expected structure are skipped with a warning.
     """
     if not 0.0 < beta_resolution <= 0.01:
         raise DomainError(f"beta_resolution must lie in (0, 0.01], got {beta_resolution}")
@@ -308,16 +310,22 @@ def find_curves(
         e = float(e)
 
         @cache
-        def phi_m1(beta: float) -> int:
+        def monodromy(beta: float) -> tuple[StabilityParams, Monodromy]:
             p = StabilityParams.from_beta_hls(beta, e)
-            return morse_index(p, -1.0, settings.morse_levels).phi
+            return p, integrate_fundamental(p, settings.integrator_tol)
+
+        @cache
+        def phi_m1(beta: float) -> int:
+            return _minus_one(*monodromy(beta), idx1, settings.circle_tol)[0]
 
         @cache
         def circle_spectrum(beta: float) -> bool:
-            p = StabilityParams.from_beta_hls(beta, e)
-            return analyze(p, settings, indices=False).verdict.on_circle_count > 0
+            return classify_spectrum(monodromy(beta)[1], settings.circle_tol).on_circle_count > 0
 
         try:
+            idx1 = morse_index(StabilityParams.from_beta_hls(grid[-1], e), 1.0)
+            if (idx1.phi, idx1.nu) != (0, 0):
+                raise CurveExtractionError(f"phi_1, nu_1 = {idx1.phi}, {idx1.nu} at beta=9, e={e}")
             phis = [phi_m1(b) for b in grid]
             if any(b > a for a, b in zip(phis, phis[1:])):
                 raise CurveExtractionError(f"phi_-1 not non-increasing at e={e}")
@@ -376,15 +384,17 @@ def mass_scan_4body(
     verdict is computed through the full chain: spacing quintic, off-line
     equilibrium, stability matrix, monodromy.  Emits one point per grid
     cell in m1-major order; inadmissible or failed cells carry an error.
-    An ``e`` outside [0, 0.99] raises before any cell is computed.
+    Empty grids and an ``e`` outside [0, 0.99] raise before any cell is computed.
     """
+    if not (len(m1_grid) and len(m3_grid)):
+        raise DomainError("all sweep lists must be nonempty")
     _check_eccentricities([e])
     keys = [
         {"m1": float(a), "m3": float(b), "m2": 1.0 - float(a) - float(b)}
         for a in m1_grid
         for b in m3_grid
     ]
-    return _sweep(partial(_mass_build, e=float(e)), MassScanPoint, keys, False, settings)
+    return [_point(k, partial(_mass_build, e=float(e)), MassScanPoint, False, settings) for k in keys]
 
 
 # ---------------------------------------------------------------------------
@@ -487,4 +497,4 @@ def polygon_verdicts(
         for e in e_list
         for site in sites
     ]
-    return _sweep(_polygon_build, PolygonVerdictRecord, keys, True, settings)
+    return [_point(k, _polygon_build, PolygonVerdictRecord, True, settings) for k in keys]

@@ -202,7 +202,7 @@ def test_c07_circular_transition_verdicts():
 )
 def test_c07_beta_s_curve_point_as_stated():
     """Literal check: beta_s(0) from find_curves lies in [0.95, 1.05]."""
-    fast = ScanSettings(integrator_tol=1e-10, morse_levels=(32, 64, 128, 256))
+    fast = ScanSettings(integrator_tol=1e-10)
     points = find_curves([0.0], beta_resolution=0.01, settings=fast)
     beta_s = next(p.beta for p in points if p.curve is CurveKind.BETA_S)
     ok = 0.95 <= beta_s <= 1.05
@@ -211,7 +211,7 @@ def test_c07_beta_s_curve_point_as_stated():
 
 def test_c07_spectral_escape_curve_matches_transition():
     """The curve that does sit at the circular stability edge is beta_k."""
-    fast = ScanSettings(integrator_tol=1e-10, morse_levels=(32, 64, 128, 256))
+    fast = ScanSettings(integrator_tol=1e-10)
     points = find_curves([0.0], beta_resolution=0.01, settings=fast)
     beta_k = next(p.beta for p in points if p.curve is CurveKind.BETA_K)
     _report("C7 beta_k(0) at the transition", 0.95 <= beta_k <= 1.05,

@@ -204,6 +204,22 @@ class TestExitCodes:
     @pytest.mark.parametrize(
         "args",
         [
+            ["scan-theta", "--beta", ",", "--e", "0"],
+            ["scan-theta", "--beta", "1", "--e", ","],
+            ["scan-mass", "--m1", ",", "--m3", "0.2"],
+            ["polygon-verdicts", "--n", ",", "--m0-over-m", "1000", "--e", "0"],
+        ],
+        ids=["scan-theta-beta", "scan-theta-e", "scan-mass", "polygon-verdicts"],
+    )
+    def test_empty_sweep_list_is_2(self, args, tmp_path, monkeypatch, capsys):
+        code, out, err = run_cli(args + ["--csv", "out.csv"], tmp_path, monkeypatch, capsys)
+        assert code == 2 and "nonempty" in err
+        assert out == ""
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "args",
+        [
             ["index", "--alpha", "0.5", "--beta", "1.5", "--e", "0.995", "--omega", "-1"],
             ["stability", "--family", "collinear", "--m", "0.25,0.5,0.25", "--e", "0.995"],
             ["stability", "--family", "polygon", "--n", "8", "--m0-over-m", "1000",
@@ -404,7 +420,7 @@ class TestIndexCommand:
         )
         assert code == 0
         data = json.loads(out)
-        assert data["phi"] == 2 and data["nu"] == 0 and data["stabilized"]
+        assert data["phi"] == 2 and data["nu"] == 0
 
     def test_rho_parameterization(self, tmp_path, monkeypatch, capsys):
         code, out, _ = run_cli(

@@ -1,3 +1,4 @@
+from dataclasses import fields
 from functools import partial
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 import erestab.scan
 from erestab.errors import DomainError
 from erestab.linearization import symmetric_beta
-from erestab.maslov import morse_index
+from erestab.maslov import DEFAULT_LEVELS, morse_index
 from erestab.monodromy import Verdict, classify_spectrum, integrate_fundamental, kernel_dimension
 from erestab.linearization import StabilityParams
 from erestab.scan import (
@@ -25,7 +26,7 @@ from erestab.polygon_config import Site
 
 from oracles import region_of
 
-FAST = ScanSettings(integrator_tol=1e-10, morse_levels=(32, 64, 128, 256))
+FAST = ScanSettings(integrator_tol=1e-10)
 
 
 def by_curve(points, e):
@@ -142,11 +143,11 @@ class TestCurves:
             w = 0.0078125
             return (
                 f"[CurvePoint(e={e}, beta={bs}, curve=<CurveKind.BETA_S: 'BetaS'>, "
-                f"bracket_width={w}, source='bisection'), "
+                f"bracket_width={w}), "
                 f"CurvePoint(e={e}, beta={bm}, curve=<CurveKind.BETA_M: 'BetaM'>, "
-                f"bracket_width={w}, source='bisection'), "
+                f"bracket_width={w}), "
                 f"CurvePoint(e={e}, beta={bk}, curve=<CurveKind.BETA_K: 'BetaK'>, "
-                f"bracket_width={w}, source='bisection')]"
+                f"bracket_width={w})]"
             )
 
         assert repr(find_curves([0.0], 0.01, FAST, coarse_step=1.0)) == row(
@@ -263,7 +264,7 @@ def solved_omegas(monkeypatch):
     """The omegas ``analyze`` passes to the Morse solver, in call order."""
     omegas = []
 
-    def spy(p, omega, levels):
+    def spy(p, omega, levels=DEFAULT_LEVELS):
         omegas.append(omega)
         return morse_index(p, omega, levels)
 
@@ -312,6 +313,57 @@ class TestIndicesFromMonodromy:
         result = analyze(p)
         assert solved_omegas == [1.0, -1.0]
         assert indices_of(result) == two_solve_indices(p)
+
+
+class TestCurveSolves:
+    """``find_curves`` reads phi_-1 through ``analyze``'s monodromy rule: one
+    w = 1 solve per row, at beta = 9, and a w = -1 solve only where the
+    spectrum cannot decide."""
+
+    @pytest.fixture
+    def solves(self, monkeypatch):
+        """(beta, omega) of each Morse solve the scan module makes, in call order."""
+        calls = []
+
+        def spy(p, omega, levels=DEFAULT_LEVELS):
+            calls.append((p.beta_hls, omega))
+            return morse_index(p, omega, levels)
+
+        monkeypatch.setattr(erestab.scan, "morse_index", spy)
+        return calls
+
+    def test_generic_row_falls_back_only_at_zero(self, solves):
+        find_curves([0.3], 0.01, coarse_step=1.0)
+        assert solves == [(9.0, 1.0), (0.0, -1.0)]
+
+    def test_circular_row_falls_back_at_tangent_points(self, solves):
+        find_curves([0.0], 0.01, coarse_step=1.0)
+        assert solves[0] == (9.0, 1.0)
+        assert all(omega == -1.0 for _, omega in solves[1:])
+        # beta = 0 (nu_1 = 3), the double -1 at 3/4 and the circular edge at 1
+        assert sorted(b for b, _ in solves[1:]) == pytest.approx([0.0, 0.75, 1.0], abs=1e-12)
+
+
+def test_settings_hold_only_the_tolerances():
+    assert [f.name for f in fields(ScanSettings)] == ["integrator_tol", "circle_tol"]
+    # the digests still hash the Morse levels: the golden CSVs' --tol 1e-10 header
+    assert FAST.digest() == "a61192365befe962"
+    assert ScanSettings().digest() == "0555f1b57af83578"
+
+
+@pytest.mark.parametrize(
+    "sweep",
+    [
+        lambda: scan_theta([], [0.0], FAST),
+        lambda: scan_theta([1.0], [], FAST),
+        lambda: mass_scan_4body([], [0.2], 0.0, FAST),
+        lambda: mass_scan_4body([0.2], np.array([]), 0.0, FAST),
+    ],
+    ids=["theta-beta", "theta-e", "mass-m1", "mass-m3"],
+)
+def test_empty_grid_rejected(sweep):
+    with pytest.raises(DomainError, match="nonempty"):
+        sweep()
 
 
 @pytest.mark.parametrize("e", [2.0, -0.1])
