@@ -18,6 +18,10 @@ and S couples modes k and k +- 2 only, so assembly is exact and spectrally
 convergent.  The Hermitian Galerkin matrix is conjugated by I (x) diag(1, i),
 which only multiplies its entries by +-1 and +-i and leaves a real symmetric
 matrix with the same eigenvalues for every w; that matrix is what is solved.
+At w = 1 the reflection y(t) -> diag(1, -1) y(-t) commutes with the operator
+(r_e is even and diag(1, -1) S(-t) diag(1, -1) = S(t)) and maps the modes
+k in [-K, K] onto themselves, so the matrix splits exactly into an even and
+an odd block of size 2K+1, and those two are solved instead.
 """
 
 from __future__ import annotations
@@ -58,7 +62,9 @@ def omega_to_rho(omega: complex) -> float:
     w = complex(omega)
     if abs(abs(w) - 1.0) > 1e-9:
         raise DomainError(f"omega must lie on the unit circle, got |omega| = {abs(w)}")
-    return (cmath.phase(w) / (2.0 * math.pi)) % 1.0
+    rho = (cmath.phase(w) / (2.0 * math.pi)) % 1.0
+    # a phase just below zero wraps to 1 - tiny, which rounds to 1.0
+    return 0.0 if rho == 1.0 else rho
 
 
 def assemble_operator(p: StabilityParams, omega: complex, K: int) -> np.ndarray:
@@ -114,13 +120,36 @@ class IndexResult:
     kernel_gap: float
 
 
-def _counts(h: np.ndarray, tol: float) -> tuple[int, int, float, float]:
-    vals = np.linalg.eigvalsh(h)
+def _reflected_eigenvalues(h: np.ndarray) -> np.ndarray:
+    """Eigenvalues of the w = 1 matrix ``h`` from its two reflection blocks.
+
+    The reflection maps the interleaved index of (k, c) to that of (-k, c)
+    with sign (-1)^c.  On the components of k > 0 the even block is their
+    rows of h plus (c = 0) or minus (c = 1) the columns of their mirrors,
+    the odd block the reverse; each is bordered by sqrt(2) times the column
+    of the k = 0 component the reflection fixes (c = 0 even, c = 1 odd) and
+    that component's diagonal entry.  Unsorted.
+    """
+    z = h.shape[0] // 2 - 1  # index of (k, c) = (0, 0)
+    rows = h[z + 2 :]
+    block = np.empty((z + 1, z + 1))
+    vals = []
+    for fixed, c0, c1 in ((z, np.add, np.subtract), (z + 1, np.subtract, np.add)):
+        c0(rows[:, z + 2 :: 2], rows[:, z - 2 :: -2], out=block[1:, 1::2])
+        c1(rows[:, z + 3 :: 2], rows[:, z - 1 :: -2], out=block[1:, 2::2])
+        block[1:, 0] = block[0, 1:] = math.sqrt(2.0) * rows[:, fixed]
+        block[0, 0] = h[fixed, fixed]
+        vals.append(np.linalg.eigvalsh(block))
+    return np.concatenate(vals)
+
+
+def _counts(h: np.ndarray, tol: float, reflect: bool = False) -> tuple[int, int, float, float]:
+    vals = _reflected_eigenvalues(h) if reflect else np.linalg.eigvalsh(h)
     phi = int(np.count_nonzero(vals < -tol))
     nu = int(np.count_nonzero(np.abs(vals) <= tol))
     nonkernel = np.abs(vals)[np.abs(vals) > tol]
     gap = float(nonkernel.min()) if nonkernel.size else float("inf")
-    return phi, nu, float(vals[0]), gap
+    return phi, nu, float(vals.min()), gap
 
 
 def morse_index(
@@ -133,7 +162,8 @@ def morse_index(
     convergence error carrying the last two counts.  The kernel band is
     sized once, from the base-level matrix norm: a band that widened with
     the truncation would swallow genuinely small eigenvalues and the counts
-    could never stabilize near them.
+    could never stabilize near them.  At w = 1 each level is solved as its
+    two reflection blocks.
     """
     rho = omega_to_rho(omega)
     prev: tuple[int, int] | None = None
@@ -142,7 +172,7 @@ def morse_index(
         h = assemble_operator(p, omega, K)
         if tol is None:
             tol = KERNEL_TOL_FACTOR * float(np.max(np.sum(np.abs(h), axis=1)))
-        phi, nu, min_eig, gap = _counts(h, tol)
+        phi, nu, min_eig, gap = _counts(h, tol, rho == 0.0)
         if prev == (phi, nu):
             return IndexResult(
                 omega=complex(omega),

@@ -4,9 +4,11 @@ Most of these deliberately avoid the production code paths: polynomial
 companion roots instead of bracketed Brent, high-precision summation
 instead of fsum, closed-form spectra instead of Galerkin matrices, the
 complex Hermitian Galerkin matrix built from Kronecker products instead of
-its real symmetric form, a 2000-sample locus scan for every off-line
-equilibrium instead of one descent of the amended potential, and a direct
-quartic-multiplier formula instead of integrated monodromies.
+its real symmetric form, one solve of the whole matrix at every Morse
+level instead of the two reflection blocks at w = 1, a 2000-sample locus
+scan for every off-line equilibrium instead of one descent of the amended
+potential, and a direct quartic-multiplier formula instead of integrated
+monodromies.
 
 The helpers after them (matrix exponential, D-form coefficient path,
 spectral distances, symplectic samples, positivity sweep, the K-form
@@ -45,7 +47,14 @@ from erestab.central_config import (
 )
 from erestab.errors import ConvergenceError, DomainError
 from erestab.linearization import I2, J2, J4, DMatrix, StabilityParams, spectral_params
-from erestab.maslov import DEFAULT_LEVELS, morse_index, omega_to_rho, r_e_fourier_coefficients
+from erestab.maslov import (
+    DEFAULT_LEVELS,
+    KERNEL_TOL_FACTOR,
+    assemble_operator,
+    morse_index,
+    omega_to_rho,
+    r_e_fourier_coefficients,
+)
 from erestab.monodromy import (
     DEFAULT_CIRCLE_TOL,
     DEFAULT_TOL,
@@ -225,6 +234,24 @@ def complex_galerkin_operator(p: StabilityParams, omega: complex, K: int) -> np.
     h = np.kron(diag + (1.0 + alpha) * c0, np.eye(2)).astype(complex)
     h += 0.5 * beta * (np.kron(cp, N_PLUS) + np.kron(cp.T, N_MINUS))
     return h
+
+
+def full_matrix_morse_counts(
+    p: StabilityParams, omega: complex, levels: tuple[int, ...] = DEFAULT_LEVELS
+) -> tuple[int, int, int]:
+    """(phi, nu, num_modes) of ``morse_index``'s ladder with every level
+    solved as one matrix: no reflection blocks at w = 1."""
+    prev = tol = None
+    for K in levels:
+        h = assemble_operator(p, omega, K)
+        if tol is None:
+            tol = KERNEL_TOL_FACTOR * float(np.max(np.sum(np.abs(h), axis=1)))
+        vals = np.linalg.eigvalsh(h)
+        counts = (int(np.count_nonzero(vals < -tol)), int(np.count_nonzero(np.abs(vals) <= tol)))
+        if counts == prev:
+            return (*counts, 2 * K + 1)
+        prev = counts
+    raise ConvergenceError(f"Morse index did not stabilize up to K={levels[-1]}")
 
 
 def monodromy_eigs_e0(lam3, lam4):

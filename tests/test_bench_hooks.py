@@ -46,3 +46,14 @@ def test_sweeps_run_in_the_calling_process(layers, monkeypatch, tmp_path):
         assert main(argv) == 0
     names = [span[0] for span in tracer.spans]
     assert names.count("monodromy.integrate_fundamental") == 4
+
+
+def test_morse_levels_go_through_the_hooked_assembly(layers, tmp_path):
+    # one generic point: morse_index(w = 1) stops at K = 128, and each level
+    # is assembled by maslov.assemble_operator, blocks or not
+    argv = ["scan-theta", "--beta", "2.0", "--e", "0.3", "--csv", str(tmp_path / "theta.csv")]
+    with layers.Tracer().installed() as tracer:
+        assert main(argv) == 0
+    records = tracer.records()
+    assert [r["K"] for r in records if r["name"] == "maslov.assemble_operator"] == [64, 128]
+    assert [r["K"] for r in records if r["name"] == "maslov.morse_index"] == [128]

@@ -430,6 +430,19 @@ class TestIndexCommand:
         assert code == 0
         assert json.loads(out)["rho"] == pytest.approx(0.25)
 
+    def test_rho_one_is_omega_one(self, tmp_path, monkeypatch, capsys):
+        # e^{2 pi i} lies just below the real axis; its rho is 0, not 1
+        point = ["index", "--alpha", "0.5", "--beta", "1.5", "--e", "0.2"]
+        outputs = []
+        for flags in (["--rho", "1"], ["--omega", "1"]):
+            code, out, _ = run_cli(point + flags, tmp_path, monkeypatch, capsys)
+            assert code == 0
+            data = json.loads(out)
+            data.pop("omega_im")
+            outputs.append(data)
+        assert outputs[0]["rho"] == 0.0
+        assert outputs[0] == outputs[1]
+
 
 class TestSvg:
     def test_empty_plot_valid_with_warning(self):

@@ -10,8 +10,10 @@ from erestab.linearization import StabilityParams
 from erestab.maslov import (
     KERNEL_TOL_FACTOR,
     _counts,
+    _reflected_eigenvalues,
     assemble_operator,
     morse_index,
+    omega_to_rho,
     r_e_fourier_coefficients,
 )
 from erestab.monodromy import (
@@ -28,6 +30,7 @@ from erestab.polygon_config import PolygonSystem, Site, solve_site
 from oracles import (
     complex_galerkin_operator,
     diamond,
+    full_matrix_morse_counts,
     index_monodromy_consistency,
     operator_spectrum_e0,
     positivity_check,
@@ -134,6 +137,45 @@ class TestAssembly:
             assemble_operator(params(0.5, 0.0, 0.0), 2.0, 16)
 
 
+class TestOmegaToRho:
+    @pytest.mark.parametrize("omega", [cmath.exp(2j * math.pi), complex(1.0, -1e-18)])
+    def test_just_below_the_real_axis_is_zero(self, omega):
+        assert omega_to_rho(omega) == 0.0
+
+    @pytest.mark.parametrize("rho", [0.0, 0.1, 0.5, 0.75])
+    def test_round_trip(self, rho):
+        assert omega_to_rho(cmath.exp(2j * math.pi * rho)) == pytest.approx(rho, abs=1e-15)
+
+
+# beta_hls = 2 on the collinear family, and a generic (alpha, beta)
+REFLECTION_POINTS = [(0.5, math.sqrt(7.0) / 2.0), (0.37, 1.91)]
+
+
+def mirror_and_sign(n):
+    """Index of (-k, c) for the interleaved index of (k, c), and (-1)^c."""
+    return np.arange(n).reshape(-1, 2)[::-1].ravel(), np.tile([1.0, -1.0], n // 2)
+
+
+class TestReflection:
+    @pytest.mark.parametrize("K", [8, 16, 64])
+    @pytest.mark.parametrize("e", [0.0, 0.3, 0.9])
+    @pytest.mark.parametrize("alpha,beta", REFLECTION_POINTS)
+    def test_reflection_commutes_bit_for_bit(self, K, e, alpha, beta):
+        h = assemble_operator(params(alpha, beta, e), 1.0, K)
+        m, s = mirror_and_sign(h.shape[0])
+        assert np.array_equal(h[m][:, m] * np.outer(s, s), h)
+
+    @pytest.mark.parametrize("K", [8, 16, 64])
+    @pytest.mark.parametrize("e", [0.0, 0.3, 0.9])
+    @pytest.mark.parametrize("alpha,beta", REFLECTION_POINTS)
+    def test_blocks_carry_the_full_spectrum(self, K, e, alpha, beta):
+        h = assemble_operator(params(alpha, beta, e), 1.0, K)
+        vals = np.sort(_reflected_eigenvalues(h))
+        norm = float(np.max(np.sum(np.abs(h), axis=1)))
+        assert vals.shape == (h.shape[0],)
+        assert np.max(np.abs(vals - np.linalg.eigvalsh(h))) <= 1e-12 * norm
+
+
 class TestMorseIndex:
     @pytest.mark.parametrize("alpha,beta,rho", [(0.5, 1.2, 0.0), (0.5, 1.2, 0.5),
                                                 (1.5, 2.5, 0.25), (0.0, 0.3, 0.1)])
@@ -192,6 +234,36 @@ class TestMorseIndex:
             seen.update(counts)
         # the cases straddle both jumps and hit the kernel at both of them
         assert {(2, 0), (1, 1), (1, 0), (0, 1), (0, 0), (0, 2)} <= seen
+
+    def test_counts_at_one_match_full_matrix_ladder(self):
+        # the fragile rows above, the nu_1 = 3 point beta_hls = 0 and the
+        # e = 0 tongue tip
+        cases = [(beta + d, E_ROW)
+                 for beta in (BETA_S_REF, BETA_M_REF, BETA_S_ROOT, BETA_M_ROOT)
+                 for d in (-1e-3, 0.0, 1e-3)]
+        cases += [(0.0, 0.0), (0.0, E_ROW), (0.0, 0.9), (0.75, 0.0)]
+        for beta, e in cases:
+            p = StabilityParams.from_beta_hls(beta, e)
+            res = morse_index(p, 1.0)
+            assert (res.phi, res.nu, res.num_modes) == full_matrix_morse_counts(p, 1.0)
+            if beta == 0.0:
+                assert res.nu == 3
+
+    def test_only_w_one_is_solved_in_blocks(self, monkeypatch):
+        sizes = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def spy(a):
+            sizes.append(a.shape)
+            return eigvalsh(a)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", spy)
+        p = params(0.5, 1.5, 0.2)
+        # every omega stops at K = 128 here; rho = 1/4 is omega = i
+        for omega, want in ((1.0, [129, 129, 257, 257]), (-1.0, [258, 514]), (1j, [258, 514])):
+            sizes.clear()
+            assert morse_index(p, omega).num_modes == 257
+            assert sizes == [(n, n) for n in want]
 
     def test_non_stabilization_raises(self):
         with pytest.raises(ConvergenceError):
