@@ -217,20 +217,16 @@ def solve_euler_quintic(m1: float, m2: float, m3: float) -> float:
     deriv = np.polyder(coeffs)
     grid = np.geomspace(1e-8, 100.0, 10_000)
     vals = np.polyval(coeffs, grid)
-    exact = np.flatnonzero(vals == 0.0)
-    if exact.size:
-        x = float(grid[exact[0]])
-    else:
-        flips = np.flatnonzero(np.sign(vals[:-1]) != np.sign(vals[1:]))
-        if flips.size == 0:
-            raise ConvergenceError("no sign change of the quintic on (0, 100)")
-        i = int(flips[0])
-        x = brentq(
-            lambda t: float(np.polyval(coeffs, t)),
-            float(grid[i]),
-            float(grid[i + 1]),
-            xtol=1e-15,
-        )
+    flips = np.flatnonzero(np.sign(vals[:-1]) != np.sign(vals[1:]))
+    if flips.size == 0:
+        raise ConvergenceError("no sign change of the quintic on (0, 100)")
+    i = int(flips[0])
+    x = brentq(
+        lambda t: float(np.polyval(coeffs, t)),
+        float(grid[i]),
+        float(grid[i + 1]),
+        xtol=1e-15,
+    )
     for _ in range(2):
         x -= float(np.polyval(coeffs, x)) / float(np.polyval(deriv, x))
     scaled = abs(float(np.polyval(coeffs, x))) / float(np.max(np.abs(coeffs)))

@@ -45,6 +45,7 @@ from .scan import (
 from .svg import PlotStyle, emit_svg
 
 SCHEMA_VERSION = 1
+MAX_RANGE_POINTS = 10**6  # at 10 ms or more per point, a longer range cannot finish
 
 _EIG_COLUMNS = [f"eig{i}_{part}" for i in range(1, 5) for part in ("re", "im")]
 THETA_COLUMNS = (
@@ -103,7 +104,10 @@ def parse_range(text: str) -> list[float]:
         start, stop, step = (_as_float(p) for p in parts)
         if step <= 0.0 or stop < start:
             raise ConfigError(f"range {text!r} needs step > 0 and stop >= start")
-        count = int(math.floor((stop - start) / step + 0.5)) + 1
+        steps = (stop - start) / step
+        if not steps < MAX_RANGE_POINTS:
+            raise ConfigError(f"range {text!r} needs fewer than {MAX_RANGE_POINTS} steps")
+        count = int(math.floor(steps + 0.5)) + 1
         return [start + k * step for k in range(count) if start + k * step <= stop + 0.5 * step]
     if "," in text:
         return [_as_float(p) for p in text.split(",") if p.strip()]
@@ -402,8 +406,6 @@ def _cmd_find_mstar(params: dict, settings: ScanSettings, output: dict):
         "bracket": [result.bracket_low, result.bracket_high],
         "bracket_width": result.bracket_width,
         "tolerance": tol,
-        "monotone": result.monotone,
-        "note": result.note,
     }
     path = output.get("json") or "mstar.json"
     return summary, [(path, json.dumps(summary, indent=2) + "\n")]

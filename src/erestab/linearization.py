@@ -24,10 +24,8 @@ from .central_config import Configuration, solve_symmetric_y
 from .errors import DomainError, InvariantViolation, SingularityError
 
 I2 = np.eye(2)
-J2 = np.array([[0.0, -1.0], [1.0, 0.0]])
 J4 = np.block([[np.zeros((2, 2)), -I2], [I2, np.zeros((2, 2))]])
 J4.setflags(write=False)
-J2.setflags(write=False)
 
 TRACE_LAW_TOL = 1e-11
 BETA_HLS_TRACE_TOL = 1e-8

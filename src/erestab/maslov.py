@@ -111,7 +111,6 @@ class IndexResult:
     [-kernel_tol, kernel_tol].
     """
 
-    omega: complex
     rho: float
     phi: int
     nu: int
@@ -175,7 +174,6 @@ def morse_index(
         phi, nu, min_eig, gap = _counts(h, tol, rho == 0.0)
         if prev == (phi, nu):
             return IndexResult(
-                omega=complex(omega),
                 rho=rho,
                 phi=phi,
                 nu=nu,

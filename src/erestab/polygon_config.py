@@ -89,10 +89,6 @@ class PolygonSystem:
         return self.n * self.m
 
     @property
-    def alpha(self) -> float:
-        return 1.0 / math.sqrt(self.M)
-
-    @property
     def omega_sq(self) -> float:
         return self.m0 + self.M * h1(self.n)
 
@@ -133,7 +129,6 @@ class BangQuantities:
     which is checked at construction.
     """
 
-    site: Site
     rho: float
     theta: float
     omega_sq: float
@@ -162,7 +157,7 @@ class BangQuantities:
         return 1.0 + (self.A - abs(self.B)) / self.omega_sq
 
 
-def bang_quantities(sys: PolygonSystem, rho: float, theta: float, site: Site) -> BangQuantities:
+def bang_quantities(sys: PolygonSystem, rho: float, theta: float) -> BangQuantities:
     """Evaluate the lattice sums A, B, l2, l3 at w0 = rho * exp(i theta)."""
     w0 = rho * complex(math.cos(theta), math.sin(theta))
     diffs = w0 - sys.vertices()
@@ -176,7 +171,6 @@ def bang_quantities(sys: PolygonSystem, rho: float, theta: float, site: Site) ->
     )
     w2 = sys.omega_sq
     return BangQuantities(
-        site=site,
         rho=float(rho),
         theta=float(theta),
         omega_sq=w2,
@@ -197,18 +191,12 @@ def solve_site(sys: PolygonSystem, site: Site) -> BangQuantities:
     theta = site_theta(sys, site)
     lo, hi = _BRACKETS[site]
     f = lambda r: site_equation(sys, r, theta)
-    flo, fhi = f(lo), f(hi)
-    if flo == 0.0:
-        rho = lo
-    elif fhi == 0.0:
-        rho = hi
-    elif (flo > 0.0) == (fhi > 0.0):
+    if f(lo) * f(hi) > 0.0:
         raise ExistenceError(
             f"no sign change of the site equation for {site.value} on [{lo}, {hi}]"
         )
-    else:
-        rho = brentq(f, lo, hi, xtol=1e-15)
+    rho = brentq(f, lo, hi, xtol=1e-15)
     residual = abs(f(rho))
     if residual > 1e-12:
         raise ConvergenceError("site equation residual too large", residual=residual)
-    return bang_quantities(sys, rho, theta, site)
+    return bang_quantities(sys, rho, theta)

@@ -406,8 +406,6 @@ class MstarResult:
     value: float
     bracket_low: float
     bracket_high: float
-    monotone: bool
-    note: str = ""
 
     @property
     def bracket_width(self) -> float:
@@ -421,8 +419,8 @@ def find_mstar(tolerance: float = 1e-6) -> MstarResult:
     chain y(m2) -> z -> beta = 36 z (1 - z).  The chain is unimodal in m2
     (a hump near m2 ~ 0.09 before the decay to 0), so the grid check
     verifies what the bisection needs: a unique crossing of 1, with beta
-    strictly decreasing from the last unstable grid point onward.  If that
-    fails, the finest-grid boundary is returned with a warning.
+    strictly decreasing from the last unstable grid point onward.  Raises
+    CurveExtractionError if the grid fails either check.
     """
     if not (math.isfinite(tolerance) and tolerance >= 1e-8):
         raise DomainError(f"tolerance must be finite and >= 1e-8, got {tolerance}")
@@ -436,15 +434,9 @@ def find_mstar(tolerance: float = 1e-6) -> MstarResult:
     single_crossing = bool(np.all(stable[first:]))
     decreasing_past = bool(np.all(np.diff(betas[first - 1 :]) < 0.0))
     if not (single_crossing and decreasing_past):
-        warnings.warn(
-            "beta(m2) is not monotone through the crossing; "
-            "returning the finest-grid boundary",
-            stacklevel=2,
-        )
-        return MstarResult(0.5 * (lo + hi), lo, hi, monotone=False,
-                           note="non-monotone chain; grid boundary")
+        raise CurveExtractionError("beta(m2) is not monotone through the crossing")
     lo, hi = _bisect_boundary(lambda m: symmetric_beta(m) >= 1.0, lo, hi, tolerance)
-    return MstarResult(0.5 * (lo + hi), lo, hi, monotone=True)
+    return MstarResult(0.5 * (lo + hi), lo, hi)
 
 
 # ---------------------------------------------------------------------------

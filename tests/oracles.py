@@ -24,8 +24,9 @@ use.  Some of them drive production code: ``positivity_check`` calls
 Last come the polygon checks of acceptance criterion C9 (the large-m0
 limits): ``PolygonLimitRow`` and ``polygon_limits`` tabulate
 ``solve_site`` along a list of central-mass ratios, and
-``polygon_configuration`` lays the (1+n)-gon and its site out in the plane
-so that ``Configuration`` recomputes mu from the positions.
+``polygon_configuration`` lays the (1+n)-gon and its site out in the plane,
+at the circumradius ``polygon_alpha``, so that ``Configuration`` recomputes
+mu from the positions.
 """
 
 import cmath
@@ -46,7 +47,7 @@ from erestab.central_config import (
     solve_symmetric_y,
 )
 from erestab.errors import ConvergenceError, DomainError
-from erestab.linearization import I2, J2, J4, DMatrix, StabilityParams, spectral_params
+from erestab.linearization import I2, J4, DMatrix, StabilityParams, spectral_params
 from erestab.maslov import (
     DEFAULT_LEVELS,
     KERNEL_TOL_FACTOR,
@@ -66,6 +67,8 @@ from erestab.monodromy import (
     symplectic_residual,
 )
 from erestab.polygon_config import BangQuantities, PolygonSystem, Site, solve_site
+
+J2 = np.array([[0.0, -1.0], [1.0, 0.0]])
 
 
 def quintic_positive_roots(m1, m2, m3):
@@ -585,6 +588,11 @@ def polygon_limits(n: int, m0_over_M_list, site: Site) -> list[PolygonLimitRow]:
     return rows
 
 
+def polygon_alpha(sys: PolygonSystem) -> float:
+    """Vertex-circle radius alpha = 1/sqrt(M) of the laid-out (1+n)-gon."""
+    return 1.0 / math.sqrt(sys.M)
+
+
 def polygon_configuration(sys: PolygonSystem, bang: BangQuantities) -> Configuration:
     """Explicit planar configuration (vertices, center, massless site).
 
@@ -592,8 +600,9 @@ def polygon_configuration(sys: PolygonSystem, bang: BangQuantities) -> Configura
     recomputes mu = U(a) from the positions, and mu * alpha^3 equals
     omega_sq up to rounding.
     """
-    verts = sys.alpha * sys.vertices()
+    alpha = polygon_alpha(sys)
+    verts = alpha * sys.vertices()
     positions = [(v.real, v.imag) for v in verts] + [(0.0, 0.0)]
     masses = MassSystem(tuple([sys.m] * sys.n + [sys.m0]))
-    w0 = sys.alpha * bang.rho * complex(math.cos(bang.theta), math.sin(bang.theta))
+    w0 = alpha * bang.rho * complex(math.cos(bang.theta), math.sin(bang.theta))
     return Configuration.from_primaries(masses, positions).with_massless((w0.real, w0.imag))

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import erestab.central_config
 from erestab.central_config import (
     SQRT3,
     Configuration,
@@ -70,6 +71,14 @@ class TestEulerQuintic:
     def test_nonpositive_mass_rejected(self):
         with pytest.raises(DomainError):
             solve_euler_quintic(0.0, 0.5, 0.5)
+
+    def test_exact_zero_on_the_grid_is_returned(self, monkeypatch):
+        # x - g vanishes exactly at the scan point g: Brent returns the
+        # zero endpoint and the Newton polish leaves it in place.
+        g = float(np.geomspace(1e-8, 100.0, 10_000)[5000])
+        monkeypatch.setattr(erestab.central_config, "euler_quintic_coefficients",
+                            lambda m1, m2, m3: np.array([0.0, 0.0, 0.0, 0.0, 1.0, -g]))
+        assert solve_euler_quintic(0.2, 0.6, 0.2) == g
 
 
 class TestCollinearThree:

@@ -5,7 +5,8 @@ from pathlib import Path
 
 import pytest
 
-from erestab.cli import _COMMANDS, ConfigError, _build_parser, main, parse_range
+import erestab.scan
+from erestab.cli import _COMMANDS, MAX_RANGE_POINTS, ConfigError, _build_parser, main, parse_range
 from erestab.linearization import symmetric_beta
 from erestab.svg import PlotStyle, emit_svg
 
@@ -59,6 +60,14 @@ class TestRangeParsing:
             with pytest.raises(ConfigError):
                 parse_range(text)
 
+    # 9 / 1e-310 overflows to inf; 9 / 1e-9 would be a list of 9e9 floats.
+    @pytest.mark.parametrize("text", ["0:9:1e-310", "0:9:1e-9"])
+    def test_oversized_range_is_2_and_writes_nothing(self, text, tmp_path, monkeypatch, capsys):
+        code, _, err = run_cli(["scan-theta", "--beta", text, "--e", "0", "--csv", "x.csv"],
+                               tmp_path, monkeypatch, capsys)
+        assert code == 2 and f"fewer than {MAX_RANGE_POINTS} steps" in err
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestStabilityCommand:
     def test_symmetric_chain_end_to_end(self, tmp_path, monkeypatch, capsys):
@@ -100,6 +109,7 @@ class TestMstarCommand:
         assert code == 0
         assert 0.84 < json.loads(out)["m_star"] < 0.87
         saved = json.loads((tmp_path / "mstar.json").read_text())
+        assert set(saved) == {"m_star", "bracket", "bracket_width", "tolerance"}
         assert saved["bracket_width"] < 1e-6
         manifest = json.loads((tmp_path / "manifest.json").read_text())
         assert manifest["command"] == "find-mstar"
@@ -107,6 +117,14 @@ class TestMstarCommand:
         assert manifest["artifacts"] == ["mstar.json"]
         assert set(manifest) >= {"command", "parameters", "tolerances", "version",
                                  "started_at", "duration_s"}
+
+    def test_non_monotone_chain_is_3_and_writes_nothing(self, tmp_path, monkeypatch, capsys):
+        # beta(m2) crosses 1 at m2 = 1/3 and is back above 1 on [0.5, 0.7)
+        monkeypatch.setattr(erestab.scan, "symmetric_beta",
+                            lambda m: 2.0 - 3.0 * m if m < 0.5 else (1.5 if m < 0.7 else 0.5))
+        code, _, err = run_cli(["find-mstar", "--json", "m.json"], tmp_path, monkeypatch, capsys)
+        assert code == 3 and "not monotone" in err
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestScanThetaCommand:

@@ -3,9 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from erestab.errors import DomainError, SingularityError
+import erestab.polygon_config
+from erestab.errors import DomainError, ExistenceError, SingularityError
 from erestab.linearization import compute_D
 from erestab.polygon_config import (
+    _BRACKETS,
     PolygonSystem,
     Site,
     bang_quantities,
@@ -15,7 +17,7 @@ from erestab.polygon_config import (
     solve_site,
 )
 
-from oracles import hn_highprec, polygon_configuration, polygon_limits
+from oracles import hn_highprec, polygon_alpha, polygon_configuration, polygon_limits
 
 
 class TestLatticeMeans:
@@ -63,7 +65,6 @@ class TestPolygonSystem:
     def test_normalization(self):
         sys8 = PolygonSystem.from_mass_ratio(8, 100.0)
         assert abs(sys8.m0 + sys8.M - 1.0) <= 1e-14
-        assert sys8.alpha == pytest.approx(1.0 / math.sqrt(sys8.M), rel=1e-15)
         assert sys8.omega_sq == pytest.approx(sys8.m0 + sys8.M * h1(8), rel=1e-13)
 
     def test_invalid_inputs(self):
@@ -76,6 +77,20 @@ class TestPolygonSystem:
 
 
 class TestSites:
+    @pytest.mark.parametrize("site, end", [(Site.S2, 0), (Site.S3, 0), (Site.S1, 1)])
+    def test_exact_zero_at_bracket_end_is_returned(self, site, end, monkeypatch):
+        root = _BRACKETS[site][end]
+        monkeypatch.setattr(erestab.polygon_config, "site_equation",
+                            lambda sys, rho, theta: rho - root)
+        b = solve_site(PolygonSystem.from_mass_ratio(8, 1e3), site)
+        assert b.rho == root
+
+    def test_no_sign_change_is_existence_error(self, monkeypatch):
+        monkeypatch.setattr(erestab.polygon_config, "site_equation",
+                            lambda sys, rho, theta: 1.0)
+        with pytest.raises(ExistenceError, match="no sign change"):
+            solve_site(PolygonSystem.from_mass_ratio(8, 1e3), Site.S3)
+
     def test_s1_s2_exist_near_circle_for_heavy_center(self):
         sys8 = PolygonSystem.from_mass_ratio(8, 1e4)
         b1 = solve_site(sys8, Site.S1)
@@ -151,7 +166,7 @@ class TestCrossValidation:
         sys_ = PolygonSystem.from_mass_ratio(n, ratio)
         bang = solve_site(sys_, Site.S3)
         config = polygon_configuration(sys_, bang)
-        assert abs(config.mu * sys_.alpha**3 - sys_.omega_sq) < 1e-10
+        assert abs(config.mu * polygon_alpha(sys_)**3 - sys_.omega_sq) < 1e-10
         assert config.cc_residual < 1e-10
 
     @pytest.mark.parametrize("site", list(Site))
@@ -166,4 +181,4 @@ class TestCrossValidation:
     def test_bang_quantities_rejects_vertex_hit(self):
         sys_ = PolygonSystem.from_mass_ratio(6, 10.0)
         with pytest.raises(SingularityError):
-            bang_quantities(sys_, 1.0, 0.0, Site.S1)
+            bang_quantities(sys_, 1.0, 0.0)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import erestab.scan
-from erestab.errors import DomainError
+from erestab.errors import CurveExtractionError, DomainError
 from erestab.linearization import symmetric_beta
 from erestab.maslov import DEFAULT_LEVELS, morse_index
 from erestab.monodromy import Verdict, classify_spectrum, integrate_fundamental, kernel_dimension
@@ -158,7 +158,7 @@ class TestCurves:
         )
         assert repr(find_mstar(1e-6)) == (
             "MstarResult(value=0.85423095703125, bracket_low=0.85423046875, "
-            "bracket_high=0.8542314453125, monotone=True, note='')"
+            "bracket_high=0.8542314453125)"
         )
 
     def test_region_agreement_with_verdicts(self):
@@ -201,12 +201,22 @@ class TestMassScan:
         assert pts[0].verdict is None
 
 
+def rises_back_above_one(m2: float) -> float:
+    """beta(m2) crosses 1 at m2 = 1/3, is back above 1 on [0.5, 0.7) and
+    below 1 from there on."""
+    return 2.0 - 3.0 * m2 if m2 < 0.5 else (1.5 if m2 < 0.7 else 0.5)
+
+
+def rises_below_one(m2: float) -> float:
+    """beta(m2) crosses 1 once, at m2 = 1/3, then rises below 1 past m2 = 0.5."""
+    return 2.0 - 3.0 * m2 if m2 < 0.5 else 0.5 + 0.1 * m2
+
+
 class TestMstar:
     def test_value_and_bracket(self):
         res = find_mstar(1e-6)
         assert 0.84 <= res.value <= 0.87
         assert res.bracket_width < 1e-6
-        assert res.monotone
         assert res.bracket_low - 0.005 <= 0.854 <= res.bracket_high + 0.005
 
     def test_beta_straddles_one(self):
@@ -225,6 +235,13 @@ class TestMstar:
     def test_tolerance_validated(self):
         with pytest.raises(DomainError):
             find_mstar(1e-9)
+
+    @pytest.mark.parametrize("chain", [rises_back_above_one, rises_below_one],
+                             ids=["second-crossing", "not-decreasing"])
+    def test_non_monotone_chain_raises(self, chain, monkeypatch):
+        monkeypatch.setattr(erestab.scan, "symmetric_beta", chain)
+        with pytest.raises(CurveExtractionError, match="not monotone"):
+            find_mstar(1e-6)
 
 
 class TestPolygonVerdicts:
