@@ -151,12 +151,10 @@ def _counts(h: np.ndarray, tol: float, reflect: bool = False) -> tuple[int, int,
     return phi, nu, float(vals.min()), gap
 
 
-def morse_index(
-    p: StabilityParams, omega: complex, levels: tuple[int, ...] = DEFAULT_LEVELS
-) -> IndexResult:
+def morse_index(p: StabilityParams, omega: complex) -> IndexResult:
     """Stabilized Morse index phi_w and nullity nu_w of the operator.
 
-    The truncation level escalates through ``levels`` until two consecutive
+    The truncation level escalates through DEFAULT_LEVELS until two consecutive
     levels agree on both counts; disagreement at the last level raises a
     convergence error carrying the last two counts.  The kernel band is
     sized once, from the base-level matrix norm: a band that widened with
@@ -167,7 +165,7 @@ def morse_index(
     rho = omega_to_rho(omega)
     prev: tuple[int, int] | None = None
     tol = None
-    for K in levels:
+    for K in DEFAULT_LEVELS:
         h = assemble_operator(p, omega, K)
         if tol is None:
             tol = KERNEL_TOL_FACTOR * float(np.max(np.sum(np.abs(h), axis=1)))
@@ -183,5 +181,5 @@ def morse_index(
             )
         prev = (phi, nu)
     raise ConvergenceError(
-        f"Morse index did not stabilize up to K={levels[-1]}; last counts {prev}"
+        f"Morse index did not stabilize up to K={DEFAULT_LEVELS[-1]}; last counts {prev}"
     )

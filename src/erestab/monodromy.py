@@ -5,9 +5,10 @@ all eigenvalues on the unit circle and the matrix semisimple means linearly
 stable; eigenvalues off the circle mean instability; an empty intersection
 with the circle means hyperbolicity.  Eigenvalues of a real symplectic
 matrix come in quadruples {w, 1/w, conj(w), 1/conj(w)}, which is monitored
-as a check but never imposed.  Every test on the multipliers (the verdict,
-dim ker(M - w I) and the Krein-signed jump sum) lives here and shares one
-on-circle mask, one clustering and one rank rule.
+as a check but never imposed.  gamma(2*pi) is decomposed once, when its
+:class:`Monodromy` is built.  Every test on the multipliers (the verdict,
+dim ker(M - w I) and the Krein-signed jump sum) reads that decomposition
+and shares one on-circle mask, one clustering and one rank rule.
 """
 
 from __future__ import annotations
@@ -35,22 +36,28 @@ def symplectic_residual(mat: np.ndarray) -> float:
 
 @dataclass(frozen=True, eq=False)
 class Monodromy:
-    """Endpoint of the fundamental solution with its integrity checks."""
+    """Endpoint of the fundamental solution with its integrity checks and its one
+    eigendecomposition, eigenvalues sorted by real, then imaginary part."""
 
     gamma_end: np.ndarray
     symplectic_residual: float
     eigenvalues: tuple[complex, ...]
+    eigenvectors: np.ndarray  # read-only; column k belongs to eigenvalues[k]
     step_metadata: dict
 
     @classmethod
     def from_matrix(cls, mat: np.ndarray, step_metadata: dict | None = None) -> "Monodromy":
         m = np.array(mat, dtype=float)
         m.setflags(write=False)
-        eigs = tuple(np.sort_complex(np.linalg.eigvals(m)))
+        vals, vecs = np.linalg.eig(m)  # real arrays when every eigenvalue is real
+        order = np.argsort(vals, kind="stable")
+        vecs = vecs[:, order].astype(complex)
+        vecs.setflags(write=False)
         return cls(
             gamma_end=m,
             symplectic_residual=symplectic_residual(m),
-            eigenvalues=eigs,
+            eigenvalues=tuple(vals[order].astype(complex)),
+            eigenvectors=vecs,
             step_metadata=step_metadata or {},
         )
 
@@ -141,10 +148,10 @@ def _cluster(values: np.ndarray, tol: float) -> list[list[int]]:
     return groups
 
 
-def _geometric_multiplicity(mat: np.ndarray, center: complex, guard: float) -> int:
-    """Number of singular values of (M - center I) below guard * ||M||_2."""
-    sv = np.linalg.svd(mat - center * np.eye(mat.shape[0]), compute_uv=False)
-    return int(np.count_nonzero(sv < guard * np.linalg.norm(mat, 2)))
+def _geometric_multiplicity(m: Monodromy, center: complex, guard: float) -> int:
+    """Number of singular values of (gamma - center I) below guard * ||gamma||_2."""
+    sv = np.linalg.svd(m.gamma_end - center * np.eye(4), compute_uv=False)
+    return int(np.count_nonzero(sv < guard * np.linalg.norm(m.gamma_end, 2)))
 
 
 def classify_spectrum(m: Monodromy, circle_tol: float = DEFAULT_CIRCLE_TOL) -> SpectrumVerdict:
@@ -168,7 +175,7 @@ def classify_spectrum(m: Monodromy, circle_tol: float = DEFAULT_CIRCLE_TOL) -> S
     for group in clusters:
         if len(group) > 1:
             center = complex(np.mean(eigs[on_idx[group]]))
-            if _geometric_multiplicity(m.gamma_end, center, guard) < len(group):
+            if _geometric_multiplicity(m, center, guard) < len(group):
                 semisimple = False
 
     if on_count == 0:
@@ -186,8 +193,8 @@ def classify_spectrum(m: Monodromy, circle_tol: float = DEFAULT_CIRCLE_TOL) -> S
     return SpectrumVerdict(verdict=verdict, on_circle_count=on_count, semisimple=semisimple)
 
 
-def kernel_dimension(mat: np.ndarray, omega: complex, circle_tol: float = DEFAULT_CIRCLE_TOL) -> int:
-    """dim ker(M - omega I) by the rank rule of :func:`classify_spectrum`.
+def kernel_dimension(m: Monodromy, omega: complex, circle_tol: float = DEFAULT_CIRCLE_TOL) -> int:
+    """dim ker(gamma(2*pi) - omega I) by the rank rule of :func:`classify_spectrum`.
 
     The kernel is empty unless omega is within sqrt(circle_tol) of an
     eigenvalue, so the rank test only runs behind that gate; a bare
@@ -195,24 +202,24 @@ def kernel_dimension(mat: np.ndarray, omega: complex, circle_tol: float = DEFAUL
     non-normal matrices.
     """
     guard = math.sqrt(circle_tol)
-    eigs = np.linalg.eigvals(mat)
+    eigs = np.asarray(m.eigenvalues)
     algebraic = int(np.count_nonzero(np.abs(eigs - complex(omega)) < guard))
     if algebraic == 0:
         return 0
-    return min(_geometric_multiplicity(mat, complex(omega), guard), algebraic)
+    return min(_geometric_multiplicity(m, complex(omega), guard), algebraic)
 
 
-def circle_jump_sum(mat: np.ndarray, circle_tol: float) -> int | None:
-    """Signed index-jump total over upper-half-circle eigenvalues of ``mat``.
+def circle_jump_sum(m: Monodromy, circle_tol: float) -> int | None:
+    """Signed index-jump total over the upper-half-circle multipliers of ``m``.
 
-    For a symplectic ``mat`` = gamma(2*pi) this is phi_{-1} - phi_1.  Each
-    simple on-circle eigenvalue in the open upper half plane carries a
-    splitting jump of -sign(Im(v^H J v)) (its negative Krein sign).  Returns
-    None when the jump cannot be resolved from the spectrum alone: an
-    on-circle eigenvalue within sqrt(circle_tol) of +-1, two upper ones
-    clustered, or a Krein form too small to sign.
+    For the monodromy gamma(2*pi) this is phi_{-1} - phi_1.  Each simple
+    on-circle eigenvalue in the open upper half plane carries a splitting
+    jump of -sign(Im(v^H J v)) (its negative Krein sign).  Returns None when
+    the jump cannot be resolved from the spectrum alone: an on-circle
+    eigenvalue within sqrt(circle_tol) of +-1, two upper ones clustered, or
+    a Krein form too small to sign.
     """
-    eigs, vecs = np.linalg.eig(mat)
+    eigs, vecs = np.asarray(m.eigenvalues), m.eigenvectors
     guard = math.sqrt(circle_tol)
     on = _on_circle(eigs, circle_tol)
     if np.any(on & ((np.abs(eigs - 1.0) < guard) | (np.abs(eigs + 1.0) < guard))):

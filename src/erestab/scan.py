@@ -138,9 +138,9 @@ def _minus_one(
     and dim ker(gamma(2 pi) + I).  Where the spectrum cannot decide (the jump
     sum is unresolved, -1 is a multiplier, or dim ker(gamma(2 pi) - I)
     disagrees with nu_1) the counts of the operator at w = -1 are returned."""
-    jump = circle_jump_sum(mono.gamma_end, circle_tol)
-    nu_m1 = kernel_dimension(mono.gamma_end, -1.0, circle_tol)
-    if jump is None or nu_m1 > 0 or kernel_dimension(mono.gamma_end, 1.0, circle_tol) != idx1.nu:
+    jump = circle_jump_sum(mono, circle_tol)
+    nu_m1 = kernel_dimension(mono, -1.0, circle_tol)
+    if jump is None or nu_m1 > 0 or kernel_dimension(mono, 1.0, circle_tol) != idx1.nu:
         idxm = morse_index(p, -1.0)
         return idxm.phi, idxm.nu
     return idx1.phi + jump, nu_m1

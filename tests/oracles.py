@@ -267,6 +267,12 @@ def monodromy_eigs_e0(lam3, lam4):
     return np.exp(2.0 * np.pi * xs)
 
 
+def sorted_eigvals(m):
+    """Eigenvalues of ``m`` from the eigenvalues-only LAPACK solve, cast to
+    complex and sorted by real, then imaginary part."""
+    return tuple(np.sort_complex(np.linalg.eigvals(m)))
+
+
 def diamond(*blocks):
     """Symplectic direct sum of 2x2 blocks in (Z1, Z2, z1, z2) coordinates."""
     n = len(blocks)
@@ -400,11 +406,7 @@ def frame_spectra_agreement(d: DMatrix, e: float, tol: float = DEFAULT_TOL) -> f
     return spectral_distance(mono.eigenvalues, np.linalg.eigvals(gamma_d))
 
 
-def positivity_check(
-    p: StabilityParams,
-    omega_samples: int = 16,
-    levels: tuple[int, ...] = DEFAULT_LEVELS,
-) -> bool:
+def positivity_check(p: StabilityParams, omega_samples: int = 16) -> bool:
     """True when the operator is positive definite at every sampled omega.
 
     Samples rho = j / omega_samples on a uniform circle grid; positive
@@ -414,7 +416,7 @@ def positivity_check(
         raise DomainError("omega_samples must be at least 16")
     for j in range(omega_samples):
         omega = cmath.exp(2j * math.pi * j / omega_samples)
-        result = morse_index(p, omega, levels)
+        result = morse_index(p, omega)
         if result.phi > 0 or result.nu > 0:
             return False
     return True
@@ -515,7 +517,6 @@ def index_monodromy_consistency(
     tol: float = DEFAULT_TOL,
     circle_tol: float = DEFAULT_CIRCLE_TOL,
     extra_rhos: tuple[float, ...] = (0.1, 0.25),
-    levels: tuple[int, ...] = DEFAULT_LEVELS,
     monodromy: Monodromy | None = None,
 ) -> ConsistencyReport:
     """Check nu_w against dim ker(gamma(2*pi) - w I) and the index jump sum.
@@ -525,16 +526,15 @@ def index_monodromy_consistency(
     reported in the result, never raised.
     """
     mono = monodromy if monodromy is not None else integrate_fundamental(p, tol)
-    mat = mono.gamma_end
     omegas = [1.0 + 0.0j, -1.0 + 0.0j]
     omegas += [cmath.exp(2j * math.pi * r) for r in extra_rhos]
     nu_op = []
     nu_mono = []
     phi1 = phim1 = 0
     for w in omegas:
-        res = morse_index(p, w, levels)
+        res = morse_index(p, w)
         nu_op.append(res.nu)
-        nu_mono.append(kernel_dimension(mat, w, circle_tol))
+        nu_mono.append(kernel_dimension(mono, w, circle_tol))
         if w == 1.0 + 0.0j:
             phi1 = res.phi
         elif w == -1.0 + 0.0j:
@@ -547,7 +547,7 @@ def index_monodromy_consistency(
         phi_1=phi1,
         phi_m1=phim1,
         jump_from_indices=phim1 - phi1,
-        jump_from_monodromy=circle_jump_sum(mat, circle_tol),
+        jump_from_monodromy=circle_jump_sum(mono, circle_tol),
     )
 
 

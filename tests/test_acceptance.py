@@ -170,7 +170,7 @@ def test_c06_index_anchors():
         mono = integrate_fundamental(p, 1e-12)
         for omega in (1.0, -1.0):
             nu_op = morse_index(p, omega).nu
-            nu_mono = kernel_dimension(mono.gamma_end, omega)
+            nu_mono = kernel_dimension(mono, omega)
             ok_nu = ok_nu and (nu_op == nu_mono)
     elapsed = time.monotonic() - t0
     _report(

@@ -55,3 +55,26 @@ def test_module_layering():
     assert package_imports("polygon_config") <= {"errors"}
     for engine in ("monodromy", "maslov"):
         assert package_imports(engine) <= {"linearization", "errors"}
+
+
+def test_one_general_eigensolve():
+    """gamma(2 pi) is decomposed in one place: the names ``eig`` and
+    ``eigvals`` appear only inside ``Monodromy.from_matrix``.  The symmetric
+    solver ``eigvalsh`` is a different name."""
+    found = []
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef)):
+                visit(child, f"{where}.{child.name}")
+                continue
+            names = {getattr(child, "attr", None), getattr(child, "id", None)}
+            names |= {alias.name for alias in getattr(child, "names", [])
+                      if isinstance(alias, ast.alias)}
+            if names & {"eig", "eigvals"}:
+                found.append(where)
+            visit(child, where)
+
+    for path in sorted(SRC.glob("*.py")):
+        visit(ast.parse(path.read_text()), path.stem)
+    assert found == ["monodromy.Monodromy.from_matrix"]

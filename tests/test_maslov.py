@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+import erestab.maslov
 from erestab.errors import ConvergenceError, DomainError
 from erestab.linearization import StabilityParams
 from erestab.maslov import (
@@ -265,17 +266,20 @@ class TestMorseIndex:
             assert morse_index(p, omega).num_modes == 257
             assert sizes == [(n, n) for n in want]
 
-    def test_non_stabilization_raises(self):
-        with pytest.raises(ConvergenceError):
-            morse_index(params(0.5, 1.0, 0.3), 1.0, levels=(16,))
+    def test_non_stabilization_raises(self, monkeypatch):
+        monkeypatch.setattr(erestab.maslov, "DEFAULT_LEVELS", (16,))
+        with pytest.raises(ConvergenceError, match="K=16"):
+            morse_index(params(0.5, 1.0, 0.3), 1.0)
 
 
 class TestPositivity:
-    def test_flat_operator_positive_on_full_circle(self):
-        assert positivity_check(params(0.5, 0.0, 0.0), omega_samples=16, levels=(16, 32))
+    def test_flat_operator_positive_on_full_circle(self, monkeypatch):
+        monkeypatch.setattr(erestab.maslov, "DEFAULT_LEVELS", (16, 32))
+        assert positivity_check(params(0.5, 0.0, 0.0), omega_samples=16)
 
-    def test_heavy_center_limit_not_positive(self):
-        assert not positivity_check(params(2.0, 6.0, 0.1), omega_samples=16, levels=(32, 64))
+    def test_heavy_center_limit_not_positive(self, monkeypatch):
+        monkeypatch.setattr(erestab.maslov, "DEFAULT_LEVELS", (32, 64))
+        assert not positivity_check(params(2.0, 6.0, 0.1), omega_samples=16)
 
     def test_polygon_s3_positive_at_one(self):
         bang = solve_site(PolygonSystem.from_mass_ratio(8, 1e4), Site.S3)
@@ -323,14 +327,15 @@ class TestConsistency:
 
     def test_kernel_dimension_gate(self):
         mono = integrate_fundamental(StabilityParams.from_beta_hls(3.0, 0.2))
-        assert kernel_dimension(mono.gamma_end, 1.0) == 0
-        assert kernel_dimension(np.eye(4), 1.0) == 4
+        assert kernel_dimension(mono, 1.0) == 0
+        assert kernel_dimension(Monodromy.from_matrix(np.eye(4)), 1.0) == 4
         # the rank rule classify_spectrum uses for semisimplicity: a Jordan
         # block at +1 has a one-dimensional kernel, -I a two-dimensional one
-        jordan = diamond(TestCircleJumpSum.SHEAR, rot(0.5))
+        jordan = Monodromy.from_matrix(diamond(TestCircleJumpSum.SHEAR, rot(0.5)))
         assert kernel_dimension(jordan, 1.0) == 1
-        assert not classify_spectrum(Monodromy.from_matrix(jordan)).semisimple
-        assert kernel_dimension(diamond(-np.eye(2), rot(0.5)), -1.0) == 2
+        assert not classify_spectrum(jordan).semisimple
+        minus = Monodromy.from_matrix(diamond(-np.eye(2), rot(0.5)))
+        assert kernel_dimension(minus, -1.0) == 2
 
 
 class TestCircleJumpSum:
@@ -353,7 +358,8 @@ class TestCircleJumpSum:
         mat = diamond(*blocks)
         mixed = self.MIX @ mat @ np.linalg.inv(self.MIX)
         assert symplectic_residual(mixed) < 1e-12
-        jumps = {circle_jump_sum(m, DEFAULT_CIRCLE_TOL) for m in (mat, mixed)}
+        jumps = {circle_jump_sum(Monodromy.from_matrix(m), DEFAULT_CIRCLE_TOL)
+                 for m in (mat, mixed)}
         assert len(jumps) == 1
         return jumps.pop()
 

@@ -8,6 +8,8 @@ from erestab.central_config import MassSystem, collinear_three_primaries, offlin
 from erestab.errors import DomainError
 from erestab.linearization import J4, StabilityParams, compute_D
 from erestab.monodromy import Monodromy, Verdict, classify_spectrum, integrate_fundamental
+from erestab.polygon_config import Site
+from erestab.scan import polygon_params
 
 from oracles import (
     b_matrix,
@@ -19,6 +21,7 @@ from oracles import (
     monodromy_eigs_e0,
     rot,
     sample_symplectic_residuals,
+    sorted_eigvals,
     spectral_distance,
 )
 
@@ -153,3 +156,51 @@ class TestFrameConjugacy:
             )
             d = compute_D(cfg)
             assert frame_spectra_agreement(d, rng.uniform(0.0, 0.7), tol=1e-11) < 1e-8
+
+
+def _integrated(p, tol):
+    return lambda: integrate_fundamental(p, tol)
+
+
+def _built(mat):
+    return lambda: Monodromy.from_matrix(mat)
+
+
+# The golden theta and polygon rows (at their --tol 1e-10), the grid of
+# test_scan.py's TestIndicesFromMonodromy (default tolerance) and hand-built
+# matrices: the identity, a Jordan block at +1 and two diamonds.
+DECOMPOSED = {
+    **{f"theta-beta{b:g}-e{e:g}": _integrated(StabilityParams.from_beta_hls(b, e), 1e-10)
+       for e in (0.0, 0.2) for b in (0.5, 2.0)},
+    **{f"polygon-{site.value}": _integrated(polygon_params(8, 1e3, site, 0.0)[0], 1e-10)
+       for site in (Site.S1, Site.S3)},
+    **{f"grid-beta{b:g}-e{e:g}": _integrated(StabilityParams.from_beta_hls(b, e), 1e-12)
+       for e in (0.0, 0.3, 0.7) for b in (0.5, 1.5, 4.0)},
+    "identity": _built(np.eye(4)),
+    "jordan": _built(diamond(np.array([[1.0, 1.0], [0.0, 1.0]]), rot(0.5))),
+    "two-rotations": _built(diamond(rot(0.3), rot(1.1))),
+    "saddle-rotation": _built(diamond(np.diag([2.0, 0.5]), rot(0.5))),
+}
+
+
+class TestDecomposition:
+    """``Monodromy`` decomposes gamma(2 pi) once, with ``eig``; every rule on
+    the multipliers reads that decomposition."""
+
+    @pytest.mark.parametrize("build", DECOMPOSED.values(), ids=DECOMPOSED.keys())
+    def test_eigenvectors_belong_to_their_eigenvalues(self, build):
+        mono = build()
+        vecs, gamma = mono.eigenvectors, mono.gamma_end
+        assert vecs.dtype == complex and not vecs.flags.writeable
+        scale = np.linalg.norm(gamma, 2)
+        for k, w in enumerate(mono.eigenvalues):
+            v = vecs[:, k]
+            assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-12)
+            assert np.linalg.norm(gamma @ v - w * v) <= 1e-12 * scale
+
+    @pytest.mark.parametrize("build", DECOMPOSED.values(), ids=DECOMPOSED.keys())
+    def test_eigenvalues_match_the_eigenvalues_only_solve(self, build):
+        mono = build()
+        want = sorted_eigvals(mono.gamma_end)
+        assert [type(z) for z in mono.eigenvalues] == [type(z) for z in want]
+        assert np.array(mono.eigenvalues).tobytes() == np.array(want).tobytes()

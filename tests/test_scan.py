@@ -7,7 +7,7 @@ import pytest
 import erestab.scan
 from erestab.errors import CurveExtractionError, DomainError
 from erestab.linearization import symmetric_beta
-from erestab.maslov import DEFAULT_LEVELS, morse_index
+from erestab.maslov import morse_index
 from erestab.monodromy import Verdict, classify_spectrum, integrate_fundamental, kernel_dimension
 from erestab.linearization import StabilityParams
 from erestab.scan import (
@@ -281,9 +281,9 @@ def solved_omegas(monkeypatch):
     """The omegas ``analyze`` passes to the Morse solver, in call order."""
     omegas = []
 
-    def spy(p, omega, levels=DEFAULT_LEVELS):
+    def spy(p, omega):
         omegas.append(omega)
-        return morse_index(p, omega, levels)
+        return morse_index(p, omega)
 
     monkeypatch.setattr(erestab.scan, "morse_index", spy)
     return omegas
@@ -322,8 +322,8 @@ class TestIndicesFromMonodromy:
         assert indices_of(result) == two_solve_indices(p)
 
     def test_kernel_disagreement_forces_minus_one_solve(self, solved_omegas, monkeypatch):
-        def disagreeing(mat, omega, circle_tol):
-            return kernel_dimension(mat, omega, circle_tol) + (omega == 1.0)
+        def disagreeing(mono, omega, circle_tol):
+            return kernel_dimension(mono, omega, circle_tol) + (omega == 1.0)
 
         monkeypatch.setattr(erestab.scan, "kernel_dimension", disagreeing)
         p = StabilityParams.from_beta_hls(0.5, 0.3)
@@ -342,9 +342,9 @@ class TestCurveSolves:
         """(beta, omega) of each Morse solve the scan module makes, in call order."""
         calls = []
 
-        def spy(p, omega, levels=DEFAULT_LEVELS):
+        def spy(p, omega):
             calls.append((p.beta_hls, omega))
-            return morse_index(p, omega, levels)
+            return morse_index(p, omega)
 
         monkeypatch.setattr(erestab.scan, "morse_index", spy)
         return calls
@@ -359,6 +359,38 @@ class TestCurveSolves:
         assert all(omega == -1.0 for _, omega in solves[1:])
         # beta = 0 (nu_1 = 3), the double -1 at 3/4 and the circular edge at 1
         assert sorted(b for b, _ in solves[1:]) == pytest.approx([0.0, 0.75, 1.0], abs=1e-12)
+
+
+class TestOneDecomposition:
+    """gamma(2 pi) is decomposed once per monodromy, when it is built; the
+    verdict and the w = -1 rule read that decomposition."""
+
+    @pytest.fixture
+    def decompositions(self, monkeypatch):
+        """Names of the general eigensolvers numpy is asked for, in call order."""
+        calls = []
+        for name in ("eig", "eigvals"):
+            def spy(*args, _name=name, _solver=getattr(np.linalg, name), **kwargs):
+                calls.append(_name)
+                return _solver(*args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, spy)
+        return calls
+
+    def test_analyze_decomposes_once(self, decompositions):
+        analyze(StabilityParams.from_beta_hls(0.5, 0.3))
+        assert decompositions == ["eig"]
+
+    def test_find_curves_decomposes_once_per_integration(self, decompositions, monkeypatch):
+        integrations = []
+
+        def spy(p, tol):
+            integrations.append(p.beta_hls)
+            return integrate_fundamental(p, tol)
+
+        monkeypatch.setattr(erestab.scan, "integrate_fundamental", spy)
+        find_curves([0.3], 0.01, coarse_step=1.0)
+        assert integrations and len(decompositions) == len(integrations)
 
 
 def test_settings_hold_only_the_tolerances():
