@@ -82,28 +82,22 @@ def potential(masses: np.ndarray, positions: np.ndarray) -> float:
     return total
 
 
-def _attraction(masses: np.ndarray, positions: np.ndarray, point: np.ndarray) -> np.ndarray:
-    """sum_j m_j (a_j - p) / |a_j - p|^3 over all primaries."""
-    diff = positions - point[None, :]
-    r = np.hypot(diff[:, 0], diff[:, 1])
-    if np.any(r < 1e-12):
-        raise SingularityError("evaluation point coincides with a primary")
-    return (masses[:, None] * diff / (r**3)[:, None]).sum(axis=0)
-
-
 def cc_defect(masses: np.ndarray, positions: np.ndarray, mu: float) -> float:
     """Worst-case norm of the central-configuration equation defect.
 
     For each primary i the defect is sum_{j!=i} m_j (a_j - a_i)/|a_j - a_i|^3
-    + mu a_i.
+    + mu a_i.  The j = i term is a zero offset over distance 1.  The sum over
+    j runs in index order along a strided axis of a C-ordered array.
     """
-    worst = 0.0
-    k = len(masses)
-    for i in range(k):
-        others = np.delete(np.arange(k), i)
-        f = _attraction(masses[others], positions[others], positions[i])
-        worst = max(worst, float(np.hypot(*(f + mu * positions[i]))))
-    return worst
+    positions = np.ascontiguousarray(positions, dtype=float)
+    diff = positions[None, :, :] - positions[:, None, :]
+    r = np.hypot(diff[..., 0], diff[..., 1])
+    np.fill_diagonal(r, 1.0)
+    if np.any(r < 1e-12):
+        raise SingularityError("evaluation point coincides with a primary")
+    force = (masses[None, :, None] * diff / (r**3)[..., None]).sum(axis=1)
+    defect = force + mu * positions
+    return float(np.max(np.hypot(defect[:, 0], defect[:, 1])))
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:

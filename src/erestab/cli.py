@@ -42,7 +42,7 @@ from .scan import (
     polygon_verdicts,
     scan_theta,
 )
-from .svg import PlotStyle, emit_svg
+from .svg import emit_svg
 
 SCHEMA_VERSION = 1
 MAX_RANGE_POINTS = 10**6  # at 10 ms or more per point, a longer range cannot finish
@@ -180,17 +180,11 @@ def _as_point(value) -> tuple[float, float]:
 
 # The tolerance keys and the ScanSettings field each one sets.
 _SETTINGS_FIELDS = {"tol": "integrator_tol", "circle_tol": "circle_tol"}
+# The sections of a run config besides "command", as a config file spells them.
+_SECTIONS = ("parameters", "output", "tolerances")
 
 
-@dataclass
-class RunConfig:
-    command: str
-    parameters: dict
-    output: dict
-    tolerances: dict
-
-
-def _merge_config_file(config: RunConfig, path: str) -> RunConfig:
+def _merge_config_file(config: dict, path: str) -> dict:
     try:
         with open(path, "r") as fh:
             data = json.load(fh)
@@ -198,21 +192,21 @@ def _merge_config_file(config: RunConfig, path: str) -> RunConfig:
         raise ConfigError(f"cannot read config file {path}: {exc}") from None
     if not isinstance(data, dict):
         raise ConfigError("config file must hold a JSON object")
-    unknown = set(data) - {"command", "parameters", "output", "tolerances"}
+    unknown = set(data) - {"command", *_SECTIONS}
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    command = data.get("command", config.command)
-    if command != config.command and config.command:
+    command = data.get("command", config["command"])
+    if command != config["command"] and config["command"]:
         raise ConfigError(
-            f"config file command {command!r} conflicts with {config.command!r}"
+            f"config file command {command!r} conflicts with {config['command']!r}"
         )
-    sections = {}
-    for section in ("parameters", "output", "tolerances"):
+    merged = {"command": command}
+    for section in _SECTIONS:
         extra = data.get(section, {})
         if not isinstance(extra, dict):
             raise ConfigError(f"config section {section!r} must be an object")
-        sections[section] = {**getattr(config, section), **extra}
-    return RunConfig(command=command, **sections)
+        merged[section] = {**config[section], **extra}
+    return merged
 
 
 # ---------------------------------------------------------------------------
@@ -289,18 +283,26 @@ def _cmd_polygon(params: dict, settings: ScanSettings, output: dict):
     return summary, _json_artifact(output, summary)
 
 
+# The parameters each stability family reads besides "family" and "e".
+_FAMILY_PARAMS = {"collinear": {"m", "guess"}, "polygon": {"n", "m0_over_m", "site"}}
+
+
 def _cmd_stability(params: dict, settings: ScanSettings, output: dict):
     family, e = params["family"], params["e"]
+    if family not in _FAMILY_PARAMS:
+        raise ConfigError(f"family must be 'collinear' or 'polygon', got {family!r}")
+    unread = set(params) - {"family", "e"} - _FAMILY_PARAMS[family]
+    if unread:
+        flags = ", ".join("--" + k.replace("_", "-") for k in sorted(unread))
+        raise ConfigError(f"--family {family} does not read {flags}")
     if family == "collinear":
         masses = MassSystem.normalized(params["m"])
         p = collinear_params(masses, e, params.get("guess", (0.0, 1.0)))
         extra = {"family": family, "masses": list(masses.masses)}
-    elif family == "polygon":
+    else:
         n, ratio, site = params["n"], params["m0_over_m"], params["site"]
         p, _ = polygon_params(n, ratio, site, e)
         extra = {"family": family, "n": n, "m0_over_M": ratio, "site": site.value}
-    else:
-        raise ConfigError(f"family must be 'collinear' or 'polygon', got {family!r}")
     result = analyze(p, settings, indices=False)
     summary = {
         **extra,
@@ -374,7 +376,7 @@ def _theta_svg(rows, e_grid, settings: ScanSettings) -> str:
     return emit_svg(
         [(r["beta"], r["e"], r["verdict"]) for r in rows],
         curves,
-        PlotStyle(title="stability over (beta, e)", xlabel="beta", ylabel="e"),
+        title="stability over (beta, e)", xlabel="beta", ylabel="e",
     )
 
 
@@ -392,8 +394,7 @@ def _cmd_scan_mass(params: dict, settings: ScanSettings, output: dict):
         output, "scan-mass", MASS_COLUMNS, points, settings,
         lambda rows: emit_svg(
             [(r["m1"], r["m3"], r["verdict"]) for r in rows],
-            [],
-            PlotStyle(title=f"stable masses at e={e:g}", xlabel="m1", ylabel="m3"),
+            title=f"stable masses at e={e:g}", xlabel="m1", ylabel="m3",
         ),
     )
 
@@ -430,17 +431,13 @@ def _json_artifact(output: dict, summary: dict):
 @dataclass(frozen=True)
 class _Command:
     """A command's handler, the converter of each parameter it reads, the
-    artifacts it writes, and whether it reads --tol/--circle-tol."""
+    artifacts it writes, and the tolerance keys it reads."""
 
     handler: Callable
     params: dict[str, Callable]
     outputs: tuple[str, ...] = ("json",)
-    tolerances: bool = False
+    tolerances: tuple[str, ...] = ()
     flags: dict[str, str] = field(default_factory=dict)  # where the flag is not --key
-
-    @property
-    def tolerance_keys(self) -> tuple[str, ...]:
-        return tuple(_SETTINGS_FIELDS) if self.tolerances else ()
 
 
 _COMMANDS = {
@@ -452,24 +449,24 @@ _COMMANDS = {
         _cmd_stability,
         {"family": str, "m": _as_range, "e": _as_float, "guess": _as_point,
          "n": _as_int, "m0_over_m": _as_float, "site": _as_site},
-        tolerances=True,
+        tolerances=tuple(_SETTINGS_FIELDS),
     ),
     "index": _Command(
         _cmd_index, {k: _as_float for k in ("alpha", "beta", "e", "omega", "rho")}
     ),
     "scan-theta": _Command(
         _cmd_scan_theta, {"beta": _as_range, "e": _as_range}, ("csv", "json", "svg"),
-        tolerances=True,
+        tolerances=tuple(_SETTINGS_FIELDS),
     ),
     "scan-mass": _Command(
         _cmd_scan_mass, {"m1": _as_range, "m3": _as_range, "e": _as_float},
-        ("csv", "json", "svg"), tolerances=True,
+        ("csv", "json", "svg"), tolerances=tuple(_SETTINGS_FIELDS),
     ),
     "find-mstar": _Command(_cmd_find_mstar, {"tol": _as_float}, flags={"tol": "--mstar-tol"}),
     "polygon-verdicts": _Command(
         _cmd_polygon_verdicts,
         {"n": _as_int_list, "m0_over_m": _as_range, "e": _as_range, "sites": _as_sites},
-        ("csv", "json"), tolerances=True,
+        ("csv", "json"), tolerances=tuple(_SETTINGS_FIELDS),
     ),
 }
 
@@ -484,13 +481,13 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command")
     for name, command in _COMMANDS.items():
         p = sub.add_parser(name, allow_abbrev=False)
-        for key in (*command.params, *command.outputs, *command.tolerance_keys):
+        for key in (*command.params, *command.outputs, *command.tolerances):
             p.add_argument(command.flags.get(key, "--" + key.replace("_", "-")), dest=key)
         p.add_argument("--config")
     return parser
 
 
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
+def _config_from_args(args: argparse.Namespace) -> dict:
     if args.command is None:
         raise ConfigError("a command is required; see --help")
     command = _COMMANDS[args.command]
@@ -498,51 +495,51 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
     def given(keys):
         return {k: getattr(args, k) for k in keys if getattr(args, k) is not None}
 
-    cfg = RunConfig(
-        command=args.command,
-        parameters=given(command.params),
-        output=given(command.outputs),
-        tolerances=given(command.tolerance_keys),
-    )
+    cfg = {
+        "command": args.command,
+        "parameters": given(command.params),
+        "output": given(command.outputs),
+        "tolerances": given(command.tolerances),
+    }
     if args.config:
         cfg = _merge_config_file(cfg, args.config)
     return cfg
 
 
-def run(cfg: RunConfig) -> tuple[dict, list[tuple[str, str]]]:
+def run(cfg: dict) -> tuple[dict, list[tuple[str, str]]]:
     """Validate and execute a run configuration; returns (summary, artifacts).
 
-    Every key is checked against the command table and every value converted
-    before the handler runs, so a bad input leaves no artifact behind.
+    ``cfg`` is ``{"command", "parameters", "output", "tolerances"}``, the
+    layout of a config file.  Every key is checked against the command table
+    and every value converted before the handler runs, so a bad input leaves
+    no artifact behind.
     """
-    command = _COMMANDS.get(cfg.command)
+    name = cfg["command"]
+    command = _COMMANDS.get(name)
     if command is None:
-        raise ConfigError(f"unknown command {cfg.command!r}")
-    for section, given, allowed in (
-        ("parameters", cfg.parameters, command.params),
-        ("output", cfg.output, command.outputs),
-        ("tolerances", cfg.tolerances, command.tolerance_keys),
-    ):
-        unknown = set(given) - set(allowed)
+        raise ConfigError(f"unknown command {name!r}")
+    for section, allowed in zip(_SECTIONS, (command.params, command.outputs, command.tolerances)):
+        unknown = set(cfg[section]) - set(allowed)
         if unknown:
-            raise ConfigError(f"unknown {section} keys for {cfg.command}: {sorted(unknown)}")
+            raise ConfigError(f"unknown {section} keys for {name}: {sorted(unknown)}")
+    parameters, output, tolerances = (cfg[section] for section in _SECTIONS)
     params = _Parameters(
-        {k: command.params[k](v) for k, v in cfg.parameters.items() if v is not None}
+        {k: command.params[k](v) for k, v in parameters.items() if v is not None}
     )
     settings = ScanSettings(
-        **{_SETTINGS_FIELDS[k]: _as_float(v) for k, v in cfg.tolerances.items()}
+        **{_SETTINGS_FIELDS[k]: _as_float(v) for k, v in tolerances.items()}
     )
     started = datetime.now(timezone.utc)
     t0 = time.monotonic()
-    summary, artifacts = command.handler(params, settings, cfg.output)
+    summary, artifacts = command.handler(params, settings, output)
     duration = time.monotonic() - t0
     for path, text in artifacts:
         _atomic_write(path, text)
     if artifacts:
         manifest = {
-            "command": cfg.command,
-            "parameters": {k: cfg.parameters[k] for k in sorted(cfg.parameters)},
-            "tolerances": {k: cfg.tolerances[k] for k in sorted(cfg.tolerances)},
+            "command": name,
+            "parameters": {k: parameters[k] for k in sorted(parameters)},
+            "tolerances": {k: tolerances[k] for k in sorted(tolerances)},
             "version": __version__,
             "started_at": started.isoformat(),
             "duration_s": duration,

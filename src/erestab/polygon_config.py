@@ -97,10 +97,6 @@ class PolygonSystem:
         return np.exp(-2j * np.pi * np.arange(1, self.n + 1) / self.n)
 
 
-def site_theta(sys: PolygonSystem, site: Site) -> float:
-    return 0.0 if site in (Site.S1, Site.S2) else math.pi / sys.n
-
-
 def site_equation(sys: PolygonSystem, rho: float, theta: float) -> float:
     """Radial equilibrium equation for a massless body at rho * exp(i theta).
 
@@ -188,7 +184,7 @@ def solve_site(sys: PolygonSystem, site: Site) -> BangQuantities:
     theta = pi/n; each semi-axis carries exactly the advertised number of
     roots, so a missing sign change is reported as an existence error.
     """
-    theta = site_theta(sys, site)
+    theta = math.pi / sys.n if site is Site.S3 else 0.0
     lo, hi = _BRACKETS[site]
     f = lambda r: site_equation(sys, r, theta)
     if f(lo) * f(hi) > 0.0:

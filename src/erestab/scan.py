@@ -173,6 +173,12 @@ def polygon_params(
     return StabilityParams(bang.lambda3, bang.lambda4, e), bang.rho
 
 
+def _check_nonempty(*grids: Sequence) -> None:
+    """Raise unless every grid has a point; reads lengths, so arrays pass."""
+    if not all(len(g) for g in grids):
+        raise DomainError("all sweep lists must be nonempty")
+
+
 def _check_eccentricities(e_values: Sequence[float], e_max: float = MAX_ECCENTRICITY) -> None:
     for e in e_values:
         if not 0.0 <= e <= e_max:
@@ -220,8 +226,7 @@ def scan_theta(
 
     One record per grid point, e-major then beta, in the given order.
     """
-    if not (len(beta_grid) and len(e_grid)):
-        raise DomainError("all sweep lists must be nonempty")
+    _check_nonempty(beta_grid, e_grid)
     for b in beta_grid:
         if not 0.0 <= b <= THETA_BETA_MAX:
             raise DomainError(f"beta {b} outside [0, {THETA_BETA_MAX}]")
@@ -386,8 +391,7 @@ def mass_scan_4body(
     cell in m1-major order; inadmissible or failed cells carry an error.
     Empty grids and an ``e`` outside [0, 0.99] raise before any cell is computed.
     """
-    if not (len(m1_grid) and len(m3_grid)):
-        raise DomainError("all sweep lists must be nonempty")
+    _check_nonempty(m1_grid, m3_grid)
     _check_eccentricities([e])
     keys = [
         {"m1": float(a), "m3": float(b), "m2": 1.0 - float(a) - float(b)}
@@ -479,8 +483,7 @@ def polygon_verdicts(
     Empty lists and an ``e`` outside [0, 0.99] raise before any cell is
     computed.
     """
-    if not (n_list and m0_over_M_list and e_list and sites):
-        raise DomainError("all sweep lists must be nonempty")
+    _check_nonempty(n_list, m0_over_M_list, e_list, sites)
     _check_eccentricities(e_list)
     keys = [
         {"n": int(n), "m0_over_M": float(r), "e": float(e), "site": site}

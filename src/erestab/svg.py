@@ -6,7 +6,6 @@ identical input, no plotting dependencies.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 WIDTH, HEIGHT = 900, 600
@@ -23,13 +22,6 @@ CLASS_COLORS = {
 CURVE_COLORS = ["#000000", "#404040", "#808080"]
 
 
-@dataclass(frozen=True)
-class PlotStyle:
-    title: str = ""
-    xlabel: str = "x"
-    ylabel: str = "y"
-
-
 def _fnum(x: float) -> str:
     return f"{x:.2f}"
 
@@ -41,7 +33,9 @@ def _tick(x: float) -> str:
 def emit_svg(
     points: Iterable[tuple[float, float, str]],
     curves: Iterable[tuple[str, Sequence[tuple[float, float]]]] = (),
-    style: PlotStyle = PlotStyle(),
+    title: str = "",
+    xlabel: str = "x",
+    ylabel: str = "y",
 ) -> str:
     """Render class-colored points plus labeled polyline curves.
 
@@ -77,19 +71,19 @@ def emit_svg(
         f'<rect x="{MARGIN_LEFT}" y="{MARGIN_TOP}" width="{plot_w}" height="{plot_h}" '
         f'fill="none" stroke="#000000" stroke-width="1"/>',
     ]
-    if style.title:
+    if title:
         out.append(
             f'<text x="{WIDTH // 2}" y="24" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="16">{style.title}</text>'
+            f'font-family="sans-serif" font-size="16">{title}</text>'
         )
     out.append(
         f'<text x="{MARGIN_LEFT + plot_w / 2:.1f}" y="{HEIGHT - 12}" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="13">{style.xlabel}</text>'
+        f'font-family="sans-serif" font-size="13">{xlabel}</text>'
     )
     out.append(
         f'<text x="18" y="{MARGIN_TOP + plot_h / 2:.1f}" text-anchor="middle" '
         f'font-family="sans-serif" font-size="13" '
-        f'transform="rotate(-90 18 {MARGIN_TOP + plot_h / 2:.1f})">{style.ylabel}</text>'
+        f'transform="rotate(-90 18 {MARGIN_TOP + plot_h / 2:.1f})">{ylabel}</text>'
     )
     for i in range(6):
         fx = xlim[0] + i * (xlim[1] - xlim[0]) / 5

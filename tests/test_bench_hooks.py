@@ -36,10 +36,9 @@ def test_fallback_cell_is_traced(layers):
     assert names.count("central_config.restricted_position") == 2
 
 
-def test_sweeps_run_in_the_calling_process(layers, monkeypatch, tmp_path):
-    # Every point is traced here, whatever ERESTAB_THREADS says: a point
-    # run in a worker process would record its spans in that process.
-    monkeypatch.setenv("ERESTAB_THREADS", "2")
+def test_sweeps_run_in_the_calling_process(layers, tmp_path):
+    # Every point is traced here: a point run in a worker process would
+    # record its spans in that process.
     argv = ["scan-mass", "--m1", "0.2,0.3", "--m3", "0.2,0.3", "--e", "0",
             "--csv", str(tmp_path / "mass.csv")]
     with layers.Tracer().installed() as tracer:

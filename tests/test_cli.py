@@ -8,7 +8,7 @@ import pytest
 import erestab.scan
 from erestab.cli import _COMMANDS, MAX_RANGE_POINTS, ConfigError, _build_parser, main, parse_range
 from erestab.linearization import symmetric_beta
-from erestab.svg import PlotStyle, emit_svg
+from erestab.svg import emit_svg
 
 DATA = Path(__file__).parent / "data"
 README = Path(__file__).parent.parent / "README.md"
@@ -317,6 +317,34 @@ class TestExitCodes:
                                      tmp_path, monkeypatch, capsys)
         assert key in err
 
+    # Each stability family reads only its own parameters besides family and
+    # e: collinear m and guess, polygon n, m0_over_m and site.
+    OTHER_FAMILY = [
+        (STABILITY, "n", "8"),
+        (STABILITY, "m0_over_m", "1000"),
+        (STABILITY, "site", "S3"),
+        (STABILITY_POLYGON, "m", "0.2,0.3"),
+        (STABILITY_POLYGON, "guess", "5,5"),
+    ]
+
+    @pytest.mark.parametrize("args, key, value", OTHER_FAMILY,
+                             ids=[f"{a[2]}-{k}" for a, k, _ in OTHER_FAMILY])
+    def test_other_family_flag_is_2(self, args, key, value, tmp_path, monkeypatch, capsys):
+        flag = "--" + key.replace("_", "-")
+        code, _, err = run_cli(args + [flag, value, "--json", "s.json"],
+                               tmp_path, monkeypatch, capsys)
+        assert code == 2 and flag in err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("args, key, value", OTHER_FAMILY,
+                             ids=[f"{a[2]}-{k}" for a, k, _ in OTHER_FAMILY])
+    def test_other_family_config_key_is_2(self, args, key, value, tmp_path, monkeypatch,
+                                          capsys):
+        err = assert_config_rejected(args + ["--json", "s.json"],
+                                     {"parameters": {key: value}},
+                                     tmp_path, monkeypatch, capsys)
+        assert "--" + key.replace("_", "-") in err
+
     def test_bad_tolerance_writes_nothing(self, tmp_path, monkeypatch, capsys):
         code, _, err = run_cli(self.STABILITY + ["--tol", "banana", "--json", "s.json"],
                                tmp_path, monkeypatch, capsys)
@@ -464,7 +492,7 @@ class TestIndexCommand:
 
 class TestSvg:
     def test_empty_plot_valid_with_warning(self):
-        doc = emit_svg([], [], PlotStyle(title="empty"))
+        doc = emit_svg([], [], title="empty")
         assert doc.startswith("<svg ") and doc.rstrip().endswith("</svg>")
         assert "warning: no data" in doc
 

@@ -4,7 +4,13 @@ import numpy as np
 import pytest
 
 import erestab.polygon_config
-from erestab.errors import ConvergenceError, DomainError, ExistenceError, SingularityError
+from erestab.errors import (
+    ConvergenceError,
+    DomainError,
+    ExistenceError,
+    InvariantViolation,
+    SingularityError,
+)
 from erestab.linearization import compute_D
 from erestab.polygon_config import (
     _BRACKETS,
@@ -146,6 +152,15 @@ class TestSites:
                        reason="the S3 root lies below the bracket end 1 + 1e-9")
     def test_s3_at_large_ratio(self):
         solve_site(PolygonSystem.from_mass_ratio(8, 1e8), Site.S3)
+
+    # vertices() puts the j = n vertex at exp(-2 pi i) = 1 + 2.449e-16j, so
+    # 1e-6 from it the site-aligned B keeps Im(B)/|B| = 4.9e-10, over the
+    # fixed 1e-10 bound of BangQuantities.
+    @pytest.mark.xfail(strict=True, raises=InvariantViolation,
+                       reason="the j = n vertex sits at 1 + 2.449e-16j, not at 1")
+    @pytest.mark.parametrize("rho", [1.0 - 1e-6, 1.0 + 1e-6], ids=["inside", "outside"])
+    def test_bang_quantities_next_to_a_vertex(self, rho):
+        bang_quantities(PolygonSystem.from_mass_ratio(8, 1e3), rho, 0.0)
 
 
 class TestLimits:

@@ -265,6 +265,11 @@ class TestPolygonVerdicts:
         with pytest.raises(DomainError):
             polygon_verdicts([], [10.0], [0.0], [Site.S1], FAST)
 
+    def test_array_lists_accepted(self):
+        # The emptiness check reads lengths, so a numpy array is a list here.
+        records = polygon_verdicts(np.array([4, 8]), [10.0], [0.0], [Site.S1], FAST)
+        assert [(r.n, r.site) for r in records] == [(4, Site.S1), (8, Site.S1)]
+
 
 def two_solve_indices(p):
     """(phi, nu) at +1 and -1 from two direct Galerkin solves."""
@@ -407,8 +412,9 @@ def test_settings_hold_only_the_tolerances():
         lambda: scan_theta([1.0], [], FAST),
         lambda: mass_scan_4body([], [0.2], 0.0, FAST),
         lambda: mass_scan_4body([0.2], np.array([]), 0.0, FAST),
+        lambda: polygon_verdicts(np.array([], dtype=int), [10.0], [0.0], [Site.S1], FAST),
     ],
-    ids=["theta-beta", "theta-e", "mass-m1", "mass-m3"],
+    ids=["theta-beta", "theta-e", "mass-m1", "mass-m3", "polygon-n-array"],
 )
 def test_empty_grid_rejected(sweep):
     with pytest.raises(DomainError, match="nonempty"):
