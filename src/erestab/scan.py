@@ -59,9 +59,10 @@ class ScanSettings:
     circle_tol: float = DEFAULT_CIRCLE_TOL
 
     def __post_init__(self) -> None:
-        if not self.integrator_tol >= MIN_TOL:
+        if not (math.isfinite(self.integrator_tol) and self.integrator_tol >= MIN_TOL):
             raise DomainError(
-                f"integrator tolerance must be at least {MIN_TOL:g}, got {self.integrator_tol}"
+                f"integrator tolerance must be finite and at least {MIN_TOL:g}, "
+                f"got {self.integrator_tol}"
             )
         if not self.circle_tol > 0.0:
             raise DomainError(f"circle tolerance must be positive, got {self.circle_tol}")

@@ -7,8 +7,9 @@ complex Hermitian Galerkin matrix built from Kronecker products instead of
 its real symmetric form, one solve of the whole matrix at every Morse
 level instead of the two reflection blocks at w = 1, a 2000-sample locus
 scan for every off-line equilibrium instead of one descent of the amended
-potential, and a direct quartic-multiplier formula instead of integrated
-monodromies.
+potential, a direct quartic-multiplier formula instead of integrated
+monodromies, and numpy row operations instead of the scalar right-hand
+side of ``integrate_fundamental``.
 
 The helpers after them (matrix exponential, D-form coefficient path,
 spectral distances, symplectic samples, positivity sweep, the K-form
@@ -383,6 +384,44 @@ def integrate_coefficient_path(
         raise ConvergenceError(f"fundamental-solution integration failed: {sol.message}")
     samples = [sol.y[:, i].reshape(4, 4) for i in range(sol.y.shape[1])] if t_eval is not None else []
     return sol.y[:, -1].reshape(4, 4), samples
+
+
+def integrate_fundamental_rows(p: StabilityParams, tol: float = DEFAULT_TOL):
+    """``integrate_fundamental`` with its earlier right-hand side, which forms
+    the rows of J B(theta) gamma as numpy row operations.
+
+    Returns (gamma(2*pi), nfev, step count).  Same DOP853 settings as
+    ``integrate_fundamental``, whose scalar right-hand side must reproduce
+    all three bit for bit.
+    """
+    e = p.e
+    lam3, lam4 = p.lambda3, p.lambda4
+
+    def rhs(theta, y):
+        g0 = 1.0 - lam3 / (1.0 + e * math.cos(theta))
+        g1 = 1.0 - lam4 / (1.0 + e * math.cos(theta))
+        yy = y.reshape(4, 4)
+        return np.concatenate(
+            (
+                yy[1] - g0 * yy[2],
+                -yy[0] - g1 * yy[3],
+                yy[0] + yy[3],
+                yy[1] - yy[2],
+            )
+        )
+
+    sol = solve_ivp(
+        rhs,
+        (0.0, TWO_PI),
+        np.eye(4).ravel(),
+        method="DOP853",
+        rtol=tol,
+        atol=tol,
+        dense_output=False,
+    )
+    if not sol.success:
+        raise ConvergenceError(f"fundamental-solution integration failed: {sol.message}")
+    return sol.y[:, -1].reshape(4, 4), int(sol.nfev), len(sol.t) - 1
 
 
 def sample_symplectic_residuals(

@@ -16,6 +16,7 @@ from oracles import (
     diamond,
     eigenvalue_quadruple_residual,
     frame_spectra_agreement,
+    integrate_fundamental_rows,
     match_eigs,
     matrix_exponential,
     monodromy_eigs_e0,
@@ -103,6 +104,49 @@ class TestIntegration:
         a = integrate_fundamental(p)
         b = integrate_fundamental(p)
         assert np.array_equal(a.gamma_end, b.gamma_end)
+
+    @pytest.mark.parametrize("tol", [float("nan"), float("inf")])
+    def test_non_finite_tolerance_rejected_before_integrating(self, tol, monkeypatch):
+        def never(*args, **kwargs):
+            raise AssertionError("solve_ivp reached with a non-finite tolerance")
+
+        monkeypatch.setattr("erestab.monodromy.solve_ivp", never)
+        with pytest.raises(DomainError):
+            integrate_fundamental(StabilityParams.from_beta_hls(2.0, 0.4), tol)
+
+
+def _generic_points():
+    rng = np.random.default_rng(2310)
+    return [
+        StabilityParams.from_alpha_beta(rng.uniform(-0.5, 2.0), rng.uniform(0.0, 2.0), e)
+        for e in (0.0, 0.2, 0.6, 0.9)
+    ]
+
+
+# Edges and corners of the collinear rectangle, generic (alpha, beta, e)
+# points and the three polygon sites, each at the golden tolerance 1e-10 and
+# at the default 1e-12.
+PINNED = {
+    **{f"beta{b:g}-e{e:g}": StabilityParams.from_beta_hls(b, e)
+       for e in (0.0, 0.99) for b in (0.0, 0.75, 9.0)},
+    **{f"generic-a{p.alpha:.3f}-b{p.beta:.3f}-e{p.e:g}": p for p in _generic_points()},
+    **{f"polygon-{site.value}": polygon_params(8, 1e3, site, 0.1)[0]
+       for site in (Site.S1, Site.S2, Site.S3)},
+}
+
+
+class TestScalarRhsPin:
+    """The scalar right-hand side repeats the row form's IEEE operations in
+    the same order, so the whole integration is bit-identical to it."""
+
+    @pytest.mark.parametrize("tol", [1e-10, 1e-12])
+    @pytest.mark.parametrize("p", PINNED.values(), ids=PINNED.keys())
+    def test_gamma_and_steps_bit_identical_to_row_form(self, p, tol):
+        mono = integrate_fundamental(p, tol)
+        gamma, nfev, nsteps = integrate_fundamental_rows(p, tol)
+        assert np.array_equal(mono.gamma_end, gamma)
+        assert mono.step_metadata["nfev"] == nfev
+        assert mono.step_metadata["nsteps"] == nsteps
 
 
 class TestClassification:
