@@ -371,7 +371,7 @@ def _theta_svg(rows, e_grid, settings: ScanSettings) -> str:
     curve_points = find_curves(curve_es, settings=settings)
     curves = [
         (kind.value, [(p.beta, p.e) for p in curve_points if p.curve is kind])
-        for kind in (CurveKind.BETA_S, CurveKind.BETA_M, CurveKind.BETA_K)
+        for kind in CurveKind
     ]
     return emit_svg(
         [(r["beta"], r["e"], r["verdict"]) for r in rows],

@@ -30,6 +30,14 @@ def _tick(x: float) -> str:
     return f"{x:.4g}"
 
 
+def _text(x, y, body: str, size: int, anchor: str = "", extra: str = "") -> str:
+    """One sans-serif label; ``extra`` holds attributes written after the font size."""
+    anchor = f' text-anchor="{anchor}"' if anchor else ""
+    extra = f" {extra}" if extra else ""
+    return (f'<text x="{x}" y="{y}"{anchor} font-family="sans-serif" '
+            f'font-size="{size}"{extra}>{body}</text>')
+
+
 def emit_svg(
     points: Iterable[tuple[float, float, str]],
     curves: Iterable[tuple[str, Sequence[tuple[float, float]]]] = (),
@@ -45,6 +53,7 @@ def emit_svg(
     """
     points = list(points)
     curves = [(name, list(path)) for name, path in curves]
+    colors = {cls: CLASS_COLORS.get(cls, CLASS_COLORS["Error"]) for _, _, cls in points}
 
     xs = [p[0] for p in points] + [q[0] for _, path in curves for q in path]
     ys = [p[1] for p in points] + [q[1] for _, path in curves for q in path]
@@ -57,6 +66,8 @@ def emit_svg(
 
     plot_w = WIDTH - MARGIN_LEFT - MARGIN_RIGHT
     plot_h = HEIGHT - MARGIN_TOP - MARGIN_BOTTOM
+    mid_x = f"{MARGIN_LEFT + plot_w / 2:.1f}"
+    mid_y = f"{MARGIN_TOP + plot_h / 2:.1f}"
 
     def px(x: float) -> float:
         return MARGIN_LEFT + (x - xlim[0]) / (xlim[1] - xlim[0]) * plot_w
@@ -72,19 +83,9 @@ def emit_svg(
         f'fill="none" stroke="#000000" stroke-width="1"/>',
     ]
     if title:
-        out.append(
-            f'<text x="{WIDTH // 2}" y="24" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="16">{title}</text>'
-        )
-    out.append(
-        f'<text x="{MARGIN_LEFT + plot_w / 2:.1f}" y="{HEIGHT - 12}" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="13">{xlabel}</text>'
-    )
-    out.append(
-        f'<text x="18" y="{MARGIN_TOP + plot_h / 2:.1f}" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="13" '
-        f'transform="rotate(-90 18 {MARGIN_TOP + plot_h / 2:.1f})">{ylabel}</text>'
-    )
+        out.append(_text(WIDTH // 2, 24, title, 16, "middle"))
+    out.append(_text(mid_x, HEIGHT - 12, xlabel, 13, "middle"))
+    out.append(_text(18, mid_y, ylabel, 13, "middle", f'transform="rotate(-90 18 {mid_y})"'))
     for i in range(6):
         fx = xlim[0] + i * (xlim[1] - xlim[0]) / 5
         fy = ylim[0] + i * (ylim[1] - ylim[0]) / 5
@@ -92,31 +93,20 @@ def emit_svg(
             f'<line x1="{_fnum(px(fx))}" y1="{HEIGHT - MARGIN_BOTTOM}" '
             f'x2="{_fnum(px(fx))}" y2="{HEIGHT - MARGIN_BOTTOM + 5}" stroke="#000000"/>'
         )
-        out.append(
-            f'<text x="{_fnum(px(fx))}" y="{HEIGHT - MARGIN_BOTTOM + 18}" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="11">{_tick(fx)}</text>'
-        )
+        out.append(_text(_fnum(px(fx)), HEIGHT - MARGIN_BOTTOM + 18, _tick(fx), 11, "middle"))
         out.append(
             f'<line x1="{MARGIN_LEFT - 5}" y1="{_fnum(py(fy))}" '
             f'x2="{MARGIN_LEFT}" y2="{_fnum(py(fy))}" stroke="#000000"/>'
         )
-        out.append(
-            f'<text x="{MARGIN_LEFT - 8}" y="{_fnum(py(fy) + 4)}" text-anchor="end" '
-            f'font-family="sans-serif" font-size="11">{_tick(fy)}</text>'
-        )
+        out.append(_text(MARGIN_LEFT - 8, _fnum(py(fy) + 4), _tick(fy), 11, "end"))
 
     if not points and not curves:
-        out.append(
-            f'<text x="{MARGIN_LEFT + plot_w / 2:.1f}" y="{MARGIN_TOP + plot_h / 2:.1f}" '
-            f'text-anchor="middle" font-family="sans-serif" font-size="14" '
-            f'fill="#b00000">warning: no data</text>'
-        )
+        out.append(_text(mid_x, mid_y, "warning: no data", 14, "middle", 'fill="#b00000"'))
 
     for x, y, cls in points:
-        color = CLASS_COLORS.get(cls, CLASS_COLORS["Error"])
         out.append(
             f'<rect x="{_fnum(px(x) - 2)}" y="{_fnum(py(y) - 2)}" width="4" height="4" '
-            f'fill="{color}" class="{cls}"/>'
+            f'fill="{colors[cls]}" class="{cls}"/>'
         )
 
     for i, (name, path) in enumerate(curves):
@@ -129,22 +119,12 @@ def emit_svg(
             f'stroke-width="2" class="{name}"/>'
         )
         lx, ly = path[-1]
-        out.append(
-            f'<text x="{_fnum(px(lx) + 4)}" y="{_fnum(py(ly))}" font-family="sans-serif" '
-            f'font-size="12" fill="{color}">{name}</text>'
-        )
+        out.append(_text(_fnum(px(lx) + 4), _fnum(py(ly)), name, 12, extra=f'fill="{color}"'))
 
-    seen = sorted({cls for _, _, cls in points})
     legend_x = WIDTH - MARGIN_RIGHT + 14
-    for i, cls in enumerate(seen):
+    for i, cls in enumerate(sorted(colors)):
         y0 = MARGIN_TOP + 10 + 20 * i
-        out.append(
-            f'<rect x="{legend_x}" y="{y0}" width="10" height="10" '
-            f'fill="{CLASS_COLORS.get(cls, CLASS_COLORS["Error"])}"/>'
-        )
-        out.append(
-            f'<text x="{legend_x + 16}" y="{y0 + 9}" font-family="sans-serif" '
-            f'font-size="11">{cls}</text>'
-        )
+        out.append(f'<rect x="{legend_x}" y="{y0}" width="10" height="10" fill="{colors[cls]}"/>')
+        out.append(_text(legend_x + 16, y0 + 9, cls, 11))
     out.append("</svg>")
     return "\n".join(out) + "\n"

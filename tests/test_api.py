@@ -78,3 +78,15 @@ def test_one_general_eigensolve():
     for path in sorted(SRC.glob("*.py")):
         visit(ast.parse(path.read_text()), path.stem)
     assert found == ["monodromy.Monodromy.from_matrix"]
+
+
+def test_readme_python_block_runs(capsys):
+    """The README's Quick start runs and prints what its comments say."""
+    section = README.read_text().split("## Quick start (Python)", 1)[1]
+    exec(section.split("```python", 1)[1].split("```", 1)[0], {})
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 4
+    beta, verdict = lines[0].split()
+    assert (round(float(beta), 4), verdict) == (4.0923, "Hyperbolic")
+    assert lines[1:3] == ["True 0 2", "2"]
+    assert round(float(lines[3]), 6) == 0.854231

@@ -5,9 +5,11 @@ import pytest
 
 import erestab.central_config
 from erestab.central_config import (
+    MAX_ITER,
     SQRT3,
     Configuration,
     MassSystem,
+    _damped_newton,
     collinear_three_primaries,
     locate_offline_equilibria,
     moulton_collinear,
@@ -16,7 +18,12 @@ from erestab.central_config import (
     solve_euler_quintic,
     solve_symmetric_y,
 )
-from erestab.errors import ConvergenceError, DegenerateSolutionError, DomainError
+from erestab.errors import (
+    ConvergenceError,
+    DegenerateSolutionError,
+    DomainError,
+    SingularityError,
+)
 
 from oracles import (
     cc_defect_complex,
@@ -227,6 +234,36 @@ def test_solver_outputs_pinned():
     assert repr((cfg.massless_position.tolist(), float(cfg.cc_residual))) == (
         "([0.2317026460068428, 1.7406131639655669], 6.938893903907228e-17)"
     )
+
+
+class TestDampedNewton:
+    def test_singular_trial_is_halved(self):
+        # The step overshoots 4x into a region where the residual is singular;
+        # halving twice lands on the root.
+        trials = []
+
+        def residual(x):
+            trials.append(float(x[0]))
+            if x[0] >= 1.5:
+                raise SingularityError("singular trial point")
+            return x - 1.0, None
+
+        x = _damped_newton(residual, lambda x, res, extra: -4.0 * res,
+                           np.zeros(1), 1e-12, "toy")
+        assert x.tolist() == [1.0]
+        assert trials == [0.0, 4.0, 2.0, 1.0]
+
+    def test_slow_descent_stops_at_max_iter(self):
+        # Each full step halves the residual, so every step is accepted but
+        # MAX_ITER of them leave it at 2**-MAX_ITER, far above tol.
+        def residual(x):
+            return x, None
+
+        with pytest.raises(ConvergenceError,
+                           match=f"toy did not converge in {MAX_ITER} iterations") as exc:
+            _damped_newton(residual, lambda x, res, extra: -0.5 * res,
+                           np.ones(1), 1e-100, "toy")
+        assert exc.value.residual == 2.0 ** -MAX_ITER
 
 
 class TestSymmetricY:

@@ -3,11 +3,22 @@ import os
 import shlex
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+import erestab.cli
 import erestab.scan
-from erestab.cli import _COMMANDS, MAX_RANGE_POINTS, ConfigError, _build_parser, main, parse_range
+from erestab.cli import (
+    _COMMANDS,
+    MAX_RANGE_POINTS,
+    ConfigError,
+    _atomic_write,
+    _build_parser,
+    main,
+    parse_range,
+)
 from erestab.linearization import symmetric_beta
+from erestab.polygon_config import PolygonSystem, Site, solve_site
 from erestab.svg import emit_svg
 
 DATA = Path(__file__).parent / "data"
@@ -490,7 +501,31 @@ class TestIndexCommand:
         assert outputs[0] == outputs[1]
 
 
+# Every verdict class plus an unknown one (drawn in the Error colour), all on
+# one x so that the x range is degenerate; the middle curve has no points.
+GOLDEN_CHART_POINTS = [
+    (2.5, 0.1 * k + 0.0125, cls)
+    for k, cls in enumerate(
+        ["StronglyLinearlyStable", "LinearlyStable", "SpectrallyStableNotLinear",
+         "Hyperbolic", "Unstable", "Error", "NotAVerdict"]
+    )
+]
+GOLDEN_CHART_CURVES = [
+    ("BetaS", [(2.5, 0.05), (2.5, 0.3333333)]),
+    ("BetaM", []),
+    ("BetaK", [(2.5, 0.2), (2.5, 0.45), (2.5, 0.7071)]),
+]
+
+
 class TestSvg:
+    def test_chart_matches_golden(self):
+        doc = emit_svg(GOLDEN_CHART_POINTS, GOLDEN_CHART_CURVES,
+                       title="stability over (beta, e)", xlabel="beta", ylabel="e")
+        assert doc == (DATA / "golden_chart.svg").read_text()
+
+    def test_empty_chart_matches_golden(self):
+        assert emit_svg([]) == (DATA / "golden_chart_empty.svg").read_text()
+
     def test_empty_plot_valid_with_warning(self):
         doc = emit_svg([], [], title="empty")
         assert doc.startswith("<svg ") and doc.rstrip().endswith("</svg>")
@@ -517,6 +552,23 @@ class TestSvg:
         for name in ("BetaS", "BetaM", "BetaK"):
             assert f'class="{name}"' in doc
 
+    def test_curve_rows_thinned_to_eleven(self, tmp_path, monkeypatch, capsys):
+        asked = []
+
+        def no_curves(e_list, settings):
+            asked.append(list(e_list))
+            return []
+
+        monkeypatch.setattr(erestab.cli, "find_curves", no_curves)
+        code, _, _ = run_cli(["scan-theta", "--beta", "9", "--e", "0:0.9:0.05",
+                              "--svg", "s.svg"], tmp_path, monkeypatch, capsys)
+        assert code == 0
+        e_grid = parse_range("0:0.9:0.05")
+        assert len(e_grid) == 19
+        assert asked == [[e_grid[i] for i in np.linspace(0, 18, 11).astype(int)]]
+        assert asked[0][0] == 0.0 and asked[0][-1] == pytest.approx(0.9)
+        assert "<polyline" not in (tmp_path / "s.svg").read_text()
+
 
 class TestCcAndPolygonCommands:
     def test_cc_json(self, tmp_path, monkeypatch, capsys):
@@ -540,6 +592,19 @@ class TestCcAndPolygonCommands:
         assert code == 0
         assert (tmp_path / "cc.json").read_text() == (DATA / golden).read_text()
 
+    def test_polygon_json(self, tmp_path, monkeypatch, capsys):
+        code, _, _ = run_cli(["polygon", "--n", "8", "--m0-over-m", "1000", "--site", "S3",
+                              "--json", "p.json"], tmp_path, monkeypatch, capsys)
+        assert code == 0
+        data = json.loads((tmp_path / "p.json").read_text())
+        assert list(data) == ["n", "m0_over_M", "site", "rho", "theta", "omega_sq", "A",
+                              "B_re", "B_im", "l2", "l3", "lambda3", "lambda4"]
+        bang = solve_site(PolygonSystem.from_mass_ratio(8, 1000.0), Site.S3)
+        assert (data["n"], data["m0_over_M"], data["site"]) == (8, 1000.0, "S3")
+        for key in ("rho", "theta", "omega_sq", "A", "l2", "l3", "lambda3", "lambda4"):
+            assert data[key] == getattr(bang, key), key
+        assert (data["B_re"], data["B_im"]) == (bang.B.real, bang.B.imag)
+
     def test_polygon_verdicts_csv(self, tmp_path, monkeypatch, capsys):
         code, _, _ = run_cli(
             ["polygon-verdicts", "--n", "8", "--m0-over-m", "1000", "--e", "0",
@@ -554,6 +619,20 @@ class TestCcAndPolygonCommands:
         assert [(r["site"], r["verdict"]) for r in rows] == [
             ("S1", "Unstable"), ("S3", "StronglyLinearlyStable")
         ]
+
+
+def test_atomic_write_failed_replace_keeps_target(tmp_path, monkeypatch):
+    target = tmp_path / "out.csv"
+    target.write_text("old\n")
+
+    def failing_replace(src, dst):
+        raise OSError("replace failed")
+
+    monkeypatch.setattr(erestab.cli.os, "replace", failing_replace)
+    with pytest.raises(OSError, match="replace failed"):
+        _atomic_write(str(target), "new\n")
+    assert target.read_text() == "old\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
 
 
 def readme_commands() -> list[list[str]]:

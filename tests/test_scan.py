@@ -1,4 +1,4 @@
-from dataclasses import fields
+from dataclasses import fields, replace
 from functools import partial
 
 import numpy as np
@@ -160,6 +160,21 @@ class TestCurves:
             "MstarResult(value=0.85423095703125, bracket_low=0.85423046875, "
             "bracket_high=0.8542314453125)"
         )
+
+    def test_failed_row_is_dropped_with_warning(self, monkeypatch):
+        """A row whose beta = 9 check fails warns, adds no point, and the
+        rows after it are extracted as in an unpatched run."""
+        clean = find_curves([0.0], 0.01, FAST, coarse_step=1.0)
+
+        def bad_row(p, omega):
+            idx = morse_index(p, omega)
+            return replace(idx, phi=1) if p.e == 0.3 and omega == 1.0 else idx
+
+        monkeypatch.setattr(erestab.scan, "morse_index", bad_row)
+        with pytest.warns(UserWarning, match="curve extraction failed at e="):
+            points = find_curves([0.3, 0.0], 0.01, FAST, coarse_step=1.0)
+        assert [p for p in points if p.e == 0.3] == []
+        assert points == clean
 
     def test_region_agreement_with_verdicts(self):
         e = 0.2
