@@ -114,16 +114,6 @@ def parse_range(text: str) -> list[float]:
     return [_as_float(text)]
 
 
-def _as_range(value) -> list[float]:
-    if isinstance(value, str):
-        return parse_range(value)
-    if isinstance(value, (int, float)):
-        return [_as_float(value)]
-    if isinstance(value, (list, tuple)):
-        return [_as_float(v) for v in value]
-    raise ConfigError(f"cannot interpret {value!r} as a value list")
-
-
 def _as_float(value) -> float:
     try:
         x = float(value)
@@ -134,48 +124,41 @@ def _as_float(value) -> float:
     return x
 
 
-def _as_int_list(value) -> list[int]:
-    vals = _as_range(value)
-    out = []
-    for v in vals:
-        if abs(v - round(v)) > 1e-9:
-            raise ConfigError(f"expected integers, got {v}")
-        out.append(int(round(v)))
-    return out
+def _as_int(value) -> int:
+    x = _as_float(value)
+    if abs(x - round(x)) > 1e-9:
+        raise ConfigError(f"expected an integer, got {x}")
+    return int(round(x))
 
 
-def _as_sites(value) -> list[Site]:
-    if isinstance(value, str):
-        names = [p.strip() for p in value.split(",") if p.strip()]
-    elif isinstance(value, (list, tuple)):
-        names = [str(p) for p in value]
-    else:
-        raise ConfigError(f"cannot interpret {value!r} as sites")
+def _as_site(value) -> Site:
     try:
-        return [Site(name) for name in names]
+        return Site(str(value))
     except ValueError:
         raise ConfigError(f"sites must be among S1,S2,S3, got {value!r}") from None
 
 
-def _one(convert):
-    """Converter of a single-valued parameter: ``convert`` must yield one value."""
-    def one(value):
-        values = convert(value)
-        if len(values) != 1:
-            raise ConfigError(f"expected one value, got {value!r}")
-        return values[0]
-    return one
+def _values(value, item, count):
+    """``value`` converted by ``item``: one item for ``count`` 1, a tuple of
+    two for 2, a list of any length for None.
 
-
-_as_int = _one(_as_int_list)
-_as_site = _one(_as_sites)
-
-
-def _as_point(value) -> tuple[float, float]:
-    values = _as_range(value)
-    if len(values) != 2:
-        raise ConfigError(f"expected two numbers x,y, got {value!r}")
-    return tuple(values)
+    A list or tuple holds the items; a string holds a range or comma list of
+    numbers (see :func:`parse_range`) or a comma list of names; any other
+    value is one item.
+    """
+    if not isinstance(value, str):
+        items = value if isinstance(value, (list, tuple)) else [value]
+    elif item in (str, _as_site):
+        items = [p.strip() for p in value.split(",") if p.strip()]
+    else:
+        items = parse_range(value)
+    values = [item(v) for v in items]
+    if count is None:
+        return values
+    if len(values) != count:
+        wanted = "one value" if count == 1 else "two numbers x,y"
+        raise ConfigError(f"expected {wanted}, got {value!r}")
+    return values[0] if count == 1 else tuple(values)
 
 
 # The tolerance keys and the ScanSettings field each one sets.
@@ -213,44 +196,23 @@ def _merge_config_file(config: dict, path: str) -> dict:
 # Serialization helpers
 # ---------------------------------------------------------------------------
 
-def _eig_cells(eigs) -> dict:
-    cells = {}
-    for i in range(4):
-        val = eigs[i] if eigs is not None else None
-        cells[f"eig{i + 1}_re"] = None if val is None else float(np.real(val))
-        cells[f"eig{i + 1}_im"] = None if val is None else float(np.imag(val))
-    return cells
-
-
-def _plain(value):
-    return value.value if isinstance(value, Enum) else value
-
-
 def _rows(records, columns) -> list[dict]:
     """Values of sweep records under a schema's columns, multipliers last."""
     rows = []
     for r in records:
-        row = {c: _plain(getattr(r, c)) for c in columns if c not in _EIG_COLUMNS}
+        row = {}
+        for c in columns:
+            if c not in _EIG_COLUMNS:
+                value = getattr(r, c)
+                row[c] = value.value if isinstance(value, Enum) else value
         row["verdict"] = "Error" if r.verdict is None else r.verdict.verdict.value
         if _EIG_COLUMNS[0] in columns:
-            row.update(_eig_cells(r.eigenvalues))
+            eigs = (None,) * 4 if r.eigenvalues is None else r.eigenvalues
+            for i, z in enumerate(eigs, 1):
+                row[f"eig{i}_re"] = None if z is None else float(np.real(z))
+                row[f"eig{i}_im"] = None if z is None else float(np.imag(z))
         rows.append(row)
     return rows
-
-
-def _config_json(config) -> dict:
-    return {
-        "positions": [[float(v) for v in row] for row in config.primary_positions],
-        "massless_position": (
-            None
-            if config.massless_position is None
-            else [float(v) for v in config.massless_position]
-        ),
-        "mu": config.mu,
-        "cc_residual": config.cc_residual,
-        "inertia_residual": config.inertia_residual,
-        "masses": list(config.masses.masses),
-    }
 
 
 # ---------------------------------------------------------------------------
@@ -267,7 +229,14 @@ class _Parameters(dict):
 
 def _cmd_cc(params: dict, settings: ScanSettings, output: dict):
     config = collinear_config(MassSystem.normalized(params["m"]), params.get("ordering"))
-    summary = _config_json(config)
+    summary = {
+        "positions": [[float(v) for v in row] for row in config.primary_positions],
+        "massless_position": None,  # collinear_config attaches no massless body
+        "mu": config.mu,
+        "cc_residual": config.cc_residual,
+        "inertia_residual": config.inertia_residual,
+        "masses": list(config.masses.masses),
+    }
     return summary, _json_artifact(output, summary)
 
 
@@ -364,7 +333,8 @@ def _sweep_output(output: dict, kind: str, columns, records, settings: ScanSetti
 
 
 def _theta_svg(rows, e_grid, settings: ScanSettings) -> str:
-    curve_es = [e for e in e_grid if e <= CURVE_E_MAX]
+    # a row within rounding of the cap asks for it: 0:0.95:0.05 ends at 0.9500000000000001
+    curve_es = [min(e, CURVE_E_MAX) for e in e_grid if e <= CURVE_E_MAX + 1e-9]
     if len(curve_es) > 11:
         curve_es = [curve_es[i] for i in
                     np.linspace(0, len(curve_es) - 1, 11).astype(int)]
@@ -430,42 +400,45 @@ def _json_artifact(output: dict, summary: dict):
 
 @dataclass(frozen=True)
 class _Command:
-    """A command's handler, the converter of each parameter it reads, the
-    artifacts it writes, and the tolerance keys it reads."""
+    """A command's handler, the item converter and count (see :func:`_values`)
+    of each parameter it reads, the artifacts it writes, and the tolerance
+    keys it reads."""
 
     handler: Callable
-    params: dict[str, Callable]
+    params: dict[str, tuple[Callable, int | None]]
     outputs: tuple[str, ...] = ("json",)
     tolerances: tuple[str, ...] = ()
     flags: dict[str, str] = field(default_factory=dict)  # where the flag is not --key
 
 
+_FLOAT, _FLOATS = (_as_float, 1), (_as_float, None)
+
 _COMMANDS = {
-    "cc": _Command(_cmd_cc, {"m": _as_range, "ordering": _as_int_list}),
+    "cc": _Command(_cmd_cc, {"m": _FLOATS, "ordering": (_as_int, None)}),
     "polygon": _Command(
-        _cmd_polygon, {"n": _as_int, "m0_over_m": _as_float, "site": _as_site}
+        _cmd_polygon, {"n": (_as_int, 1), "m0_over_m": _FLOAT, "site": (_as_site, 1)}
     ),
     "stability": _Command(
         _cmd_stability,
-        {"family": str, "m": _as_range, "e": _as_float, "guess": _as_point,
-         "n": _as_int, "m0_over_m": _as_float, "site": _as_site},
+        {"family": (str, 1), "m": _FLOATS, "e": _FLOAT, "guess": (_as_float, 2),
+         "n": (_as_int, 1), "m0_over_m": _FLOAT, "site": (_as_site, 1)},
         tolerances=tuple(_SETTINGS_FIELDS),
     ),
     "index": _Command(
-        _cmd_index, {k: _as_float for k in ("alpha", "beta", "e", "omega", "rho")}
+        _cmd_index, {k: _FLOAT for k in ("alpha", "beta", "e", "omega", "rho")}
     ),
     "scan-theta": _Command(
-        _cmd_scan_theta, {"beta": _as_range, "e": _as_range}, ("csv", "json", "svg"),
+        _cmd_scan_theta, {"beta": _FLOATS, "e": _FLOATS}, ("csv", "json", "svg"),
         tolerances=tuple(_SETTINGS_FIELDS),
     ),
     "scan-mass": _Command(
-        _cmd_scan_mass, {"m1": _as_range, "m3": _as_range, "e": _as_float},
+        _cmd_scan_mass, {"m1": _FLOATS, "m3": _FLOATS, "e": _FLOAT},
         ("csv", "json", "svg"), tolerances=tuple(_SETTINGS_FIELDS),
     ),
-    "find-mstar": _Command(_cmd_find_mstar, {"tol": _as_float}, flags={"tol": "--mstar-tol"}),
+    "find-mstar": _Command(_cmd_find_mstar, {"tol": _FLOAT}, flags={"tol": "--mstar-tol"}),
     "polygon-verdicts": _Command(
         _cmd_polygon_verdicts,
-        {"n": _as_int_list, "m0_over_m": _as_range, "e": _as_range, "sites": _as_sites},
+        {"n": (_as_int, None), "m0_over_m": _FLOATS, "e": _FLOATS, "sites": (_as_site, None)},
         ("csv", "json"), tolerances=tuple(_SETTINGS_FIELDS),
     ),
 }
@@ -524,7 +497,7 @@ def run(cfg: dict) -> tuple[dict, list[tuple[str, str]]]:
             raise ConfigError(f"unknown {section} keys for {name}: {sorted(unknown)}")
     parameters, output, tolerances = (cfg[section] for section in _SECTIONS)
     params = _Parameters(
-        {k: command.params[k](v) for k, v in parameters.items() if v is not None}
+        {k: _values(v, *command.params[k]) for k, v in parameters.items() if v is not None}
     )
     settings = ScanSettings(
         **{_SETTINGS_FIELDS[k]: _as_float(v) for k, v in tolerances.items()}

@@ -1,6 +1,8 @@
 import json
 import os
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -8,6 +10,7 @@ import pytest
 
 import erestab.cli
 import erestab.scan
+from erestab import __version__
 from erestab.cli import (
     _COMMANDS,
     MAX_RANGE_POINTS,
@@ -16,6 +19,7 @@ from erestab.cli import (
     _build_parser,
     main,
     parse_range,
+    run,
 )
 from erestab.linearization import symmetric_beta
 from erestab.polygon_config import PolygonSystem, Site, solve_site
@@ -23,6 +27,7 @@ from erestab.svg import emit_svg
 
 DATA = Path(__file__).parent / "data"
 README = Path(__file__).parent.parent / "README.md"
+SRC = Path(__file__).parent.parent / "src"
 
 
 def run_cli(args, tmp_path, monkeypatch, capsys):
@@ -161,6 +166,11 @@ class TestScanThetaCommand:
         code, _, _ = run_cli(list(args), tmp_path, monkeypatch, capsys)
         assert code == 0
         assert (tmp_path / "out.csv").read_text() == (DATA / golden).read_text()
+
+    def test_matches_golden_json(self, tmp_path, monkeypatch, capsys):
+        code, _, _ = run_cli(self.ARGS + ["--json", "out.json"], tmp_path, monkeypatch, capsys)
+        assert code == 0
+        assert (tmp_path / "out.json").read_text() == (DATA / "golden_theta.json").read_text()
 
     def test_rerun_byte_identical(self, tmp_path, monkeypatch, capsys):
         run_cli(list(self.ARGS), tmp_path, monkeypatch, capsys)
@@ -468,6 +478,84 @@ class TestExitCodes:
                              tmp_path, monkeypatch, capsys)
         assert code == 2
 
+    # Inputs rejected after parsing, with a text of the error each one gives.
+    REJECTED = [
+        ([], "command is required"),
+        (["stability", "--family", "other", "--e", "0"], "family must be"),
+        (INDEX + ["--rho", "0.25"], "exactly one of --omega and --rho"),
+        (INDEX[:-2], "exactly one of --omega and --rho"),
+        (INDEX[:-1] + ["0.5"], "--omega accepts 1 or -1"),
+        (["polygon", "--n", "8.5", "--m0-over-m", "1000", "--site", "S3"], "integer"),
+        (["polygon-verdicts", "--n", "8", "--m0-over-m", "1000", "--e", "0",
+          "--sites", "S4"], "S1,S2,S3"),
+    ]
+
+    @pytest.mark.parametrize("args, message", REJECTED,
+                             ids=["no-command", "family", "omega-and-rho",
+                                  "neither-omega-nor-rho", "omega-0.5", "n-8.5", "sites-S4"])
+    def test_rejected_input_is_2(self, args, message, tmp_path, monkeypatch, capsys):
+        code, out, err = run_cli(args + ["--json", "out.json"] if args else [],
+                                 tmp_path, monkeypatch, capsys)
+        assert code == 2 and message in err
+        assert out == ""
+        assert list(tmp_path.iterdir()) == []
+
+    # Config files that cannot be used, as the text of the file (None: no
+    # file at all), with the command they are given to.
+    BAD_CONFIG_FILES = [
+        (["find-mstar"], None, "cannot read config file"),
+        (["find-mstar"], "{", "cannot read config file"),
+        (["find-mstar"], "[1]", "must hold a JSON object"),
+        (["find-mstar"], '{"bogus": 1}', "bogus"),
+        (["find-mstar"], '{"command": "cc"}', "conflicts"),
+        (["find-mstar"], '{"parameters": [1]}', "must be an object"),
+        (CC, '{"parameters": {"m": {"a": 1}}}', "expected a number"),
+    ]
+
+    @pytest.mark.parametrize("args, text, message", BAD_CONFIG_FILES,
+                             ids=["missing", "malformed", "list", "unknown-key",
+                                  "other-command", "parameters-list", "m-object"])
+    def test_bad_config_file_is_2(self, args, text, message, tmp_path, monkeypatch, capsys):
+        cfg = tmp_path / "run.json"
+        if text is not None:
+            cfg.write_text(text)
+        code, out, err = run_cli(args + ["--json", "out.json", "--config", str(cfg)],
+                                 tmp_path, monkeypatch, capsys)
+        assert code == 2 and message in err
+        assert out == ""
+        assert list(tmp_path.iterdir()) == ([] if text is None else [cfg])
+
+    def test_unknown_command_in_run_config(self):
+        with pytest.raises(ConfigError, match="unknown command"):
+            run({"command": "nope", "parameters": {}, "output": {}, "tolerances": {}})
+
+    # A one-element list or a range of one point is one value, for every
+    # parameter that takes one value.
+    ONE_VALUE_FORMS = [
+        ("--n", [8]),
+        ("--n", "8:8:1"),
+        ("--m0-over-m", [1000]),
+        ("--m0-over-m", "1000:1000:1"),
+        ("--site", ["S3"]),
+    ]
+
+    @pytest.mark.parametrize("flag, value", ONE_VALUE_FORMS,
+                             ids=[f"{f}={v}" for f, v in ONE_VALUE_FORMS])
+    def test_one_element_list_is_one_value(self, flag, value, tmp_path, monkeypatch, capsys):
+        code, _, _ = run_cli(self.POLYGON + ["--json", "plain.json"],
+                             tmp_path, monkeypatch, capsys)
+        assert code == 0
+        i = self.POLYGON.index(flag)
+        if isinstance(value, str):
+            args = self.POLYGON[:i + 1] + [value] + self.POLYGON[i + 2:]
+        else:
+            cfg = tmp_path / "run.json"
+            cfg.write_text(json.dumps({"parameters": {flag[2:].replace("-", "_"): value}}))
+            args = self.POLYGON[:i] + self.POLYGON[i + 2:] + ["--config", str(cfg)]
+        code, _, _ = run_cli(args + ["--json", "one.json"], tmp_path, monkeypatch, capsys)
+        assert code == 0
+        assert (tmp_path / "one.json").read_text() == (tmp_path / "plain.json").read_text()
+
 
 class TestIndexCommand:
     def test_anchor_value(self, tmp_path, monkeypatch, capsys):
@@ -569,6 +657,37 @@ class TestSvg:
         assert asked[0][0] == 0.0 and asked[0][-1] == pytest.approx(0.9)
         assert "<polyline" not in (tmp_path / "s.svg").read_text()
 
+    # 0:0.95:0.05 ends at 0.9500000000000001, within rounding of CURVE_E_MAX;
+    # 0.96 is past it.
+    @pytest.mark.parametrize("e_range, last_row", [("0:0.95:0.05", 0.95), ("0.96", None)])
+    def test_curve_rows_end_at_cap(self, e_range, last_row, tmp_path, monkeypatch, capsys):
+        asked = []
+
+        def no_curves(e_list, settings):
+            asked.append(list(e_list))
+            return []
+
+        monkeypatch.setattr(erestab.cli, "find_curves", no_curves)
+        code, _, _ = run_cli(["scan-theta", "--beta", "9", "--e", e_range, "--svg", "s.svg"],
+                             tmp_path, monkeypatch, capsys)
+        assert code == 0
+        if last_row is None:
+            assert asked == [[]]
+        else:
+            assert len(asked[0]) == 11 and asked[0][-1] == last_row
+
+    def test_mass_chart(self, tmp_path, monkeypatch, capsys):
+        code, _, _ = run_cli(["scan-mass", "--m1", "0.05,0.6", "--m3", "0.05,0.6", "--e", "0",
+                              "--svg", "m.svg", "--tol", "1e-10"], tmp_path, monkeypatch, capsys)
+        assert code == 0
+        doc = (tmp_path / "m.svg").read_text()
+        assert ">stable masses at e=0</text>" in doc
+        # one marker per cell; only the inadmissible (0.6, 0.6) cell failed
+        assert doc.count(' class="') == 4
+        assert doc.count('class="Error"') == 1
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert manifest["artifacts"] == ["m.svg"]
+
 
 class TestCcAndPolygonCommands:
     def test_cc_json(self, tmp_path, monkeypatch, capsys):
@@ -641,6 +760,14 @@ def readme_commands() -> list[list[str]]:
     block = section.split("```sh", 1)[1].split("```", 1)[0].replace("\\\n", " ")
     return [shlex.split(line, comments=True)[1:]
             for line in block.splitlines() if line.startswith("erestab ")]
+
+
+def test_module_entry_point():
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    done = subprocess.run([sys.executable, "-m", "erestab.cli", "--version"],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert done.returncode == 0
+    assert done.stdout == __version__ + "\n"
 
 
 def test_readme_commands_parse():
