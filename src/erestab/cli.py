@@ -483,19 +483,22 @@ def run(cfg: dict) -> tuple[dict, list[tuple[str, str]]]:
     """Validate and execute a run configuration; returns (summary, artifacts).
 
     ``cfg`` is ``{"command", "parameters", "output", "tolerances"}``, the
-    layout of a config file.  Every key is checked against the command table
-    and every value converted before the handler runs, so a bad input leaves
-    no artifact behind.
+    layout of a config file; a missing section counts as empty.  Every key
+    is checked against the command table and every value converted before
+    the handler runs, so a bad input leaves no artifact behind.
     """
+    if "command" not in cfg:
+        raise ConfigError("a run config needs a command")
     name = cfg["command"]
     command = _COMMANDS.get(name)
     if command is None:
         raise ConfigError(f"unknown command {name!r}")
-    for section, allowed in zip(_SECTIONS, (command.params, command.outputs, command.tolerances)):
-        unknown = set(cfg[section]) - set(allowed)
+    parameters, output, tolerances = (cfg.get(section, {}) for section in _SECTIONS)
+    for section, given, allowed in zip(_SECTIONS, (parameters, output, tolerances),
+                                       (command.params, command.outputs, command.tolerances)):
+        unknown = set(given) - set(allowed)
         if unknown:
             raise ConfigError(f"unknown {section} keys for {name}: {sorted(unknown)}")
-    parameters, output, tolerances = (cfg[section] for section in _SECTIONS)
     params = _Parameters(
         {k: _values(v, *command.params[k]) for k, v in parameters.items() if v is not None}
     )

@@ -22,6 +22,14 @@ At w = 1 the reflection y(t) -> diag(1, -1) y(-t) commutes with the operator
 (r_e is even and diag(1, -1) S(-t) diag(1, -1) = S(t)) and maps the modes
 k in [-K, K] onto themselves, so the matrix splits exactly into an even and
 an odd block of size 2K+1, and those two are solved instead.
+
+The counts are certified rather than read off one truncation.  The Galerkin
+counts at level K bound the operator's from below (min-max on nested
+truncations).  The block of the modes |k| > K is positive definite with a
+closed-form lower bound, so Haynsworth inertia additivity (Linear Algebra
+Appl. 1 (1968) 73) bounds them from above by the counts of H_K minus a
+diagonal that covers the coupling to those modes.  K escalates only while
+this bracket is open.
 """
 
 from __future__ import annotations
@@ -107,8 +115,10 @@ def assemble_operator(p: StabilityParams, omega: complex, K: int) -> np.ndarray:
 class IndexResult:
     """Morse index data at one unit-circle point.
 
-    phi counts discretized eigenvalues below -kernel_tol, nu those within
-    [-kernel_tol, kernel_tol].
+    phi counts the operator's eigenvalues below -kernel_tol, nu those within
+    [-kernel_tol, kernel_tol], as certified at the truncation level of
+    num_modes = 2K + 1 modes; min_eigenvalue and kernel_gap are those of the
+    Galerkin matrix at that level.
     """
 
     rho: float
@@ -142,44 +152,108 @@ def _reflected_eigenvalues(h: np.ndarray) -> np.ndarray:
     return np.concatenate(vals)
 
 
-def _counts(h: np.ndarray, tol: float, reflect: bool = False) -> tuple[int, int, float, float]:
-    vals = _reflected_eigenvalues(h) if reflect else np.linalg.eigvalsh(h)
-    phi = int(np.count_nonzero(vals < -tol))
-    nu = int(np.count_nonzero(np.abs(vals) <= tol))
-    nonkernel = np.abs(vals)[np.abs(vals) > tol]
-    gap = float(nonkernel.min()) if nonkernel.size else float("inf")
-    return phi, nu, float(vals.min()), gap
+def _eigenvalues(h: np.ndarray, reflect: bool) -> np.ndarray:
+    return _reflected_eigenvalues(h) if reflect else np.linalg.eigvalsh(h)
+
+
+def _counts(vals: np.ndarray, tol: float) -> tuple[int, int]:
+    """Eigenvalues below -tol and at most tol: phi and phi + nu."""
+    return int(np.count_nonzero(vals < -tol)), int(np.count_nonzero(vals <= tol))
+
+
+def _high_mode_bounds(p: StabilityParams, rho: float, K: int) -> tuple[float, np.ndarray]:
+    """delta_K and the diagonal g with L >= delta_K I and C C^T <= diag(g).
+
+    L is the operator's block on the modes |k| > K and C couples it to the
+    2(2K+1) interleaved components of ``assemble_operator``.  The kinetic part
+    of L is at least (K + 1 - rho)^2 - 1, and its multiplication part has norm
+    at most max r_e * max |1 + alpha +- beta| = (|1 + alpha| + |beta|)/(1 - e).
+    An entry of C between modes at distance m is bounded, per row and per
+    column summed over the two components, by
+    w(m) = (|1 + alpha| |b|^m + |beta| max(|b|^|m-2|, |b|^(m+2))) / sqrt(1 - e^2),
+    whose tails T(d) = sum_{m >= d} w(m) are geometric.  A row of mode j sums
+    to at most T(K + 1 - j) + T(K + 1 + j) and every column to at most T(1),
+    and C C^T <= diag(row sum * max column sum) (Schur), so g depends on |j|
+    only and commutes with the w = 1 reflection.
+    """
+    e = p.e
+    alpha_abs, beta_abs = abs(1.0 + p.alpha), abs(p.beta)
+    root = math.sqrt(1.0 - e * e)
+    q = e / (1.0 + root)  # |b|
+
+    def tail(d: np.ndarray) -> np.ndarray:
+        beta_part = q ** np.maximum(d - 2, 0) / (1.0 - q) + np.where(d == 1, q, 0.0)
+        return (alpha_abs * q**d / (1.0 - q) + beta_abs * beta_part) / root
+
+    delta = (K + 1 - rho) ** 2 - 1.0 - (alpha_abs + beta_abs) / (1.0 - e)
+    j = np.arange(-K, K + 1)
+    g = (tail(K + 1 - j) + tail(K + 1 + j)) * tail(1)
+    return delta, np.repeat(g, 2)
+
+
+def _bracket(
+    p: StabilityParams, rho: float, K: int, h: np.ndarray, tol: float
+) -> tuple[np.ndarray, tuple[int, int], tuple[int, int] | None]:
+    """Eigenvalues of ``h`` = H_K and two-sided bounds on the operator's counts.
+
+    The lower bound is H_K's own counts: the truncations are nested, so by
+    min-max they never decrease with K nor exceed the operator's.  The upper
+    bound (None while delta_K <= tol) is the counts of
+    H_K - diag(g)/(delta_K - tol): with L - s >= (delta_K - |s|) I for a
+    shift s = +-tol, Haynsworth inertia additivity counts the operator's
+    eigenvalues below s as the Schur complement's below zero, and that
+    complement dominates the shifted matrix.  The shift only lowers
+    eigenvalues, by at most its largest entry (Weyl), so when none lies that
+    close above -tol or tol the counts cannot move and the second solve is
+    skipped.
+    """
+    reflect = rho == 0.0
+    vals = _eigenvalues(h, reflect)
+    lower = _counts(vals, tol)
+    delta, g = _high_mode_bounds(p, rho, K)
+    if delta <= tol:
+        return vals, lower, None
+    shift = g / (delta - tol)
+    reach = float(shift.max())
+    if not np.any(((vals >= -tol) & (vals < reach - tol)) | ((vals > tol) & (vals <= tol + reach))):
+        return vals, lower, lower
+    shifted = h.copy()
+    shifted[np.diag_indices_from(shifted)] -= shift
+    return vals, lower, _counts(_eigenvalues(shifted, reflect), tol)
 
 
 def morse_index(p: StabilityParams, omega: complex) -> IndexResult:
-    """Stabilized Morse index phi_w and nullity nu_w of the operator.
+    """Certified Morse index phi_w and nullity nu_w of the operator.
 
-    The truncation level escalates through DEFAULT_LEVELS until two consecutive
-    levels agree on both counts; disagreement at the last level raises a
-    convergence error carrying the last two counts.  The kernel band is
-    sized once, from the base-level matrix norm: a band that widened with
-    the truncation would swallow genuinely small eigenvalues and the counts
-    could never stabilize near them.  At w = 1 each level is solved as its
-    two reflection blocks.
+    At each truncation level of DEFAULT_LEVELS the counts of the Galerkin
+    matrix bound the operator's from below and a Haynsworth bound on the
+    positive high-mode block bounds them from above (see ``_bracket``); the
+    first level where both brackets close returns, and K escalates only
+    while one is open.  The kernel band is sized once, from the first
+    level's matrix norm, so that it does not widen with K and swallow
+    genuinely small eigenvalues.  num_modes, min_eigenvalue and kernel_gap
+    describe the certifying level.  A bracket still open at the last level
+    raises a convergence error.  At w = 1 each matrix is solved as its two
+    reflection blocks.
     """
     rho = omega_to_rho(omega)
-    prev: tuple[int, int] | None = None
     tol = None
     for K in DEFAULT_LEVELS:
         h = assemble_operator(p, omega, K)
         if tol is None:
             tol = KERNEL_TOL_FACTOR * float(np.max(np.sum(np.abs(h), axis=1)))
-        phi, nu, min_eig, gap = _counts(h, tol, rho == 0.0)
-        if prev == (phi, nu):
+        vals, lower, upper = _bracket(p, rho, K, h, tol)
+        if upper == lower:
+            nonkernel = np.abs(vals)[np.abs(vals) > tol]
             return IndexResult(
                 rho=rho,
-                phi=phi,
-                nu=nu,
+                phi=lower[0],
+                nu=lower[1] - lower[0],
                 num_modes=2 * K + 1,
-                min_eigenvalue=min_eig,
-                kernel_gap=gap,
+                min_eigenvalue=float(vals.min()),
+                kernel_gap=float(nonkernel.min()) if nonkernel.size else float("inf"),
             )
-        prev = (phi, nu)
     raise ConvergenceError(
-        f"Morse index did not stabilize up to K={DEFAULT_LEVELS[-1]}; last counts {prev}"
+        f"Morse count bracket still open at K={DEFAULT_LEVELS[-1]}: "
+        f"(phi, phi + nu) at least {lower}, at most {upper}"
     )

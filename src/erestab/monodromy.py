@@ -75,8 +75,8 @@ def integrate_fundamental(p: StabilityParams, tol: float = DEFAULT_TOL) -> Monod
     each entry by the same IEEE operations, in the same order, as the
     elementwise row form, and with no BLAS call that could fuse a multiply
     and an add.  So gamma(2*pi), nfev and the step count are bit-identical
-    to the row form's, at about 60 % of its cost; ``TestScalarRhsPin`` in
-    ``tests/test_monodromy.py`` pins this against that form.
+    to the row form's; ``TestScalarRhsPin`` in ``tests/test_monodromy.py``
+    pins this against that form.
     """
     if not (math.isfinite(tol) and tol >= MIN_TOL):
         raise DomainError(f"tolerance must be finite and at least {MIN_TOL:g}, got {tol}")

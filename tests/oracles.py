@@ -5,7 +5,8 @@ companion roots instead of bracketed Brent, high-precision summation
 instead of fsum, closed-form spectra instead of Galerkin matrices, the
 complex Hermitian Galerkin matrix built from Kronecker products instead of
 its real symmetric form, one solve of the whole matrix at every Morse
-level instead of the two reflection blocks at w = 1, a 2000-sample locus
+level instead of the two reflection blocks at w = 1, the "two truncation
+levels agree" ladder instead of the certified Morse bracket, a 2000-sample locus
 scan for every off-line equilibrium instead of one descent of the amended
 potential, a direct quartic-multiplier formula instead of integrated
 monodromies, and numpy row operations instead of the scalar right-hand
@@ -52,6 +53,8 @@ from erestab.linearization import I2, J4, DMatrix, StabilityParams, spectral_par
 from erestab.maslov import (
     DEFAULT_LEVELS,
     KERNEL_TOL_FACTOR,
+    IndexResult,
+    _reflected_eigenvalues,
     assemble_operator,
     morse_index,
     omega_to_rho,
@@ -256,6 +259,52 @@ def full_matrix_morse_counts(
             return (*counts, 2 * K + 1)
         prev = counts
     raise ConvergenceError(f"Morse index did not stabilize up to K={levels[-1]}")
+
+
+def _ladder_counts(h: np.ndarray, tol: float, reflect: bool) -> tuple[int, int, float, float]:
+    vals = _reflected_eigenvalues(h) if reflect else np.linalg.eigvalsh(h)
+    phi = int(np.count_nonzero(vals < -tol))
+    nu = int(np.count_nonzero(np.abs(vals) <= tol))
+    nonkernel = np.abs(vals)[np.abs(vals) > tol]
+    gap = float(nonkernel.min()) if nonkernel.size else float("inf")
+    return phi, nu, float(vals.min()), gap
+
+
+def ladder_morse_index(p: StabilityParams, omega: complex) -> IndexResult:
+    """Stabilized Morse index phi_w and nullity nu_w of the operator.
+
+    The truncation level escalates through DEFAULT_LEVELS until two consecutive
+    levels agree on both counts; disagreement at the last level raises a
+    convergence error carrying the last two counts.  The kernel band is
+    sized once, from the base-level matrix norm: a band that widened with
+    the truncation would swallow genuinely small eigenvalues and the counts
+    could never stabilize near them.  At w = 1 each level is solved as its
+    two reflection blocks.
+
+    This is the heuristic ``morse_index`` used before the certified bracket;
+    the tests hold the bracket's (phi, nu) to it.
+    """
+    rho = omega_to_rho(omega)
+    prev: tuple[int, int] | None = None
+    tol = None
+    for K in DEFAULT_LEVELS:
+        h = assemble_operator(p, omega, K)
+        if tol is None:
+            tol = KERNEL_TOL_FACTOR * float(np.max(np.sum(np.abs(h), axis=1)))
+        phi, nu, min_eig, gap = _ladder_counts(h, tol, rho == 0.0)
+        if prev == (phi, nu):
+            return IndexResult(
+                rho=rho,
+                phi=phi,
+                nu=nu,
+                num_modes=2 * K + 1,
+                min_eigenvalue=min_eig,
+                kernel_gap=gap,
+            )
+        prev = (phi, nu)
+    raise ConvergenceError(
+        f"Morse index did not stabilize up to K={DEFAULT_LEVELS[-1]}; last counts {prev}"
+    )
 
 
 def monodromy_eigs_e0(lam3, lam4):

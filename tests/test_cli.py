@@ -529,6 +529,17 @@ class TestExitCodes:
         with pytest.raises(ConfigError, match="unknown command"):
             run({"command": "nope", "parameters": {}, "output": {}, "tolerances": {}})
 
+    def test_run_config_without_a_command(self):
+        with pytest.raises(ConfigError, match="needs a command"):
+            run({"parameters": {}})
+
+    def test_missing_run_config_sections_are_empty(self):
+        summary, artifacts = run({"command": "polygon",
+                                  "parameters": {"n": 8, "m0_over_m": 1000, "site": "S3"}})
+        assert artifacts == []
+        assert summary == run({"command": "polygon", "output": {}, "tolerances": {},
+                               "parameters": {"n": 8, "m0_over_m": 1000, "site": "S3"}})[0]
+
     # A one-element list or a range of one point is one value, for every
     # parameter that takes one value.
     ONE_VALUE_FORMS = [

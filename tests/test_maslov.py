@@ -1,5 +1,7 @@
 import cmath
+import csv
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,7 +12,9 @@ from erestab.errors import ConvergenceError, DomainError
 from erestab.linearization import StabilityParams
 from erestab.maslov import (
     KERNEL_TOL_FACTOR,
+    _bracket,
     _counts,
+    _high_mode_bounds,
     _reflected_eigenvalues,
     assemble_operator,
     morse_index,
@@ -27,16 +31,21 @@ from erestab.monodromy import (
     symplectic_residual,
 )
 from erestab.polygon_config import PolygonSystem, Site, solve_site
+from erestab.scan import polygon_params
 
+import test_monodromy
 from oracles import (
     complex_galerkin_operator,
     diamond,
     full_matrix_morse_counts,
     index_monodromy_consistency,
+    ladder_morse_index,
     operator_spectrum_e0,
     positivity_check,
     rot,
 )
+
+DATA = Path(__file__).parent / "data"
 
 # The curve row of bench/reference/curves.json: its e, its beta_s and beta_m,
 # and the jumps themselves there (roots of det(gamma(2 pi) + I) in beta).
@@ -61,7 +70,9 @@ def ladder_counts(build, p, omega, levels=(64, 128)):
         h = build(p, omega, K)
         if tol is None:
             tol = kernel_tol(h)
-        counts.append(_counts(h, tol)[:2])
+        vals = np.linalg.eigvalsh(h)
+        below, at_most = _counts(vals, tol)
+        counts.append((below, at_most - below))
     return counts
 
 
@@ -215,21 +226,8 @@ class TestMorseIndex:
         assert all(b >= a for a, b in zip(mins, mins[1:]))
 
     def test_counts_match_complex_operator_where_fragile(self):
-        # beta_s and beta_m of the benchmark's curve row, within 1e-3 and at
-        # the jumps, the e = 0 tongue tip, and the extra rho of the
-        # consistency check
-        cases = [
-            (beta + d, E_ROW, -1.0)
-            for beta in (BETA_S_REF, BETA_M_REF, BETA_S_ROOT, BETA_M_ROOT)
-            for d in (-1e-3, 0.0, 1e-3)
-        ]
-        cases += [(0.75, 0.0, -1.0), (0.75, 0.0, 1.0)]
-        cases += [(beta, e, cmath.exp(2j * math.pi * rho))
-                  for beta, e in ((0.75, 0.0), (BETA_S_ROOT, E_ROW))
-                  for rho in (0.1, 0.25)]
         seen = set()
-        for beta, e, omega in cases:
-            p = StabilityParams.from_beta_hls(beta, e)
+        for p, omega in _fragile_points():
             counts = ladder_counts(assemble_operator, p, omega)
             assert counts == ladder_counts(complex_galerkin_operator, p, omega)
             seen.update(counts)
@@ -246,11 +244,18 @@ class TestMorseIndex:
         for beta, e in cases:
             p = StabilityParams.from_beta_hls(beta, e)
             res = morse_index(p, 1.0)
-            assert (res.phi, res.nu, res.num_modes) == full_matrix_morse_counts(p, 1.0)
+            assert (res.phi, res.nu) == full_matrix_morse_counts(p, 1.0)[:2]
             if beta == 0.0:
                 assert res.nu == 3
 
-    def test_only_w_one_is_solved_in_blocks(self, monkeypatch):
+    @pytest.mark.parametrize("p, omega, want", [
+        (params(0.5, 1.5, 0.2), 1.0, [129] * 4),
+        (params(0.5, 1.5, 0.2), -1.0, [258]),
+        (params(0.5, 1.5, 0.2), 1j, [258]),
+        # nu_-1 = 2 at the e = 0 tongue tip: the bracket needs its second solve
+        (StabilityParams.from_beta_hls(0.75, 0.0), -1.0, [258, 258]),
+    ])
+    def test_only_w_one_is_solved_in_blocks(self, monkeypatch, p, omega, want):
         sizes = []
         eigvalsh = np.linalg.eigvalsh
 
@@ -259,17 +264,145 @@ class TestMorseIndex:
             return eigvalsh(a)
 
         monkeypatch.setattr(np.linalg, "eigvalsh", spy)
-        p = params(0.5, 1.5, 0.2)
-        # every omega stops at K = 128 here; rho = 1/4 is omega = i
-        for omega, want in ((1.0, [129, 129, 257, 257]), (-1.0, [258, 514]), (1j, [258, 514])):
-            sizes.clear()
-            assert morse_index(p, omega).num_modes == 257
-            assert sizes == [(n, n) for n in want]
+        # every bracket closes at K = 64 here; rho = 1/4 is omega = i
+        assert morse_index(p, omega).num_modes == 129
+        assert sizes == [(n, n) for n in want]
 
     def test_non_stabilization_raises(self, monkeypatch):
         monkeypatch.setattr(erestab.maslov, "DEFAULT_LEVELS", (16,))
+        p = params(0.5, 2.0, 0.99)
+        assert _high_mode_bounds(p, 0.0, 16)[0] <= 0.0
         with pytest.raises(ConvergenceError, match="K=16"):
-            morse_index(params(0.5, 1.0, 0.3), 1.0)
+            morse_index(p, 1.0)
+
+
+def _theta_golden_points():
+    with open(DATA / "golden_theta.csv") as f:
+        next(f)
+        return [StabilityParams.from_beta_hls(float(r["beta"]), float(r["e"]))
+                for r in csv.DictReader(f)]
+
+
+def _polygon_golden_points():
+    with open(DATA / "golden_polygon.csv") as f:
+        next(f)
+        return [StabilityParams(float(r["lambda3"]), float(r["lambda4"]), float(r["e"]))
+                for r in csv.DictReader(f) if not r["error"]]
+
+
+def _fragile_points():
+    """beta_s and beta_m of the benchmark's curve row, within 1e-3 and at
+    the jumps, the e = 0 tongue tip, and the extra rho of the consistency
+    check."""
+    cases = [(StabilityParams.from_beta_hls(beta + d, E_ROW), -1.0)
+             for beta in (BETA_S_REF, BETA_M_REF, BETA_S_ROOT, BETA_M_ROOT)
+             for d in (-1e-3, 0.0, 1e-3)]
+    tip = StabilityParams.from_beta_hls(0.75, 0.0)
+    cases += [(tip, -1.0), (tip, 1.0)]
+    cases += [(StabilityParams.from_beta_hls(beta, e), cmath.exp(2j * math.pi * rho))
+              for beta, e in ((0.75, 0.0), (BETA_S_ROOT, E_ROW))
+              for rho in (0.1, 0.25)]
+    return cases
+
+
+def _random_points():
+    rng = np.random.default_rng(19)
+    points = [StabilityParams.from_beta_hls(rng.uniform(0.0, 9.0), rng.uniform(0.0, 0.99))
+              for _ in range(10)]
+    for _ in range(5):
+        n = int(rng.choice([4, 6, 8, 12]))
+        site = (Site.S1, Site.S2, Site.S3)[rng.integers(3)]
+        points.append(polygon_params(n, 10.0 ** rng.uniform(1.0, 4.0), site,
+                                     rng.uniform(0.0, 0.9))[0])
+    return points
+
+
+THREE_OMEGAS = (1.0, -1.0, 1j)
+
+CORPUS = {
+    "golden-theta": lambda: [(p, w) for p in _theta_golden_points() for w in THREE_OMEGAS],
+    "golden-polygon": lambda: [(p, w) for p in _polygon_golden_points() for w in THREE_OMEGAS],
+    "scalar-rhs-pin": lambda: [(p, w) for p in test_monodromy.PINNED.values()
+                               for w in THREE_OMEGAS],
+    "fragile": _fragile_points,
+    "random": lambda: [(p, w) for p in _random_points() for w in THREE_OMEGAS],
+}
+
+
+class TestCertifiedBracket:
+    @pytest.mark.parametrize("corpus", CORPUS)
+    def test_counts_equal_the_ladder(self, corpus):
+        for p, omega in CORPUS[corpus]():
+            res, want = morse_index(p, omega), ladder_morse_index(p, omega)
+            assert (res.phi, res.nu) == (want.phi, want.nu), (p, omega)
+            assert res.num_modes <= want.num_modes
+
+    # (alpha, beta, e, omega, K); the first two are points where H_8 misses
+    # negative eigenvalues that a larger truncation finds
+    BRACKET_CASES = [
+        (-0.35, 6.58, 0.88, -1.0, 8),
+        (-0.96, 2.62, 0.956, 1.0, 8),
+        (0.5, 1.5, 0.2, 1.0, 16),
+        (1.9, 5.7, 0.6, -1.0, 16),
+        (0.5, 0.3, 0.9, 1j, 32),
+    ]
+
+    @pytest.mark.parametrize("alpha, beta, e, omega, K", BRACKET_CASES)
+    def test_bracket_holds_the_larger_truncation(self, alpha, beta, e, omega, K):
+        p = params(alpha, beta, e)
+        rho = omega_to_rho(omega)
+        h = assemble_operator(p, omega, K)
+        tol = kernel_tol(h)
+        delta, g = _high_mode_bounds(p, rho, K)
+        assert delta > tol
+        lower = _counts(np.linalg.eigvalsh(h), tol)
+        upper = _counts(np.linalg.eigvalsh(h - np.diag(g / (delta - tol))), tol)
+        # H_128 counts lie below the operator's, which the bracket bounds
+        fine = _counts(np.linalg.eigvalsh(assemble_operator(p, omega, 128)), tol)
+        assert lower[0] <= fine[0] <= upper[0]
+        assert lower[1] <= fine[1] <= upper[1]
+        # the blocks, and the shortcut when it fires, give the same bracket
+        vals, got_lower, got_upper = _bracket(p, rho, K, h, tol)
+        assert got_lower == lower
+        assert got_upper == upper
+
+    @pytest.mark.parametrize("alpha, beta, e, omega, K", BRACKET_CASES + [
+        (0.5, 3.0, 0.99, 1.0, 8),
+        (0.5, 3.0, 0.99, -1.0, 16),
+    ])
+    def test_high_mode_bounds_hold_on_a_larger_truncation(self, alpha, beta, e, omega, K):
+        # compressions raise eigenvalues, so the block of H_N on K < |k| <= N
+        # is no lower than the operator's high-mode block L; its coupling C
+        # to the low modes is a corner of the operator's
+        p = params(alpha, beta, e)
+        N = K + 80
+        h = assemble_operator(p, omega, N)
+        k = np.repeat(np.arange(-N, N + 1), 2)
+        low, high = np.abs(k) <= K, np.abs(k) > K
+        delta, g = _high_mode_bounds(p, omega_to_rho(omega), K)
+        assert np.linalg.eigvalsh(h[np.ix_(high, high)]).min() >= delta
+        c = h[np.ix_(low, high)]
+        scale = float(g.max())
+        assert np.linalg.eigvalsh(np.diag(g) - c @ c.T).min() >= -1e-12 * scale
+
+    def test_open_bracket_escalates(self, monkeypatch):
+        # delta_16 <= 0 here, so K = 16 cannot certify and K = 64 does
+        levels = []
+        assemble = erestab.maslov.assemble_operator
+
+        def spy(p, omega, K):
+            levels.append(K)
+            return assemble(p, omega, K)
+
+        monkeypatch.setattr(erestab.maslov, "assemble_operator", spy)
+        monkeypatch.setattr(erestab.maslov, "DEFAULT_LEVELS", (16, 64))
+        p = params(0.5, 2.0, 0.99)
+        assert _high_mode_bounds(p, 0.0, 16)[0] <= 0.0
+        res = morse_index(p, 1.0)
+        assert levels == [16, 64]
+        assert res.num_modes == 129
+        want = ladder_morse_index(p, 1.0)
+        assert (res.phi, res.nu) == (want.phi, want.nu)
 
 
 class TestPositivity:
