@@ -296,16 +296,17 @@ def _cmd_index(params: dict, settings: ScanSettings, output: dict):
     if (omega is None) == (rho is None):
         raise ConfigError("exactly one of --omega and --rho is required")
     if omega is None:
+        rho = rho % 1.0 % 1.0  # a tiny negative rho wraps to 1.0 on the first pass
         w = complex(np.exp(2j * np.pi * rho))
     elif omega in (1.0, -1.0):
-        w = complex(omega)
+        rho, w = (0.0 if omega == 1.0 else 0.5), complex(omega)
     else:
         raise ConfigError("--omega accepts 1 or -1; use --rho for other points")
     p = StabilityParams.from_alpha_beta(alpha, beta, e)
-    result = morse_index(p, w)
+    result = morse_index(p, rho)
     summary = {
         "alpha": alpha, "beta": beta, "e": e,
-        "omega_re": w.real, "omega_im": w.imag, "rho": result.rho,
+        "omega_re": w.real, "omega_im": w.imag, "rho": rho,
         "phi": result.phi, "nu": result.nu, "num_modes": result.num_modes,
         "min_eigenvalue": result.min_eigenvalue, "kernel_gap": result.kernel_gap,
     }

@@ -6,16 +6,18 @@ The operator
 
 with r_e(t) = 1/(1 + e cos t) and S(t) = [[cos 2t, sin 2t], [sin 2t, -cos 2t]],
 acts on the twisted domain {y : y(2*pi) = w y(0), y'(2*pi) = w y'(0)} for a
-unit complex w.  Its Morse index phi_w (number of negative eigenvalues) and
-nullity nu_w (kernel dimension) equal the w-indices of the monodromy path,
-with nu_w also equal to dim ker(gamma(2*pi) - w I), which
+unit complex w = e^{2*pi*i*rho}.  Its Morse index phi_w (number of negative
+eigenvalues) and nullity nu_w (kernel dimension) equal the w-indices of the
+monodromy path, with nu_w also equal to dim ker(gamma(2*pi) - w I), which
 :mod:`erestab.monodromy` computes with the other tests on the multipliers.
 
+The engine takes the twist rho in [0, 1), not w: w = 1 is rho = 0 and
+w = -1 is rho = 1/2, and any other argument raises DomainError.
 Discretization is a Fourier-Galerkin scheme in the twisted basis
-e^{i (k + rho) t} with w = e^{2*pi*i*rho}: r_e has the exact geometric
-Fourier coefficients c_m = b^{|m|} / sqrt(1 - e^2), b = -e/(1 + sqrt(1 - e^2)),
-and S couples modes k and k +- 2 only, so assembly is exact and spectrally
-convergent.  The Hermitian Galerkin matrix is conjugated by I (x) diag(1, i),
+e^{i (k + rho) t}: r_e has the exact geometric Fourier coefficients
+c_m = b^{|m|} / sqrt(1 - e^2), b = -e/(1 + sqrt(1 - e^2)), and S couples
+modes k and k +- 2 only, so assembly is exact and spectrally convergent.
+The Hermitian Galerkin matrix is conjugated by I (x) diag(1, i),
 which only multiplies its entries by +-1 and +-i and leaves a real symmetric
 matrix with the same eigenvalues for every w; that matrix is what is solved.
 At w = 1 the reflection y(t) -> diag(1, -1) y(-t) commutes with the operator
@@ -34,12 +36,10 @@ this bracket is open.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import toeplitz
 
 from .errors import ConvergenceError, DomainError
 from .linearization import StabilityParams
@@ -65,36 +65,30 @@ def r_e_fourier_coefficients(e: float, mmax: int) -> np.ndarray:
     return b ** np.arange(mmax + 1) / root
 
 
-def omega_to_rho(omega: complex) -> float:
-    """rho in [0, 1) with omega = e^{2*pi*i*rho}."""
-    w = complex(omega)
-    if abs(abs(w) - 1.0) > 1e-9:
-        raise DomainError(f"omega must lie on the unit circle, got |omega| = {abs(w)}")
-    rho = (cmath.phase(w) / (2.0 * math.pi)) % 1.0
-    # a phase just below zero wraps to 1 - tiny, which rounds to 1.0
-    return 0.0 if rho == 1.0 else rho
+def assemble_operator(p: StabilityParams, rho: float, K: int) -> np.ndarray:
+    """Galerkin matrix of the stability operator at the twist rho, real symmetric.
 
-
-def assemble_operator(p: StabilityParams, omega: complex, K: int) -> np.ndarray:
-    """Galerkin matrix of the stability operator, real symmetric.
-
-    Size 2(2K+1), with the two components of each mode k + rho interleaved.
-    It equals U^H H U for the Hermitian Galerkin matrix H in the twisted
-    Fourier basis and U = I_{2K+1} (x) diag(1, i); that similarity only
-    multiplies entries by +-1 and +-i, so the equality is exact.  At e = 0
-    the matrix is banded with couplings only at |j - k| in {0, 2}.
+    rho must lie in [0, 1); anything else, a complex w included, raises
+    DomainError.  Size 2(2K+1), with the two components of each mode k + rho
+    interleaved.  It equals U^H H U for the Hermitian Galerkin matrix H in
+    the twisted Fourier basis and U = I_{2K+1} (x) diag(1, i); that
+    similarity only multiplies entries by +-1 and +-i, so the equality is
+    exact.  At e = 0 the matrix is banded with couplings only at |j - k| in
+    {0, 2}.
     """
     if K < 8:
         raise DomainError("K must be at least 8")
-    rho = omega_to_rho(omega)
+    if isinstance(rho, complex) or not 0.0 <= rho < 1.0:
+        raise DomainError(f"rho must lie in [0, 1), got {rho}")
     alpha, beta = p.alpha, p.beta
     modes = np.arange(-K, K + 1) + rho
     c = r_e_fourier_coefficients(p.e, 2 * K + 2)
 
-    # scalar Toeplitz blocks: C0[j,k] = c_|j-k|, CP[j,k] = c_|j-k-2|
+    # scalar Toeplitz blocks C0[j,k] = c_|j-k| and CP[j,k] = c_|j-k-2|: two
+    # windows of the one table T[j,m] = c_|j-m|, m = 0..2K+2
     idx = np.arange(2 * K + 1)
-    c0 = toeplitz(c[idx])
-    cp = toeplitz(c[np.abs(idx - 2)], c[idx + 2])
+    table = c[np.abs(idx[:, None] - np.arange(2 * K + 3))]
+    c0, cp = table[:, :-2], table[:, 2:]
 
     # beta S(t) = beta (e^{2it} N+ + e^{-2it} N-) / 2 with N+- = [[1, -+i], [-+i, -1]];
     # after the conjugation N+ -> [[1, 1], [-1, -1]] and N- -> [[1, -1], [1, -1]]
@@ -113,7 +107,7 @@ def assemble_operator(p: StabilityParams, omega: complex, K: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class IndexResult:
-    """Morse index data at one unit-circle point.
+    """Morse index data at one twist rho.
 
     phi counts the operator's eigenvalues below -kernel_tol, nu those within
     [-kernel_tol, kernel_tol], as certified at the truncation level of
@@ -121,7 +115,6 @@ class IndexResult:
     Galerkin matrix at that level.
     """
 
-    rho: float
     phi: int
     nu: int
     num_modes: int
@@ -222,8 +215,11 @@ def _bracket(
     return vals, lower, _counts(_eigenvalues(shifted, reflect), tol)
 
 
-def morse_index(p: StabilityParams, omega: complex) -> IndexResult:
-    """Certified Morse index phi_w and nullity nu_w of the operator.
+def morse_index(p: StabilityParams, rho: float) -> IndexResult:
+    """Certified Morse index phi_w and nullity nu_w at w = e^{2*pi*i*rho}.
+
+    rho must lie in [0, 1) (``assemble_operator`` checks it): 0 is w = 1
+    and 1/2 is w = -1.
 
     At each truncation level of DEFAULT_LEVELS the counts of the Galerkin
     matrix bound the operator's from below and a Haynsworth bound on the
@@ -236,17 +232,15 @@ def morse_index(p: StabilityParams, omega: complex) -> IndexResult:
     raises a convergence error.  At w = 1 each matrix is solved as its two
     reflection blocks.
     """
-    rho = omega_to_rho(omega)
     tol = None
     for K in DEFAULT_LEVELS:
-        h = assemble_operator(p, omega, K)
+        h = assemble_operator(p, rho, K)
         if tol is None:
             tol = KERNEL_TOL_FACTOR * float(np.max(np.sum(np.abs(h), axis=1)))
         vals, lower, upper = _bracket(p, rho, K, h, tol)
         if upper == lower:
             nonkernel = np.abs(vals)[np.abs(vals) > tol]
             return IndexResult(
-                rho=rho,
                 phi=lower[0],
                 nu=lower[1] - lower[0],
                 num_modes=2 * K + 1,

@@ -125,7 +125,7 @@ def analyze(
         "sympl_residual": mono.symplectic_residual,
     }
     if indices:
-        idx1 = morse_index(p, 1.0)
+        idx1 = morse_index(p, 0.0)
         phi_m1, nu_m1 = _minus_one(p, mono, idx1, settings.circle_tol)
         out.update(phi_1=idx1.phi, nu_1=idx1.nu, phi_m1=phi_m1, nu_m1=nu_m1)
     return PointResult(**out)
@@ -142,7 +142,7 @@ def _minus_one(
     jump = circle_jump_sum(mono, circle_tol)
     nu_m1 = kernel_dimension(mono, -1.0, circle_tol)
     if jump is None or nu_m1 > 0 or kernel_dimension(mono, 1.0, circle_tol) != idx1.nu:
-        idxm = morse_index(p, -1.0)
+        idxm = morse_index(p, 0.5)
         return idxm.phi, idxm.nu
     return idx1.phi + jump, nu_m1
 
@@ -329,7 +329,7 @@ def find_curves(
             return classify_spectrum(monodromy(beta)[1], settings.circle_tol).on_circle_count > 0
 
         try:
-            idx1 = morse_index(StabilityParams.from_beta_hls(grid[-1], e), 1.0)
+            idx1 = morse_index(StabilityParams.from_beta_hls(grid[-1], e), 0.0)
             if (idx1.phi, idx1.nu) != (0, 0):
                 raise CurveExtractionError(f"phi_1, nu_1 = {idx1.phi}, {idx1.nu} at beta=9, e={e}")
             phis = [phi_m1(b) for b in grid]
@@ -481,11 +481,14 @@ def polygon_verdicts(
 ) -> list[PolygonVerdictRecord]:
     """Verdict and index table over (n, m0/M, e, site) cells.
 
-    Empty lists and an ``e`` outside [0, 0.99] raise before any cell is
-    computed.
+    Empty lists, a non-integral ``n`` and an ``e`` outside [0, 0.99] raise
+    before any cell is computed.
     """
     _check_nonempty(n_list, m0_over_M_list, e_list, sites)
     _check_eccentricities(e_list)
+    for n in n_list:
+        if not float(n).is_integer():
+            raise DomainError(f"n must be an integer, got {n}")
     keys = [
         {"n": int(n), "m0_over_M": float(r), "e": float(e), "site": site}
         for n in n_list

@@ -57,7 +57,6 @@ from erestab.maslov import (
     _reflected_eigenvalues,
     assemble_operator,
     morse_index,
-    omega_to_rho,
     r_e_fourier_coefficients,
 )
 from erestab.monodromy import (
@@ -217,8 +216,9 @@ N_PLUS = np.array([[1.0, -1.0j], [-1.0j, -1.0]])
 N_MINUS = np.array([[1.0, 1.0j], [1.0j, -1.0]])
 
 
-def complex_galerkin_operator(p: StabilityParams, omega: complex, K: int) -> np.ndarray:
-    """Galerkin matrix of the stability operator in the twisted Fourier basis.
+def complex_galerkin_operator(p: StabilityParams, rho: float, K: int) -> np.ndarray:
+    """Galerkin matrix of the stability operator in the twisted Fourier basis
+    e^{i (k + rho) t}.
 
     Size 2(2K+1), exactly Hermitian; at e = 0 the matrix is banded with
     couplings only at |j - k| in {0, 2}.
@@ -227,7 +227,6 @@ def complex_galerkin_operator(p: StabilityParams, omega: complex, K: int) -> np.
         raise DomainError("K must be at least 8")
     if p.e > 0.99:
         raise DomainError(f"eccentricity {p.e} exceeds the supported limit 0.99")
-    rho = omega_to_rho(omega)
     alpha, beta = p.alpha, p.beta
     modes = np.arange(-K, K + 1) + rho
     c = r_e_fourier_coefficients(p.e, 2 * K + 2)
@@ -244,13 +243,13 @@ def complex_galerkin_operator(p: StabilityParams, omega: complex, K: int) -> np.
 
 
 def full_matrix_morse_counts(
-    p: StabilityParams, omega: complex, levels: tuple[int, ...] = DEFAULT_LEVELS
+    p: StabilityParams, rho: float, levels: tuple[int, ...] = DEFAULT_LEVELS
 ) -> tuple[int, int, int]:
     """(phi, nu, num_modes) of ``morse_index``'s ladder with every level
     solved as one matrix: no reflection blocks at w = 1."""
     prev = tol = None
     for K in levels:
-        h = assemble_operator(p, omega, K)
+        h = assemble_operator(p, rho, K)
         if tol is None:
             tol = KERNEL_TOL_FACTOR * float(np.max(np.sum(np.abs(h), axis=1)))
         vals = np.linalg.eigvalsh(h)
@@ -270,7 +269,7 @@ def _ladder_counts(h: np.ndarray, tol: float, reflect: bool) -> tuple[int, int, 
     return phi, nu, float(vals.min()), gap
 
 
-def ladder_morse_index(p: StabilityParams, omega: complex) -> IndexResult:
+def ladder_morse_index(p: StabilityParams, rho: float) -> IndexResult:
     """Stabilized Morse index phi_w and nullity nu_w of the operator.
 
     The truncation level escalates through DEFAULT_LEVELS until two consecutive
@@ -284,17 +283,15 @@ def ladder_morse_index(p: StabilityParams, omega: complex) -> IndexResult:
     This is the heuristic ``morse_index`` used before the certified bracket;
     the tests hold the bracket's (phi, nu) to it.
     """
-    rho = omega_to_rho(omega)
     prev: tuple[int, int] | None = None
     tol = None
     for K in DEFAULT_LEVELS:
-        h = assemble_operator(p, omega, K)
+        h = assemble_operator(p, rho, K)
         if tol is None:
             tol = KERNEL_TOL_FACTOR * float(np.max(np.sum(np.abs(h), axis=1)))
         phi, nu, min_eig, gap = _ladder_counts(h, tol, rho == 0.0)
         if prev == (phi, nu):
             return IndexResult(
-                rho=rho,
                 phi=phi,
                 nu=nu,
                 num_modes=2 * K + 1,
@@ -503,8 +500,7 @@ def positivity_check(p: StabilityParams, omega_samples: int = 16) -> bool:
     if omega_samples < 16:
         raise DomainError("omega_samples must be at least 16")
     for j in range(omega_samples):
-        omega = cmath.exp(2j * math.pi * j / omega_samples)
-        result = morse_index(p, omega)
+        result = morse_index(p, j / omega_samples)
         if result.phi > 0 or result.nu > 0:
             return False
     return True
@@ -614,24 +610,14 @@ def index_monodromy_consistency(
     reported in the result, never raised.
     """
     mono = monodromy if monodromy is not None else integrate_fundamental(p, tol)
-    omegas = [1.0 + 0.0j, -1.0 + 0.0j]
-    omegas += [cmath.exp(2j * math.pi * r) for r in extra_rhos]
-    nu_op = []
-    nu_mono = []
-    phi1 = phim1 = 0
-    for w in omegas:
-        res = morse_index(p, w)
-        nu_op.append(res.nu)
-        nu_mono.append(kernel_dimension(mono, w, circle_tol))
-        if w == 1.0 + 0.0j:
-            phi1 = res.phi
-        elif w == -1.0 + 0.0j:
-            phim1 = res.phi
+    omegas = [1.0 + 0.0j, -1.0 + 0.0j] + [cmath.exp(2j * math.pi * r) for r in extra_rhos]
+    indices = [morse_index(p, r) for r in (0.0, 0.5, *extra_rhos)]
+    phi1, phim1 = indices[0].phi, indices[1].phi
     return ConsistencyReport(
         params=p,
         omegas=tuple(omegas),
-        nu_operator=tuple(nu_op),
-        nu_monodromy=tuple(nu_mono),
+        nu_operator=tuple(res.nu for res in indices),
+        nu_monodromy=tuple(kernel_dimension(mono, w, circle_tol) for w in omegas),
         phi_1=phi1,
         phi_m1=phim1,
         jump_from_indices=phim1 - phi1,

@@ -157,19 +157,19 @@ def test_c05_symplectic_residual_grid():
 def test_c06_index_anchors():
     t0 = time.monotonic()
     ok_phi1 = all(
-        morse_index(StabilityParams.from_alpha_beta(0.5, beta, e), 1.0).phi == 0
+        morse_index(StabilityParams.from_alpha_beta(0.5, beta, e), 0.0).phi == 0
         for beta in (0.3, 0.7, 1.1, 1.45)
         for e in (0.1, 0.4, 0.7)
     )
-    anchor = morse_index(StabilityParams.from_alpha_beta(0.5, 1.5, 0.2), -1.0)
+    anchor = morse_index(StabilityParams.from_alpha_beta(0.5, 1.5, 0.2), 0.5)
     ok_anchor = anchor.phi == 2
     rng = np.random.default_rng(106)
     ok_nu = True
     for _ in range(20):
         p = StabilityParams.from_beta_hls(rng.uniform(0.0, 9.0), rng.uniform(0.0, 0.8))
         mono = integrate_fundamental(p, 1e-12)
-        for omega in (1.0, -1.0):
-            nu_op = morse_index(p, omega).nu
+        for rho, omega in ((0.0, 1.0), (0.5, -1.0)):
+            nu_op = morse_index(p, rho).nu
             nu_mono = kernel_dimension(mono, omega)
             ok_nu = ok_nu and (nu_op == nu_mono)
     elapsed = time.monotonic() - t0
@@ -238,13 +238,13 @@ def test_c08_curve_structure():
     ok_profile = True
     for e in e_list:
         grid = np.arange(0.0, 9.01, 0.25)
-        phis = [morse_index(StabilityParams.from_beta_hls(b, e), -1.0).phi for b in grid]
+        phis = [morse_index(StabilityParams.from_beta_hls(b, e), 0.5).phi for b in grid]
         ok_profile &= all(b <= a for a, b in zip(phis, phis[1:]))
         ok_profile &= phis[0] == 2 and phis[-1] == 0
         bs = rows[e][CurveKind.BETA_S].beta
         bm = rows[e][CurveKind.BETA_M].beta
         if bm - bs > 0.05:
-            mid = morse_index(StabilityParams.from_beta_hls(0.5 * (bs + bm), e), -1.0).phi
+            mid = morse_index(StabilityParams.from_beta_hls(0.5 * (bs + bm), e), 0.5).phi
             ok_profile &= mid == 1
         if e >= 0.1:
             ok_profile &= bm - bs > 0.02  # the two jumps are genuinely distinct
@@ -298,7 +298,7 @@ def test_c10_polygon_verdicts():
         p = StabilityParams(bang.lambda3, bang.lambda4, e)
         mono = integrate_fundamental(p, 1e-12)
         ok_s3 &= max(abs(abs(z) - 1.0) for z in mono.eigenvalues) < 1e-5
-        ok_s3 &= morse_index(p, -1.0).phi - morse_index(p, 1.0).phi == 2
+        ok_s3 &= morse_index(p, 0.5).phi - morse_index(p, 0.0).phi == 2
     elapsed = time.monotonic() - t0
     _report(
         "C10 polygon verdicts",

@@ -48,13 +48,27 @@ def package_imports(module: str) -> set[str]:
     }
 
 
+def external_imports(module: str) -> set[str]:
+    """Top-level packages named in ``module``'s absolute import statements."""
+    names = set()
+    for node in ast.walk(ast.parse((SRC / f"{module}.py").read_text())):
+        if isinstance(node, ast.Import):
+            names |= {alias.name.split(".")[0] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.add(node.module.split(".")[0])
+    return names
+
+
 def test_module_layering():
     """The families and the engines meet only at ``StabilityParams``: the
     polygon family needs nothing but the errors, and the two stability
-    engines need nothing but the linearized system and the errors."""
+    engines need nothing but the linearized system and the errors.  The
+    Morse engine works in the twist rho and builds its Toeplitz blocks by
+    numpy indexing, so it needs neither ``cmath`` nor scipy."""
     assert package_imports("polygon_config") <= {"errors"}
     for engine in ("monodromy", "maslov"):
         assert package_imports(engine) <= {"linearization", "errors"}
+    assert not external_imports("maslov") & {"scipy", "cmath"}
 
 
 def test_one_general_eigensolve():

@@ -568,6 +568,9 @@ class TestExitCodes:
         assert (tmp_path / "one.json").read_text() == (tmp_path / "plain.json").read_text()
 
 
+INDEX_POINT = ["index", "--alpha", "0.5", "--beta", "1.5", "--e", "0.2"]
+
+
 class TestIndexCommand:
     def test_anchor_value(self, tmp_path, monkeypatch, capsys):
         code, out, _ = run_cli(
@@ -586,18 +589,54 @@ class TestIndexCommand:
         assert code == 0
         assert json.loads(out)["rho"] == pytest.approx(0.25)
 
+    # 0.005, 0.006, 0.985 and 0.996 each came back one ulp off through
+    # e^{2 pi i rho} and its phase; -1e-20 wraps to 1.0 before it wraps to 0
+    @pytest.mark.parametrize("rho, solved", [
+        ("0.005", 0.005), ("0.006", 0.006), ("0.985", 0.985), ("0.996", 0.996),
+        ("1.25", 0.25), ("-0.25", 0.75), ("-1e-20", 0.0),
+    ])
+    def test_rho_is_solved_and_reported_as_given(self, rho, solved, tmp_path, monkeypatch,
+                                                 capsys):
+        code, out, _ = run_cli(INDEX_POINT + [f"--rho={rho}"], tmp_path, monkeypatch, capsys)
+        assert code == 0
+        assert json.loads(out)["rho"] == solved
+
     def test_rho_one_is_omega_one(self, tmp_path, monkeypatch, capsys):
-        # e^{2 pi i} lies just below the real axis; its rho is 0, not 1
-        point = ["index", "--alpha", "0.5", "--beta", "1.5", "--e", "0.2"]
         outputs = []
         for flags in (["--rho", "1"], ["--omega", "1"]):
-            code, out, _ = run_cli(point + flags, tmp_path, monkeypatch, capsys)
+            code, out, _ = run_cli(INDEX_POINT + flags, tmp_path, monkeypatch, capsys)
             assert code == 0
-            data = json.loads(out)
-            data.pop("omega_im")
-            outputs.append(data)
+            outputs.append(json.loads(out))
         assert outputs[0]["rho"] == 0.0
         assert outputs[0] == outputs[1]
+
+
+# The single-point commands of the README, one golden file each.  They run in
+# a fresh interpreter with one BLAS thread, as CI does: the last bits of a
+# dense eigensolve, and so min_eigenvalue and kernel_gap, depend on the
+# thread count.
+@pytest.mark.parametrize(
+    "golden, args",
+    [
+        ("golden_index_omega_minus_one.json", INDEX_POINT + ["--omega", "-1"]),
+        ("golden_index_omega_one.json", INDEX_POINT + ["--omega", "1"]),
+        ("golden_index_rho_quarter.json", INDEX_POINT + ["--rho", "0.25"]),
+        ("golden_stability_collinear.json",
+         ["stability", "--family", "collinear", "--m", "0.25,0.5,0.25", "--e", "0.0"]),
+        ("golden_stability_polygon.json",
+         ["stability", "--family", "polygon", "--n", "8", "--m0-over-m", "1000",
+          "--site", "S3", "--e", "0.1"]),
+    ],
+    ids=["index-omega-minus-one", "index-omega-one", "index-rho-quarter",
+         "stability-collinear", "stability-polygon"],
+)
+def test_single_point_json_matches_golden(golden, args, tmp_path):
+    env = {**os.environ, "PYTHONPATH": str(SRC), "OPENBLAS_NUM_THREADS": "1",
+           "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+    done = subprocess.run([sys.executable, "-m", "erestab.cli", *args, "--json", "out.json"],
+                          cwd=tmp_path, capture_output=True, env=env, timeout=120)
+    assert done.returncode == 0
+    assert (tmp_path / "out.json").read_text() == (DATA / golden).read_text()
 
 
 # Every verdict class plus an unknown one (drawn in the Error colour), all on

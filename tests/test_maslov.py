@@ -1,4 +1,3 @@
-import cmath
 import csv
 import math
 from pathlib import Path
@@ -18,7 +17,6 @@ from erestab.maslov import (
     _reflected_eigenvalues,
     assemble_operator,
     morse_index,
-    omega_to_rho,
     r_e_fourier_coefficients,
 )
 from erestab.monodromy import (
@@ -62,12 +60,12 @@ def kernel_tol(h):
     return KERNEL_TOL_FACTOR * float(np.max(np.sum(np.abs(h), axis=1)))
 
 
-def ladder_counts(build, p, omega, levels=(64, 128)):
+def ladder_counts(build, p, rho, levels=(64, 128)):
     """(phi, nu) per level as ``morse_index`` counts them, band from the first level."""
     tol = None
     counts = []
     for K in levels:
-        h = build(p, omega, K)
+        h = build(p, rho, K)
         if tol is None:
             tol = kernel_tol(h)
         vals = np.linalg.eigvalsh(h)
@@ -100,12 +98,11 @@ class TestAssembly:
         rng = np.random.default_rng(3)
         for _ in range(5):
             p = params(rng.uniform(0, 2), rng.uniform(0, 3), rng.uniform(0, 0.8))
-            omega = cmath.exp(2j * math.pi * rng.uniform(0, 1))
-            h = assemble_operator(p, omega, 16)
+            h = assemble_operator(p, rng.uniform(0, 1), 16)
             assert np.max(np.abs(h - h.conj().T)) < 1e-13 * np.max(np.abs(h))
 
     def test_circular_case_banded_exactly(self):
-        h = assemble_operator(params(0.5, 1.0, 0.0), -1.0, 12)
+        h = assemble_operator(params(0.5, 1.0, 0.0), 0.5, 12)
         n = 25
         blocks = h.reshape(n, 2, n, 2)
         for j in range(n):
@@ -113,9 +110,9 @@ class TestAssembly:
                 if abs(j - k) not in (0, 2):
                     assert np.all(blocks[j, :, k, :] == 0.0)
 
-    @pytest.mark.parametrize("omega", [1.0, -1.0])
-    def test_circular_case_banded_both_omegas(self, omega):
-        h = assemble_operator(params(0.5, 1.0, 0.0), omega, 12)
+    @pytest.mark.parametrize("rho", [0.0, 0.5])
+    def test_circular_case_banded_both_omegas(self, rho):
+        h = assemble_operator(params(0.5, 1.0, 0.0), rho, 12)
         rows, cols = np.nonzero(h)
         assert rows.size > 0
         assert set(np.abs(rows // 2 - cols // 2).tolist()) <= {0, 2}
@@ -126,17 +123,17 @@ class TestAssembly:
         u = np.tile([1.0, 1.0j], 2 * K + 1)  # diagonal of U = I (x) diag(1, i)
         for _ in range(5):
             p = params(rng.uniform(0, 2), rng.uniform(0, 3), rng.uniform(0, 0.9))
-            omega = cmath.exp(2j * math.pi * rng.uniform(0, 1))
-            h = assemble_operator(p, omega, K)
-            hc = complex_galerkin_operator(p, omega, K)
+            rho = rng.uniform(0, 1)
+            h = assemble_operator(p, rho, K)
+            hc = complex_galerkin_operator(p, rho, K)
             assert h.dtype == np.float64
             assert np.array_equal(h, h.T)
             assert np.array_equal(np.diag(u).conj().T @ hc @ np.diag(u), h)
             assert kernel_tol(h) == kernel_tol(hc)
 
     def test_circular_diagonal_closed_form(self):
-        # alpha = 1/2, beta = 0, omega = 1: eigenvalues k^2 + 1/2, doubled
-        h = assemble_operator(params(0.5, 0.0, 0.0), 1.0, 16)
+        # alpha = 1/2, beta = 0, w = 1: eigenvalues k^2 + 1/2, doubled
+        h = assemble_operator(params(0.5, 0.0, 0.0), 0.0, 16)
         vals = np.sort(np.linalg.eigvalsh(h))
         ks = np.arange(-16, 17)
         want = np.sort(np.concatenate([ks**2 + 0.5, ks**2 + 0.5]))
@@ -144,19 +141,26 @@ class TestAssembly:
 
     def test_validation(self):
         with pytest.raises(DomainError):
-            assemble_operator(params(0.5, 0.0, 0.0), 1.0, 4)
+            assemble_operator(params(0.5, 0.0, 0.0), 0.0, 4)
         with pytest.raises(DomainError):
             assemble_operator(params(0.5, 0.0, 0.0), 2.0, 16)
 
 
-class TestOmegaToRho:
-    @pytest.mark.parametrize("omega", [cmath.exp(2j * math.pi), complex(1.0, -1e-18)])
-    def test_just_below_the_real_axis_is_zero(self, omega):
-        assert omega_to_rho(omega) == 0.0
+class TestTwistDomain:
+    # the old w arguments +-1 and i among them: none may silently mean a rho
+    @pytest.mark.parametrize("rho", [1.0, -1.0, 1j, complex(0.5), -1e-18, float("nan")],
+                             ids=["one", "minus-one", "i", "complex-half", "tiny-negative",
+                                  "nan"])
+    def test_outside_zero_one_raises(self, rho):
+        with pytest.raises(DomainError, match="rho must lie in"):
+            morse_index(params(0.5, 1.5, 0.2), rho)
 
-    @pytest.mark.parametrize("rho", [0.0, 0.1, 0.5, 0.75])
-    def test_round_trip(self, rho):
-        assert omega_to_rho(cmath.exp(2j * math.pi * rho)) == pytest.approx(rho, abs=1e-15)
+    @pytest.mark.parametrize("rho", [0.0, 0.005, 0.25, 0.5, 1.0 - 2.0**-53])
+    def test_diagonal_carries_the_given_rho(self, rho):
+        # alpha = -1, beta = 0: the diagonal is exactly (k + rho)^2 - 1
+        h = assemble_operator(params(-1.0, 0.0, 0.3), rho, 8)
+        modes = np.arange(-8, 9) + rho
+        assert np.array_equal(np.diag(h), np.repeat(modes**2 - 1.0, 2))
 
 
 # beta_hls = 2 on the collinear family, and a generic (alpha, beta)
@@ -173,7 +177,7 @@ class TestReflection:
     @pytest.mark.parametrize("e", [0.0, 0.3, 0.9])
     @pytest.mark.parametrize("alpha,beta", REFLECTION_POINTS)
     def test_reflection_commutes_bit_for_bit(self, K, e, alpha, beta):
-        h = assemble_operator(params(alpha, beta, e), 1.0, K)
+        h = assemble_operator(params(alpha, beta, e), 0.0, K)
         m, s = mirror_and_sign(h.shape[0])
         assert np.array_equal(h[m][:, m] * np.outer(s, s), h)
 
@@ -181,7 +185,7 @@ class TestReflection:
     @pytest.mark.parametrize("e", [0.0, 0.3, 0.9])
     @pytest.mark.parametrize("alpha,beta", REFLECTION_POINTS)
     def test_blocks_carry_the_full_spectrum(self, K, e, alpha, beta):
-        h = assemble_operator(params(alpha, beta, e), 1.0, K)
+        h = assemble_operator(params(alpha, beta, e), 0.0, K)
         vals = np.sort(_reflected_eigenvalues(h))
         norm = float(np.max(np.sum(np.abs(h), axis=1)))
         assert vals.shape == (h.shape[0],)
@@ -194,16 +198,16 @@ class TestMorseIndex:
     def test_circular_counts_match_closed_form(self, alpha, beta, rho):
         spectrum = operator_spectrum_e0(alpha, beta, rho, 300)
         want_phi = int(np.count_nonzero(spectrum < -1e-9))
-        res = morse_index(params(alpha, beta, 0.0), cmath.exp(2j * math.pi * rho))
+        res = morse_index(params(alpha, beta, 0.0), rho)
         assert res.phi == want_phi
 
     def test_phi1_vanishes_below_three_halves(self):
         for beta in (0.3, 0.8, 1.2, 1.45):
             for e in (0.1, 0.4, 0.7):
-                assert morse_index(params(0.5, beta, e), 1.0).phi == 0
+                assert morse_index(params(0.5, beta, e), 0.0).phi == 0
 
     def test_phi_minus_one_anchor(self):
-        res = morse_index(params(0.5, 1.5, 0.2), -1.0)
+        res = morse_index(params(0.5, 1.5, 0.2), 0.5)
         assert res.phi == 2
         assert res.nu == 0
 
@@ -211,7 +215,7 @@ class TestMorseIndex:
         # phi_-1 non-increasing as the collinear-family beta grows
         e = 0.2
         phis = [
-            morse_index(StabilityParams.from_beta_hls(b, e), -1.0).phi
+            morse_index(StabilityParams.from_beta_hls(b, e), 0.5).phi
             for b in np.arange(0.0, 9.01, 0.5)
         ]
         assert all(b <= a for a, b in zip(phis, phis[1:]))
@@ -220,16 +224,16 @@ class TestMorseIndex:
     def test_operator_domination_in_alpha(self):
         e, beta = 0.3, 1.0
         mins = [
-            morse_index(params(alpha, beta, e), 1.0).min_eigenvalue
+            morse_index(params(alpha, beta, e), 0.0).min_eigenvalue
             for alpha in (0.2, 0.5, 1.0, 2.0)
         ]
         assert all(b >= a for a, b in zip(mins, mins[1:]))
 
     def test_counts_match_complex_operator_where_fragile(self):
         seen = set()
-        for p, omega in _fragile_points():
-            counts = ladder_counts(assemble_operator, p, omega)
-            assert counts == ladder_counts(complex_galerkin_operator, p, omega)
+        for p, rho in _fragile_points():
+            counts = ladder_counts(assemble_operator, p, rho)
+            assert counts == ladder_counts(complex_galerkin_operator, p, rho)
             seen.update(counts)
         # the cases straddle both jumps and hit the kernel at both of them
         assert {(2, 0), (1, 1), (1, 0), (0, 1), (0, 0), (0, 2)} <= seen
@@ -243,19 +247,19 @@ class TestMorseIndex:
         cases += [(0.0, 0.0), (0.0, E_ROW), (0.0, 0.9), (0.75, 0.0)]
         for beta, e in cases:
             p = StabilityParams.from_beta_hls(beta, e)
-            res = morse_index(p, 1.0)
-            assert (res.phi, res.nu) == full_matrix_morse_counts(p, 1.0)[:2]
+            res = morse_index(p, 0.0)
+            assert (res.phi, res.nu) == full_matrix_morse_counts(p, 0.0)[:2]
             if beta == 0.0:
                 assert res.nu == 3
 
-    @pytest.mark.parametrize("p, omega, want", [
-        (params(0.5, 1.5, 0.2), 1.0, [129] * 4),
-        (params(0.5, 1.5, 0.2), -1.0, [258]),
-        (params(0.5, 1.5, 0.2), 1j, [258]),
+    @pytest.mark.parametrize("p, rho, want", [
+        (params(0.5, 1.5, 0.2), 0.0, [129] * 4),
+        (params(0.5, 1.5, 0.2), 0.5, [258]),
+        (params(0.5, 1.5, 0.2), 0.25, [258]),
         # nu_-1 = 2 at the e = 0 tongue tip: the bracket needs its second solve
-        (StabilityParams.from_beta_hls(0.75, 0.0), -1.0, [258, 258]),
+        (StabilityParams.from_beta_hls(0.75, 0.0), 0.5, [258, 258]),
     ])
-    def test_only_w_one_is_solved_in_blocks(self, monkeypatch, p, omega, want):
+    def test_only_w_one_is_solved_in_blocks(self, monkeypatch, p, rho, want):
         sizes = []
         eigvalsh = np.linalg.eigvalsh
 
@@ -264,8 +268,8 @@ class TestMorseIndex:
             return eigvalsh(a)
 
         monkeypatch.setattr(np.linalg, "eigvalsh", spy)
-        # every bracket closes at K = 64 here; rho = 1/4 is omega = i
-        assert morse_index(p, omega).num_modes == 129
+        # every bracket closes at K = 64 here; rho = 1/4 is w = i
+        assert morse_index(p, rho).num_modes == 129
         assert sizes == [(n, n) for n in want]
 
     def test_non_stabilization_raises(self, monkeypatch):
@@ -273,7 +277,7 @@ class TestMorseIndex:
         p = params(0.5, 2.0, 0.99)
         assert _high_mode_bounds(p, 0.0, 16)[0] <= 0.0
         with pytest.raises(ConvergenceError, match="K=16"):
-            morse_index(p, 1.0)
+            morse_index(p, 0.0)
 
 
 def _theta_golden_points():
@@ -294,12 +298,12 @@ def _fragile_points():
     """beta_s and beta_m of the benchmark's curve row, within 1e-3 and at
     the jumps, the e = 0 tongue tip, and the extra rho of the consistency
     check."""
-    cases = [(StabilityParams.from_beta_hls(beta + d, E_ROW), -1.0)
+    cases = [(StabilityParams.from_beta_hls(beta + d, E_ROW), 0.5)
              for beta in (BETA_S_REF, BETA_M_REF, BETA_S_ROOT, BETA_M_ROOT)
              for d in (-1e-3, 0.0, 1e-3)]
     tip = StabilityParams.from_beta_hls(0.75, 0.0)
-    cases += [(tip, -1.0), (tip, 1.0)]
-    cases += [(StabilityParams.from_beta_hls(beta, e), cmath.exp(2j * math.pi * rho))
+    cases += [(tip, 0.5), (tip, 0.0)]
+    cases += [(StabilityParams.from_beta_hls(beta, e), rho)
               for beta, e in ((0.75, 0.0), (BETA_S_ROOT, E_ROW))
               for rho in (0.1, 0.25)]
     return cases
@@ -317,48 +321,48 @@ def _random_points():
     return points
 
 
-THREE_OMEGAS = (1.0, -1.0, 1j)
+# w = 1, -1 and i
+THREE_RHOS = (0.0, 0.5, 0.25)
 
 CORPUS = {
-    "golden-theta": lambda: [(p, w) for p in _theta_golden_points() for w in THREE_OMEGAS],
-    "golden-polygon": lambda: [(p, w) for p in _polygon_golden_points() for w in THREE_OMEGAS],
+    "golden-theta": lambda: [(p, w) for p in _theta_golden_points() for w in THREE_RHOS],
+    "golden-polygon": lambda: [(p, w) for p in _polygon_golden_points() for w in THREE_RHOS],
     "scalar-rhs-pin": lambda: [(p, w) for p in test_monodromy.PINNED.values()
-                               for w in THREE_OMEGAS],
+                               for w in THREE_RHOS],
     "fragile": _fragile_points,
-    "random": lambda: [(p, w) for p in _random_points() for w in THREE_OMEGAS],
+    "random": lambda: [(p, w) for p in _random_points() for w in THREE_RHOS],
 }
 
 
 class TestCertifiedBracket:
     @pytest.mark.parametrize("corpus", CORPUS)
     def test_counts_equal_the_ladder(self, corpus):
-        for p, omega in CORPUS[corpus]():
-            res, want = morse_index(p, omega), ladder_morse_index(p, omega)
-            assert (res.phi, res.nu) == (want.phi, want.nu), (p, omega)
+        for p, rho in CORPUS[corpus]():
+            res, want = morse_index(p, rho), ladder_morse_index(p, rho)
+            assert (res.phi, res.nu) == (want.phi, want.nu), (p, rho)
             assert res.num_modes <= want.num_modes
 
-    # (alpha, beta, e, omega, K); the first two are points where H_8 misses
+    # (alpha, beta, e, rho, K); the first two are points where H_8 misses
     # negative eigenvalues that a larger truncation finds
     BRACKET_CASES = [
-        (-0.35, 6.58, 0.88, -1.0, 8),
-        (-0.96, 2.62, 0.956, 1.0, 8),
-        (0.5, 1.5, 0.2, 1.0, 16),
-        (1.9, 5.7, 0.6, -1.0, 16),
-        (0.5, 0.3, 0.9, 1j, 32),
+        (-0.35, 6.58, 0.88, 0.5, 8),
+        (-0.96, 2.62, 0.956, 0.0, 8),
+        (0.5, 1.5, 0.2, 0.0, 16),
+        (1.9, 5.7, 0.6, 0.5, 16),
+        (0.5, 0.3, 0.9, 0.25, 32),
     ]
 
-    @pytest.mark.parametrize("alpha, beta, e, omega, K", BRACKET_CASES)
-    def test_bracket_holds_the_larger_truncation(self, alpha, beta, e, omega, K):
+    @pytest.mark.parametrize("alpha, beta, e, rho, K", BRACKET_CASES)
+    def test_bracket_holds_the_larger_truncation(self, alpha, beta, e, rho, K):
         p = params(alpha, beta, e)
-        rho = omega_to_rho(omega)
-        h = assemble_operator(p, omega, K)
+        h = assemble_operator(p, rho, K)
         tol = kernel_tol(h)
         delta, g = _high_mode_bounds(p, rho, K)
         assert delta > tol
         lower = _counts(np.linalg.eigvalsh(h), tol)
         upper = _counts(np.linalg.eigvalsh(h - np.diag(g / (delta - tol))), tol)
         # H_128 counts lie below the operator's, which the bracket bounds
-        fine = _counts(np.linalg.eigvalsh(assemble_operator(p, omega, 128)), tol)
+        fine = _counts(np.linalg.eigvalsh(assemble_operator(p, rho, 128)), tol)
         assert lower[0] <= fine[0] <= upper[0]
         assert lower[1] <= fine[1] <= upper[1]
         # the blocks, and the shortcut when it fires, give the same bracket
@@ -366,20 +370,20 @@ class TestCertifiedBracket:
         assert got_lower == lower
         assert got_upper == upper
 
-    @pytest.mark.parametrize("alpha, beta, e, omega, K", BRACKET_CASES + [
-        (0.5, 3.0, 0.99, 1.0, 8),
-        (0.5, 3.0, 0.99, -1.0, 16),
+    @pytest.mark.parametrize("alpha, beta, e, rho, K", BRACKET_CASES + [
+        (0.5, 3.0, 0.99, 0.0, 8),
+        (0.5, 3.0, 0.99, 0.5, 16),
     ])
-    def test_high_mode_bounds_hold_on_a_larger_truncation(self, alpha, beta, e, omega, K):
+    def test_high_mode_bounds_hold_on_a_larger_truncation(self, alpha, beta, e, rho, K):
         # compressions raise eigenvalues, so the block of H_N on K < |k| <= N
         # is no lower than the operator's high-mode block L; its coupling C
         # to the low modes is a corner of the operator's
         p = params(alpha, beta, e)
         N = K + 80
-        h = assemble_operator(p, omega, N)
+        h = assemble_operator(p, rho, N)
         k = np.repeat(np.arange(-N, N + 1), 2)
         low, high = np.abs(k) <= K, np.abs(k) > K
-        delta, g = _high_mode_bounds(p, omega_to_rho(omega), K)
+        delta, g = _high_mode_bounds(p, rho, K)
         assert np.linalg.eigvalsh(h[np.ix_(high, high)]).min() >= delta
         c = h[np.ix_(low, high)]
         scale = float(g.max())
@@ -390,18 +394,18 @@ class TestCertifiedBracket:
         levels = []
         assemble = erestab.maslov.assemble_operator
 
-        def spy(p, omega, K):
+        def spy(p, rho, K):
             levels.append(K)
-            return assemble(p, omega, K)
+            return assemble(p, rho, K)
 
         monkeypatch.setattr(erestab.maslov, "assemble_operator", spy)
         monkeypatch.setattr(erestab.maslov, "DEFAULT_LEVELS", (16, 64))
         p = params(0.5, 2.0, 0.99)
         assert _high_mode_bounds(p, 0.0, 16)[0] <= 0.0
-        res = morse_index(p, 1.0)
+        res = morse_index(p, 0.0)
         assert levels == [16, 64]
         assert res.num_modes == 129
-        want = ladder_morse_index(p, 1.0)
+        want = ladder_morse_index(p, 0.0)
         assert (res.phi, res.nu) == (want.phi, want.nu)
 
 
@@ -416,7 +420,7 @@ class TestPositivity:
 
     def test_polygon_s3_positive_at_one(self):
         bang = solve_site(PolygonSystem.from_mass_ratio(8, 1e4), Site.S3)
-        res = morse_index(StabilityParams(bang.lambda3, bang.lambda4, 0.2), 1.0)
+        res = morse_index(StabilityParams(bang.lambda3, bang.lambda4, 0.2), 0.0)
         assert res.phi == 0 and res.nu == 0
         assert res.min_eigenvalue > 0.0
 

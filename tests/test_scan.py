@@ -166,9 +166,9 @@ class TestCurves:
         rows after it are extracted as in an unpatched run."""
         clean = find_curves([0.0], 0.01, FAST, coarse_step=1.0)
 
-        def bad_row(p, omega):
-            idx = morse_index(p, omega)
-            return replace(idx, phi=1) if p.e == 0.3 and omega == 1.0 else idx
+        def bad_row(p, rho):
+            idx = morse_index(p, rho)
+            return replace(idx, phi=1) if p.e == 0.3 and rho == 0.0 else idx
 
         monkeypatch.setattr(erestab.scan, "morse_index", bad_row)
         with pytest.warns(UserWarning, match="curve extraction failed at e="):
@@ -279,6 +279,9 @@ class TestPolygonVerdicts:
     def test_empty_lists_rejected(self):
         with pytest.raises(DomainError):
             polygon_verdicts([], [10.0], [0.0], [Site.S1], FAST)
+        # nor is a non-integral n truncated to a polygon it does not name
+        with pytest.raises(DomainError, match="integer"):
+            polygon_verdicts([8.5], [1000.0], [0.0], [Site.S3], FAST)
 
     def test_array_lists_accepted(self):
         # The emptiness check reads lengths, so a numpy array is a list here.
@@ -288,7 +291,7 @@ class TestPolygonVerdicts:
 
 def two_solve_indices(p):
     """(phi, nu) at +1 and -1 from two direct Galerkin solves."""
-    plus, minus = morse_index(p, 1.0), morse_index(p, -1.0)
+    plus, minus = morse_index(p, 0.0), morse_index(p, 0.5)
     return (plus.phi, plus.nu), (minus.phi, minus.nu)
 
 
@@ -297,16 +300,16 @@ def indices_of(result):
 
 
 @pytest.fixture
-def solved_omegas(monkeypatch):
-    """The omegas ``analyze`` passes to the Morse solver, in call order."""
-    omegas = []
+def solved_rhos(monkeypatch):
+    """The twists rho ``analyze`` passes to the Morse solver, in call order."""
+    rhos = []
 
-    def spy(p, omega):
-        omegas.append(omega)
-        return morse_index(p, omega)
+    def spy(p, rho):
+        rhos.append(rho)
+        return morse_index(p, rho)
 
     monkeypatch.setattr(erestab.scan, "morse_index", spy)
-    return omegas
+    return rhos
 
 
 class TestIndicesFromMonodromy:
@@ -329,26 +332,26 @@ class TestIndicesFromMonodromy:
         assert indices_of(analyze(p)) == two_solve_indices(p)
 
     @pytest.mark.parametrize("beta, e", FRAGILE, ids=[f"beta{b}-e{e}" for b, e in FRAGILE])
-    def test_fragile_points_solve_at_minus_one(self, beta, e, solved_omegas):
+    def test_fragile_points_solve_at_minus_one(self, beta, e, solved_rhos):
         p = StabilityParams.from_beta_hls(beta, e)
         result = analyze(p)
-        assert solved_omegas == [1.0, -1.0]
+        assert solved_rhos == [0.0, 0.5]
         assert indices_of(result) == two_solve_indices(p)
 
-    def test_generic_point_solves_once(self, solved_omegas):
+    def test_generic_point_solves_once(self, solved_rhos):
         p = StabilityParams.from_beta_hls(0.5, 0.3)
         result = analyze(p)
-        assert solved_omegas == [1.0]
+        assert solved_rhos == [0.0]
         assert indices_of(result) == two_solve_indices(p)
 
-    def test_kernel_disagreement_forces_minus_one_solve(self, solved_omegas, monkeypatch):
+    def test_kernel_disagreement_forces_minus_one_solve(self, solved_rhos, monkeypatch):
         def disagreeing(mono, omega, circle_tol):
             return kernel_dimension(mono, omega, circle_tol) + (omega == 1.0)
 
         monkeypatch.setattr(erestab.scan, "kernel_dimension", disagreeing)
         p = StabilityParams.from_beta_hls(0.5, 0.3)
         result = analyze(p)
-        assert solved_omegas == [1.0, -1.0]
+        assert solved_rhos == [0.0, 0.5]
         assert indices_of(result) == two_solve_indices(p)
 
 
@@ -359,24 +362,24 @@ class TestCurveSolves:
 
     @pytest.fixture
     def solves(self, monkeypatch):
-        """(beta, omega) of each Morse solve the scan module makes, in call order."""
+        """(beta, rho) of each Morse solve the scan module makes, in call order."""
         calls = []
 
-        def spy(p, omega):
-            calls.append((p.beta_hls, omega))
-            return morse_index(p, omega)
+        def spy(p, rho):
+            calls.append((p.beta_hls, rho))
+            return morse_index(p, rho)
 
         monkeypatch.setattr(erestab.scan, "morse_index", spy)
         return calls
 
     def test_generic_row_falls_back_only_at_zero(self, solves):
         find_curves([0.3], 0.01, coarse_step=1.0)
-        assert solves == [(9.0, 1.0), (0.0, -1.0)]
+        assert solves == [(9.0, 0.0), (0.0, 0.5)]
 
     def test_circular_row_falls_back_at_tangent_points(self, solves):
         find_curves([0.0], 0.01, coarse_step=1.0)
-        assert solves[0] == (9.0, 1.0)
-        assert all(omega == -1.0 for _, omega in solves[1:])
+        assert solves[0] == (9.0, 0.0)
+        assert all(rho == 0.5 for _, rho in solves[1:])
         # beta = 0 (nu_1 = 3), the double -1 at 3/4 and the circular edge at 1
         assert sorted(b for b, _ in solves[1:]) == pytest.approx([0.0, 0.75, 1.0], abs=1e-12)
 
