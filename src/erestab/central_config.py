@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.optimize import brentq, minimize
 
 from .errors import (
     ConvergenceError,
@@ -205,6 +204,8 @@ def solve_euler_quintic(m1: float, m2: float, m3: float) -> float:
     10^4 log-spaced points of (0, 100) and refined with Brent's method plus
     two Newton polish steps.
     """
+    from scipy.optimize import brentq
+
     if min(m1, m2, m3) <= 0.0:
         raise DomainError("masses must be positive")
     coeffs = euler_quintic_coefficients(m1, m2, m3)
@@ -415,6 +416,8 @@ def locate_offline_equilibria(
     where Newton degenerates, are saddles a descent leaves.  Raises
     DegenerateSolutionError if the descent still ends on the line.
     """
+    from scipy.optimize import minimize
+
     if np.max(np.abs(config.primary_positions[:, 1])) > 1e-10:
         raise DomainError("locate_offline_equilibria needs primaries on the x-axis")
     start = np.array([guess[0], abs(guess[1])], dtype=float)
@@ -456,6 +459,8 @@ def solve_symmetric_y(m2: float) -> float:
 
     y decreases strictly from sqrt(3) at m2 = 0 toward 1 as m2 -> 1.
     """
+    from scipy.optimize import brentq
+
     if not 0.0 <= m2 < 1.0:
         raise DomainError(f"m2 must lie in [0, 1), got {m2}")
     rhs = (1.0 + 7.0 * m2) / 8.0

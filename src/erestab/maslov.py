@@ -50,6 +50,13 @@ from .linearization import StabilityParams
 # that (e.g. 1e-7) misclassifies genuinely small nonzero eigenvalues near
 # the index-jump curves and breaks the nullity/monodromy-kernel agreement.
 KERNEL_TOL_FACTOR = 1e-10
+# Round-off allowance c of the band edges, in units of n eps ||H||: eigvalsh
+# returns eigenvalues within a modest multiple of eps ||H|| of the exact
+# ones (Golub & Van Loan, Matrix Computations, 4th ed., ch. 8), and the
+# moves measured between BLAS thread counts, about 9e-13 at K = 64, are
+# below 1e-2 of n eps ||H||, so c = 1.  That is about 2.4e-10 at K = 64,
+# against a band of about 4.2e-7.
+ROUNDOFF_FACTOR = 1.0
 DEFAULT_LEVELS = (64, 128, 256, 512, 1024)
 
 
@@ -154,6 +161,16 @@ def _counts(vals: np.ndarray, tol: float) -> tuple[int, int]:
     return int(np.count_nonzero(vals < -tol)), int(np.count_nonzero(vals <= tol))
 
 
+def _norm(h: np.ndarray) -> float:
+    """Infinity norm of ``h``, which bounds its spectral norm."""
+    return float(np.max(np.sum(np.abs(h), axis=1)))
+
+
+def _near_edge(vals: np.ndarray, tol: float, slack: float) -> bool:
+    """Whether an eigenvalue lies within ``slack`` of -tol or tol."""
+    return bool(np.any(np.abs(np.abs(vals) - tol) <= slack))
+
+
 def _high_mode_bounds(p: StabilityParams, rho: float, K: int) -> tuple[float, np.ndarray]:
     """delta_K and the diagonal g with L >= delta_K I and C C^T <= diag(g).
 
@@ -196,23 +213,31 @@ def _bracket(
     shift s = +-tol, Haynsworth inertia additivity counts the operator's
     eigenvalues below s as the Schur complement's below zero, and that
     complement dominates the shifted matrix.  The shift only lowers
-    eigenvalues, by at most its largest entry (Weyl), so when none lies that
-    close above -tol or tol the counts cannot move and the second solve is
-    skipped.
+    eigenvalues, by at most its largest entry (Weyl), so when none lies
+    within that entry plus the round-off allowance above -tol or tol the
+    counts cannot move and the second solve is skipped.
+
+    The round-off allowance is ROUNDOFF_FACTOR n eps ||h||, in the infinity
+    norm.  A computed eigenvalue of either matrix that close to -tol or tol
+    may lie on the other side of it, so it leaves the upper bound None too.
     """
     reflect = rho == 0.0
     vals = _eigenvalues(h, reflect)
     lower = _counts(vals, tol)
+    slack = ROUNDOFF_FACTOR * h.shape[0] * np.finfo(float).eps * _norm(h)
     delta, g = _high_mode_bounds(p, rho, K)
-    if delta <= tol:
+    if delta <= tol or _near_edge(vals, tol, slack):
         return vals, lower, None
     shift = g / (delta - tol)
-    reach = float(shift.max())
+    reach = float(shift.max()) + slack
     if not np.any(((vals >= -tol) & (vals < reach - tol)) | ((vals > tol) & (vals <= tol + reach))):
         return vals, lower, lower
     shifted = h.copy()
     shifted[np.diag_indices_from(shifted)] -= shift
-    return vals, lower, _counts(_eigenvalues(shifted, reflect), tol)
+    shifted_vals = _eigenvalues(shifted, reflect)
+    if _near_edge(shifted_vals, tol, slack):
+        return vals, lower, None
+    return vals, lower, _counts(shifted_vals, tol)
 
 
 def morse_index(p: StabilityParams, rho: float) -> IndexResult:
@@ -236,7 +261,7 @@ def morse_index(p: StabilityParams, rho: float) -> IndexResult:
     for K in DEFAULT_LEVELS:
         h = assemble_operator(p, rho, K)
         if tol is None:
-            tol = KERNEL_TOL_FACTOR * float(np.max(np.sum(np.abs(h), axis=1)))
+            tol = KERNEL_TOL_FACTOR * _norm(h)
         vals, lower, upper = _bracket(p, rho, K, h, tol)
         if upper == lower:
             nonkernel = np.abs(vals)[np.abs(vals) > tol]

@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .errors import ConvergenceError, DomainError
 from .linearization import J4, StabilityParams
@@ -78,6 +77,8 @@ def integrate_fundamental(p: StabilityParams, tol: float = DEFAULT_TOL) -> Monod
     to the row form's; ``TestScalarRhsPin`` in ``tests/test_monodromy.py``
     pins this against that form.
     """
+    from scipy.integrate import solve_ivp
+
     if not (math.isfinite(tol) and tol >= MIN_TOL):
         raise DomainError(f"tolerance must be finite and at least {MIN_TOL:g}, got {tol}")
     e = p.e

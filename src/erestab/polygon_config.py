@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import ConvergenceError, DomainError, ExistenceError, InvariantViolation, SingularityError
 
@@ -184,6 +183,8 @@ def solve_site(sys: PolygonSystem, site: Site) -> BangQuantities:
     theta = pi/n; each semi-axis carries exactly the advertised number of
     roots, so a missing sign change is reported as an existence error.
     """
+    from scipy.optimize import brentq
+
     theta = math.pi / sys.n if site is Site.S3 else 0.0
     lo, hi = _BRACKETS[site]
     f = lambda r: site_equation(sys, r, theta)

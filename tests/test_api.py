@@ -1,6 +1,12 @@
 import ast
+import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
 
 import erestab
 
@@ -38,20 +44,23 @@ def test_every_export_has_a_user():
     assert unused == []
 
 
+def module_tree(module: str) -> ast.Module:
+    return ast.parse((SRC / f"{module}.py").read_text())
+
+
 def package_imports(module: str) -> set[str]:
     """Sibling modules named in ``module``'s ``from .x import`` statements."""
-    tree = ast.parse((SRC / f"{module}.py").read_text())
     return {
         node.module
-        for node in ast.walk(tree)
+        for node in ast.walk(module_tree(module))
         if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module
     }
 
 
-def external_imports(module: str) -> set[str]:
-    """Top-level packages named in ``module``'s absolute import statements."""
+def external_imports(nodes) -> set[str]:
+    """Top-level packages named in the absolute import statements among ``nodes``."""
     names = set()
-    for node in ast.walk(ast.parse((SRC / f"{module}.py").read_text())):
+    for node in nodes:
         if isinstance(node, ast.Import):
             names |= {alias.name.split(".")[0] for alias in node.names}
         elif isinstance(node, ast.ImportFrom) and node.level == 0:
@@ -64,11 +73,51 @@ def test_module_layering():
     polygon family needs nothing but the errors, and the two stability
     engines need nothing but the linearized system and the errors.  The
     Morse engine works in the twist rho and builds its Toeplitz blocks by
-    numpy indexing, so it needs neither ``cmath`` nor scipy."""
+    numpy indexing, so it needs neither ``cmath`` nor scipy anywhere.  The
+    other modules import scipy only inside the functions that integrate or
+    find roots (see ``test_no_module_imports_scipy_when_loaded``)."""
     assert package_imports("polygon_config") <= {"errors"}
     for engine in ("monodromy", "maslov"):
         assert package_imports(engine) <= {"linearization", "errors"}
-    assert not external_imports("maslov") & {"scipy", "cmath"}
+    assert not external_imports(ast.walk(module_tree("maslov"))) & {"scipy", "cmath"}
+
+
+def test_no_module_imports_scipy_when_loaded():
+    """No module body imports scipy: it costs a fresh process more than
+    numpy does, and only the integrator and the root finders need it."""
+    for path in sorted(SRC.glob("*.py")):
+        assert "scipy" not in external_imports(module_tree(path.stem).body), path.name
+
+
+# Runs after the code under test, in the same interpreter: the scipy modules
+# it left loaded, as the last line of standard error.
+SCIPY_PROBE = (
+    "import atexit, json, sys\n"
+    "atexit.register(lambda: print(json.dumps(sorted(\n"
+    "    m for m in sys.modules if m.split('.')[0] == 'scipy')), file=sys.stderr))\n"
+)
+RUN_CLI = "import runpy\nrunpy.run_module('erestab.cli', run_name='__main__', alter_sys=True)\n"
+
+
+@pytest.mark.parametrize(
+    "code, args",
+    [
+        ("import erestab\n", []),
+        (RUN_CLI, ["--help"]),
+        (RUN_CLI, ["--version"]),
+        # the command of golden_index_omega_minus_one.json
+        (RUN_CLI, ["index", "--alpha", "0.5", "--beta", "1.5", "--e", "0.2",
+                   "--omega", "-1", "--json", "out.json"]),
+    ],
+    ids=["import", "cli-help", "cli-version", "cli-index"],
+)
+def test_fresh_process_loads_no_scipy(code, args, tmp_path):
+    env = {**os.environ, "PYTHONPATH": str(SRC.parent), "OPENBLAS_NUM_THREADS": "1",
+           "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+    done = subprocess.run([sys.executable, "-c", SCIPY_PROBE + code, *args], cwd=tmp_path,
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stderr.splitlines()[-1]) == []
 
 
 def test_one_general_eigensolve():

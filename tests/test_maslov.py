@@ -11,6 +11,7 @@ from erestab.errors import ConvergenceError, DomainError
 from erestab.linearization import StabilityParams
 from erestab.maslov import (
     KERNEL_TOL_FACTOR,
+    ROUNDOFF_FACTOR,
     _bracket,
     _counts,
     _high_mode_bounds,
@@ -407,6 +408,51 @@ class TestCertifiedBracket:
         assert res.num_modes == 129
         want = ladder_morse_index(p, 0.0)
         assert (res.phi, res.nu) == (want.phi, want.nu)
+
+    @pytest.mark.parametrize("edge, allowances, levels, counts", [
+        # inside the allowance: the bracket is open and K escalates
+        (-1.0, 0.5, [16, 64], (2, 0)),
+        (1.0, 0.5, [16, 64], (2, 0)),
+        # outside it: H_16 certifies its own counts
+        (-1.0, 2.0, [16], (1, 0)),
+        (1.0, 2.0, [16], (0, 0)),
+    ])
+    def test_eigenvalue_within_roundoff_of_the_band_escalates(
+        self, monkeypatch, edge, allowances, levels, counts
+    ):
+        # H_16 is replaced by a synthetic diagonal spectrum in (1, 100), so
+        # tol = 100 KERNEL_TOL_FACTOR, except for the k = 0 entry, which sits
+        # ``allowances`` round-off allowances beyond -tol or tol.  Its
+        # high-mode shift is about 3e-17, so only the allowance can open
+        # the bracket; K = 64 is the true operator, (phi, nu) = (2, 0).
+        n = 66
+        norm = 100.0
+        tol = KERNEL_TOL_FACTOR * norm
+        slack = ROUNDOFF_FACTOR * n * np.finfo(float).eps * norm
+        seen = []
+        assemble = erestab.maslov.assemble_operator
+
+        def spy(p, rho, K):
+            seen.append(K)
+            if K != 16:
+                return assemble(p, rho, K)
+            spectrum = np.linspace(1.0, norm, n)
+            spectrum[32] = edge * (tol + allowances * slack)
+            return np.diag(spectrum)
+
+        monkeypatch.setattr(erestab.maslov, "assemble_operator", spy)
+        monkeypatch.setattr(erestab.maslov, "DEFAULT_LEVELS", (16, 64))
+        res = morse_index(params(0.5, 1.5, 0.2), 0.5)
+        assert seen == levels
+        assert (res.phi, res.nu) == counts
+
+    def test_roundoff_allowance_at_the_last_level_raises(self, monkeypatch):
+        h = np.diag(np.linspace(1.0, 100.0, 66))
+        h[32, 32] = KERNEL_TOL_FACTOR * 100.0
+        monkeypatch.setattr(erestab.maslov, "assemble_operator", lambda p, rho, K: h)
+        monkeypatch.setattr(erestab.maslov, "DEFAULT_LEVELS", (16,))
+        with pytest.raises(ConvergenceError, match="K=16"):
+            morse_index(params(0.5, 1.5, 0.2), 0.5)
 
 
 class TestPositivity:

@@ -110,7 +110,7 @@ class TestIntegration:
         def never(*args, **kwargs):
             raise AssertionError("solve_ivp reached with a non-finite tolerance")
 
-        monkeypatch.setattr("erestab.monodromy.solve_ivp", never)
+        monkeypatch.setattr("scipy.integrate.solve_ivp", never)
         with pytest.raises(DomainError):
             integrate_fundamental(StabilityParams.from_beta_hls(2.0, 0.4), tol)
 
