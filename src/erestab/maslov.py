@@ -203,12 +203,12 @@ def _high_mode_bounds(p: StabilityParams, rho: float, K: int) -> tuple[float, np
 
 def _bracket(
     p: StabilityParams, rho: float, K: int, h: np.ndarray, tol: float
-) -> tuple[np.ndarray, tuple[int, int], tuple[int, int] | None]:
+) -> tuple[np.ndarray, tuple[int, int], tuple[int, int] | str]:
     """Eigenvalues of ``h`` = H_K and two-sided bounds on the operator's counts.
 
     The lower bound is H_K's own counts: the truncations are nested, so by
     min-max they never decrease with K nor exceed the operator's.  The upper
-    bound (None while delta_K <= tol) is the counts of
+    bound (while delta_K <= tol, a message saying so) is the counts of
     H_K - diag(g)/(delta_K - tol): with L - s >= (delta_K - |s|) I for a
     shift s = +-tol, Haynsworth inertia additivity counts the operator's
     eigenvalues below s as the Schur complement's below zero, and that
@@ -219,15 +219,21 @@ def _bracket(
 
     The round-off allowance is ROUNDOFF_FACTOR n eps ||h||, in the infinity
     norm.  A computed eigenvalue of either matrix that close to -tol or tol
-    may lie on the other side of it, so it leaves the upper bound None too.
+    may lie on the other side of it, so it leaves no upper bound either, and
+    a message that says so in its place.
     """
     reflect = rho == 0.0
     vals = _eigenvalues(h, reflect)
     lower = _counts(vals, tol)
     slack = ROUNDOFF_FACTOR * h.shape[0] * np.finfo(float).eps * _norm(h)
     delta, g = _high_mode_bounds(p, rho, K)
-    if delta <= tol or _near_edge(vals, tol, slack):
-        return vals, lower, None
+    if delta <= tol:
+        return vals, lower, (
+            f"delta_K = {delta:.3g} <= tol = {tol:.3g}: the high-mode block is not yet positive"
+        )
+    near_edge = f"an eigenvalue lies within the round-off allowance {slack:.3g} of -tol or tol"
+    if _near_edge(vals, tol, slack):
+        return vals, lower, near_edge
     shift = g / (delta - tol)
     reach = float(shift.max()) + slack
     if not np.any(((vals >= -tol) & (vals < reach - tol)) | ((vals > tol) & (vals <= tol + reach))):
@@ -236,7 +242,7 @@ def _bracket(
     shifted[np.diag_indices_from(shifted)] -= shift
     shifted_vals = _eigenvalues(shifted, reflect)
     if _near_edge(shifted_vals, tol, slack):
-        return vals, lower, None
+        return vals, lower, near_edge
     return vals, lower, _counts(shifted_vals, tol)
 
 
@@ -254,8 +260,9 @@ def morse_index(p: StabilityParams, rho: float) -> IndexResult:
     level's matrix norm, so that it does not widen with K and swallow
     genuinely small eigenvalues.  num_modes, min_eigenvalue and kernel_gap
     describe the certifying level.  A bracket still open at the last level
-    raises a convergence error.  At w = 1 each matrix is solved as its two
-    reflection blocks.
+    raises a convergence error that gives the bounds, or says why there is
+    no upper bound.  At w = 1 each matrix is solved as its two reflection
+    blocks.
     """
     tol = None
     for K in DEFAULT_LEVELS:
@@ -272,7 +279,8 @@ def morse_index(p: StabilityParams, rho: float) -> IndexResult:
                 min_eigenvalue=float(vals.min()),
                 kernel_gap=float(nonkernel.min()) if nonkernel.size else float("inf"),
             )
+    bound = f"at most {upper}" if isinstance(upper, tuple) else f"no upper bound, as {upper}"
     raise ConvergenceError(
         f"Morse count bracket still open at K={DEFAULT_LEVELS[-1]}: "
-        f"(phi, phi + nu) at least {lower}, at most {upper}"
+        f"(phi, phi + nu) at least {lower}, {bound}"
     )

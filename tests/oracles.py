@@ -9,8 +9,9 @@ level instead of the two reflection blocks at w = 1, the "two truncation
 levels agree" ladder instead of the certified Morse bracket, a 2000-sample locus
 scan for every off-line equilibrium instead of one descent of the amended
 potential, a direct quartic-multiplier formula instead of integrated
-monodromies, and numpy row operations instead of the scalar right-hand
-side of ``integrate_fundamental``.
+monodromies, numpy row operations instead of the scalar right-hand side
+of ``integrate_fundamental``, and scipy's ``solve_ivp`` instead of its
+in-house DOP853 stepper.
 
 The helpers after them (matrix exponential, D-form coefficient path,
 spectral distances, symplectic samples, positivity sweep, the K-form
@@ -453,6 +454,44 @@ def integrate_fundamental_rows(p: StabilityParams, tol: float = DEFAULT_TOL):
                 -yy[0] - g1 * yy[3],
                 yy[0] + yy[3],
                 yy[1] - yy[2],
+            )
+        )
+
+    sol = solve_ivp(
+        rhs,
+        (0.0, TWO_PI),
+        np.eye(4).ravel(),
+        method="DOP853",
+        rtol=tol,
+        atol=tol,
+        dense_output=False,
+    )
+    if not sol.success:
+        raise ConvergenceError(f"fundamental-solution integration failed: {sol.message}")
+    return sol.y[:, -1].reshape(4, 4), int(sol.nfev), len(sol.t) - 1
+
+
+def integrate_fundamental_solve_ivp(p: StabilityParams, tol: float = DEFAULT_TOL):
+    """``integrate_fundamental``'s scalar right-hand side, stepped by
+    ``scipy.integrate.solve_ivp`` as it was before the in-house DOP853.
+
+    Returns (gamma(2*pi), nfev, step count), all three of which
+    ``integrate_fundamental`` must reproduce bit for bit.
+    """
+    e = p.e
+    lam3, lam4 = p.lambda3, p.lambda4
+
+    def rhs(theta, y):
+        a0, a1, a2, a3, b0, b1, b2, b3, c0, c1, c2, c3, d0, d1, d2, d3 = y.tolist()
+        den = 1.0 + e * math.cos(theta)
+        g0 = 1.0 - lam3 / den
+        g1 = 1.0 - lam4 / den
+        return np.array(
+            (
+                b0 - g0 * c0, b1 - g0 * c1, b2 - g0 * c2, b3 - g0 * c3,
+                -a0 - g1 * d0, -a1 - g1 * d1, -a2 - g1 * d2, -a3 - g1 * d3,
+                a0 + d0, a1 + d1, a2 + d2, a3 + d3,
+                b0 - c0, b1 - c1, b2 - c2, b3 - c3,
             )
         )
 

@@ -74,17 +74,19 @@ def test_module_layering():
     engines need nothing but the linearized system and the errors.  The
     Morse engine works in the twist rho and builds its Toeplitz blocks by
     numpy indexing, so it needs neither ``cmath`` nor scipy anywhere.  The
-    other modules import scipy only inside the functions that integrate or
+    monodromy engine steps its own DOP853, so it needs no scipy anywhere
+    either.  The other modules import scipy only inside the functions that
     find roots (see ``test_no_module_imports_scipy_when_loaded``)."""
     assert package_imports("polygon_config") <= {"errors"}
     for engine in ("monodromy", "maslov"):
         assert package_imports(engine) <= {"linearization", "errors"}
     assert not external_imports(ast.walk(module_tree("maslov"))) & {"scipy", "cmath"}
+    assert "scipy" not in external_imports(ast.walk(module_tree("monodromy")))
 
 
 def test_no_module_imports_scipy_when_loaded():
     """No module body imports scipy: it costs a fresh process more than
-    numpy does, and only the integrator and the root finders need it."""
+    numpy does, and only the root finders need it."""
     for path in sorted(SRC.glob("*.py")):
         assert "scipy" not in external_imports(module_tree(path.stem).body), path.name
 
@@ -108,8 +110,11 @@ RUN_CLI = "import runpy\nrunpy.run_module('erestab.cli', run_name='__main__', al
         # the command of golden_index_omega_minus_one.json
         (RUN_CLI, ["index", "--alpha", "0.5", "--beta", "1.5", "--e", "0.2",
                    "--omega", "-1", "--json", "out.json"]),
+        # one integrated point, with its Morse indices
+        (RUN_CLI, ["scan-theta", "--beta", "1.5", "--e", "0.3", "--csv", "out.csv"]),
+        ("import erestab\nassert erestab.find_curves([0.3], coarse_step=1.0)\n", []),
     ],
-    ids=["import", "cli-help", "cli-version", "cli-index"],
+    ids=["import", "cli-help", "cli-version", "cli-index", "cli-scan-theta", "find-curves"],
 )
 def test_fresh_process_loads_no_scipy(code, args, tmp_path):
     env = {**os.environ, "PYTHONPATH": str(SRC.parent), "OPENBLAS_NUM_THREADS": "1",

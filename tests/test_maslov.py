@@ -277,8 +277,11 @@ class TestMorseIndex:
         monkeypatch.setattr(erestab.maslov, "DEFAULT_LEVELS", (16,))
         p = params(0.5, 2.0, 0.99)
         assert _high_mode_bounds(p, 0.0, 16)[0] <= 0.0
-        with pytest.raises(ConvergenceError, match="K=16"):
+        with pytest.raises(ConvergenceError, match="K=16") as raised:
             morse_index(p, 0.0)
+        assert "no upper bound, as delta_K = " in str(raised.value)
+        assert "the high-mode block is not yet positive" in str(raised.value)
+        assert "None" not in str(raised.value)
 
 
 def _theta_golden_points():
@@ -451,8 +454,11 @@ class TestCertifiedBracket:
         h[32, 32] = KERNEL_TOL_FACTOR * 100.0
         monkeypatch.setattr(erestab.maslov, "assemble_operator", lambda p, rho, K: h)
         monkeypatch.setattr(erestab.maslov, "DEFAULT_LEVELS", (16,))
-        with pytest.raises(ConvergenceError, match="K=16"):
+        with pytest.raises(ConvergenceError, match="K=16") as raised:
             morse_index(params(0.5, 1.5, 0.2), 0.5)
+        assert ("no upper bound, as an eigenvalue lies within the round-off allowance"
+                in str(raised.value))
+        assert "None" not in str(raised.value)
 
 
 class TestPositivity:

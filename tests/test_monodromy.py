@@ -3,11 +3,21 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
+from scipy.integrate import solve_ivp
+from scipy.integrate._ivp import dop853_coefficients
 
+import erestab.monodromy
 from erestab.central_config import MassSystem, collinear_three_primaries, offline_equilibrium
-from erestab.errors import DomainError
+from erestab.errors import ConvergenceError, DomainError
 from erestab.linearization import J4, StabilityParams, compute_D
-from erestab.monodromy import Monodromy, Verdict, classify_spectrum, integrate_fundamental
+from erestab.monodromy import (
+    TWO_PI,
+    Monodromy,
+    Verdict,
+    _dop853,
+    classify_spectrum,
+    integrate_fundamental,
+)
 from erestab.polygon_config import Site
 from erestab.scan import polygon_params
 
@@ -17,6 +27,7 @@ from oracles import (
     eigenvalue_quadruple_residual,
     frame_spectra_agreement,
     integrate_fundamental_rows,
+    integrate_fundamental_solve_ivp,
     match_eigs,
     matrix_exponential,
     monodromy_eigs_e0,
@@ -108,9 +119,9 @@ class TestIntegration:
     @pytest.mark.parametrize("tol", [float("nan"), float("inf")])
     def test_non_finite_tolerance_rejected_before_integrating(self, tol, monkeypatch):
         def never(*args, **kwargs):
-            raise AssertionError("solve_ivp reached with a non-finite tolerance")
+            raise AssertionError("the stepper reached with a non-finite tolerance")
 
-        monkeypatch.setattr("scipy.integrate.solve_ivp", never)
+        monkeypatch.setattr(erestab.monodromy, "_dop853", never)
         with pytest.raises(DomainError):
             integrate_fundamental(StabilityParams.from_beta_hls(2.0, 0.4), tol)
 
@@ -123,23 +134,39 @@ def _generic_points():
     ]
 
 
+def _random_points():
+    """Seeded collinear points over the (beta, e) rectangle and polygon
+    sites over n, m0/M, the site and e."""
+    rng = np.random.default_rng(853)
+    collinear = [StabilityParams.from_beta_hls(rng.uniform(0.0, 9.0), rng.uniform(0.0, 0.99))
+                 for _ in range(5)]
+    polygon = [polygon_params(int(rng.integers(3, 13)), 10.0 ** rng.uniform(1.0, 5.0),
+                              Site(rng.choice(["S1", "S2", "S3"])), rng.uniform(0.0, 0.9))[0]
+               for _ in range(3)]
+    return collinear + polygon
+
+
 # Edges and corners of the collinear rectangle, generic (alpha, beta, e)
-# points and the three polygon sites, each at the golden tolerance 1e-10 and
-# at the default 1e-12.
+# points, the three polygon sites and seeded random collinear and polygon
+# points, each at the golden tolerance 1e-10, the default 1e-12 and the
+# tightest accepted, 1e-13.
 PINNED = {
     **{f"beta{b:g}-e{e:g}": StabilityParams.from_beta_hls(b, e)
        for e in (0.0, 0.99) for b in (0.0, 0.75, 9.0)},
     **{f"generic-a{p.alpha:.3f}-b{p.beta:.3f}-e{p.e:g}": p for p in _generic_points()},
     **{f"polygon-{site.value}": polygon_params(8, 1e3, site, 0.1)[0]
        for site in (Site.S1, Site.S2, Site.S3)},
+    **{f"random{i}": p for i, p in enumerate(_random_points())},
 }
+PINNED_TOLS = [1e-10, 1e-12, 1e-13]
 
 
 class TestScalarRhsPin:
     """The scalar right-hand side repeats the row form's IEEE operations in
-    the same order, so the whole integration is bit-identical to it."""
+    the same order, and the in-house DOP853 repeats ``solve_ivp``'s, so the
+    whole integration is bit-identical to both oracles."""
 
-    @pytest.mark.parametrize("tol", [1e-10, 1e-12])
+    @pytest.mark.parametrize("tol", PINNED_TOLS)
     @pytest.mark.parametrize("p", PINNED.values(), ids=PINNED.keys())
     def test_gamma_and_steps_bit_identical_to_row_form(self, p, tol):
         mono = integrate_fundamental(p, tol)
@@ -147,6 +174,44 @@ class TestScalarRhsPin:
         assert np.array_equal(mono.gamma_end, gamma)
         assert mono.step_metadata["nfev"] == nfev
         assert mono.step_metadata["nsteps"] == nsteps
+
+    @pytest.mark.parametrize("tol", PINNED_TOLS)
+    @pytest.mark.parametrize("p", PINNED.values(), ids=PINNED.keys())
+    def test_gamma_and_steps_bit_identical_to_solve_ivp(self, p, tol):
+        mono = integrate_fundamental(p, tol)
+        gamma, nfev, nsteps = integrate_fundamental_solve_ivp(p, tol)
+        assert np.array_equal(mono.gamma_end, gamma)
+        assert mono.step_metadata == {"method": "DOP853", "tol": tol, "nfev": nfev,
+                                      "nsteps": nsteps}
+
+    def test_tableau_is_scipys(self):
+        ref = dop853_coefficients
+        assert np.array_equal(erestab.monodromy._C, ref.C[: ref.N_STAGES])
+        assert np.array_equal(erestab.monodromy._A, ref.A[: ref.N_STAGES, : ref.N_STAGES])
+        assert np.array_equal(erestab.monodromy._B, ref.B)
+        assert np.array_equal(erestab.monodromy._E5, ref.E5)
+        assert np.array_equal(erestab.monodromy._E3, ref.E3)
+
+
+class TestStepperFailure:
+    @staticmethod
+    def rhs(theta, y):
+        """y' = -y up to theta = 1, not a number from there on."""
+        return tuple(-v if theta < 1.0 else math.nan for v in y.tolist())
+
+    def test_non_finite_right_hand_side_fails_like_solve_ivp(self):
+        y0 = np.eye(4).ravel()
+        sol = solve_ivp(self.rhs, (0.0, TWO_PI), y0, method="DOP853", rtol=1e-10, atol=1e-10)
+        assert not sol.success and len(sol.t) > 10
+        with pytest.raises(ConvergenceError, match="step size .* below") as raised:
+            _dop853(self.rhs, y0, TWO_PI, 1e-10)
+        # after the same accepted steps, at the same theta
+        assert str(raised.value).endswith(f"at theta = {float(sol.t[-1])!r}")
+
+    def test_step_size_not_a_number_raises(self):
+        # solve_ivp would shrink a NaN step forever
+        with pytest.raises(ConvergenceError, match="step size nan"):
+            _dop853(lambda theta, y: (math.nan,) * 16, np.eye(4).ravel(), TWO_PI, 1e-10)
 
 
 class TestClassification:
