@@ -10,7 +10,7 @@ passed to the constructors are recentered and rescaled automatically.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -164,14 +164,7 @@ class Configuration:
         p = np.asarray(position, dtype=float).reshape(2)
         grad = _amended_potential(self, p)[1]
         residual = max(self.cc_residual, float(np.hypot(*grad)))
-        return Configuration(
-            masses=self.masses,
-            primary_positions=self.primary_positions,
-            massless_position=_readonly(p),
-            mu=self.mu,
-            cc_residual=residual,
-            inertia_residual=self.inertia_residual,
-        )
+        return replace(self, massless_position=_readonly(p), cc_residual=residual)
 
 
 # ---------------------------------------------------------------------------

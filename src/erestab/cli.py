@@ -93,6 +93,15 @@ def _atomic_write(path: str, text: str) -> None:
         raise
 
 
+def _check_output_path(key: str, path) -> None:
+    """Reject an output value that is not a file name in an existing directory."""
+    if not isinstance(path, str) or not path:
+        raise ConfigError(f"output {key} must be a non-empty path, got {path!r}")
+    directory = os.path.dirname(os.path.abspath(path))
+    if not os.path.isdir(directory):
+        raise ConfigError(f"output {key} {path!r}: {directory} is not a directory")
+
+
 def parse_range(text: str) -> list[float]:
     """Parse 'start:stop:step' (endpoints inclusive within half a step),
     a comma list, or a single float."""
@@ -179,7 +188,7 @@ def _merge_config_file(config: dict, path: str) -> dict:
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
     command = data.get("command", config["command"])
-    if command != config["command"] and config["command"]:
+    if command != config["command"]:
         raise ConfigError(
             f"config file command {command!r} conflicts with {config['command']!r}"
         )
@@ -326,7 +335,7 @@ def _sweep_output(output: dict, kind: str, columns, records, settings: ScanSetti
         artifacts.append(
             (output["json"], json.dumps({"settings": digest, "rows": rows}, indent=2) + "\n")
         )
-    if output.get("svg") and svg is not None:
+    if output.get("svg"):
         artifacts.append((output["svg"], svg(rows)))
     summary = {"rows": len(rows), "settings": digest,
                "artifacts": [a[0] for a in artifacts]}
@@ -485,8 +494,10 @@ def run(cfg: dict) -> tuple[dict, list[tuple[str, str]]]:
 
     ``cfg`` is ``{"command", "parameters", "output", "tolerances"}``, the
     layout of a config file; a missing section counts as empty.  Every key
-    is checked against the command table and every value converted before
-    the handler runs, so a bad input leaves no artifact behind.
+    is checked against the command table, every value converted and every
+    output path's directory found before the handler runs, so a bad input
+    leaves no artifact behind; a file that still cannot be written is a
+    ConfigError that names it.
     """
     if "command" not in cfg:
         raise ConfigError("a run config needs a command")
@@ -506,12 +517,14 @@ def run(cfg: dict) -> tuple[dict, list[tuple[str, str]]]:
     settings = ScanSettings(
         **{_SETTINGS_FIELDS[k]: _as_float(v) for k, v in tolerances.items()}
     )
+    for key, path in output.items():
+        if path is not None:
+            _check_output_path(key, path)
     started = datetime.now(timezone.utc)
     t0 = time.monotonic()
     summary, artifacts = command.handler(params, settings, output)
     duration = time.monotonic() - t0
-    for path, text in artifacts:
-        _atomic_write(path, text)
+    writes = list(artifacts)
     if artifacts:
         manifest = {
             "command": name,
@@ -526,7 +539,12 @@ def run(cfg: dict) -> tuple[dict, list[tuple[str, str]]]:
         manifest_path = os.path.join(
             os.path.dirname(os.path.abspath(artifacts[0][0])), "manifest.json"
         )
-        _atomic_write(manifest_path, json.dumps(manifest, indent=2) + "\n")
+        writes.append((manifest_path, json.dumps(manifest, indent=2) + "\n"))
+    for path, text in writes:
+        try:
+            _atomic_write(path, text)
+        except OSError as exc:
+            raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") from None
     return summary, artifacts
 
 

@@ -50,13 +50,6 @@ from .linearization import StabilityParams
 # that (e.g. 1e-7) misclassifies genuinely small nonzero eigenvalues near
 # the index-jump curves and breaks the nullity/monodromy-kernel agreement.
 KERNEL_TOL_FACTOR = 1e-10
-# Round-off allowance c of the band edges, in units of n eps ||H||: eigvalsh
-# returns eigenvalues within a modest multiple of eps ||H|| of the exact
-# ones (Golub & Van Loan, Matrix Computations, 4th ed., ch. 8), and the
-# moves measured between BLAS thread counts, about 9e-13 at K = 64, are
-# below 1e-2 of n eps ||H||, so c = 1.  That is about 2.4e-10 at K = 64,
-# against a band of about 4.2e-7.
-ROUNDOFF_FACTOR = 1.0
 DEFAULT_LEVELS = (64, 128, 256, 512, 1024)
 
 
@@ -152,10 +145,6 @@ def _reflected_eigenvalues(h: np.ndarray) -> np.ndarray:
     return np.concatenate(vals)
 
 
-def _eigenvalues(h: np.ndarray, reflect: bool) -> np.ndarray:
-    return _reflected_eigenvalues(h) if reflect else np.linalg.eigvalsh(h)
-
-
 def _counts(vals: np.ndarray, tol: float) -> tuple[int, int]:
     """Eigenvalues below -tol and at most tol: phi and phi + nu."""
     return int(np.count_nonzero(vals < -tol)), int(np.count_nonzero(vals <= tol))
@@ -202,7 +191,7 @@ def _high_mode_bounds(p: StabilityParams, rho: float, K: int) -> tuple[float, np
 
 
 def _bracket(
-    p: StabilityParams, rho: float, K: int, h: np.ndarray, tol: float
+    p: StabilityParams, rho: float, K: int, h: np.ndarray, norm: float, tol: float
 ) -> tuple[np.ndarray, tuple[int, int], tuple[int, int] | str]:
     """Eigenvalues of ``h`` = H_K and two-sided bounds on the operator's counts.
 
@@ -217,15 +206,19 @@ def _bracket(
     within that entry plus the round-off allowance above -tol or tol the
     counts cannot move and the second solve is skipped.
 
-    The round-off allowance is ROUNDOFF_FACTOR n eps ||h||, in the infinity
-    norm.  A computed eigenvalue of either matrix that close to -tol or tol
-    may lie on the other side of it, so it leaves no upper bound either, and
-    a message that says so in its place.
+    The round-off allowance is n eps ``norm``, ``norm`` = ||h|| in the
+    infinity norm: eigvalsh is within a modest multiple of eps ||h|| (Golub
+    & Van Loan, Matrix Computations, 4th ed., ch. 8), and the moves measured
+    between BLAS thread counts, about 9e-13 at K = 64, are below 1e-2 of
+    n eps ||h||, so the multiple is 1; that is about 2.4e-10 at K = 64,
+    against a band of about 4.2e-7.  A computed eigenvalue of either matrix
+    that close to -tol or tol may lie on the other side of it, so it leaves
+    no upper bound either, and a message that says so in its place.
     """
-    reflect = rho == 0.0
-    vals = _eigenvalues(h, reflect)
+    solve = _reflected_eigenvalues if rho == 0.0 else np.linalg.eigvalsh
+    vals = solve(h)
     lower = _counts(vals, tol)
-    slack = ROUNDOFF_FACTOR * h.shape[0] * np.finfo(float).eps * _norm(h)
+    slack = h.shape[0] * np.finfo(float).eps * norm
     delta, g = _high_mode_bounds(p, rho, K)
     if delta <= tol:
         return vals, lower, (
@@ -240,7 +233,7 @@ def _bracket(
         return vals, lower, lower
     shifted = h.copy()
     shifted[np.diag_indices_from(shifted)] -= shift
-    shifted_vals = _eigenvalues(shifted, reflect)
+    shifted_vals = solve(shifted)
     if _near_edge(shifted_vals, tol, slack):
         return vals, lower, near_edge
     return vals, lower, _counts(shifted_vals, tol)
@@ -267,9 +260,10 @@ def morse_index(p: StabilityParams, rho: float) -> IndexResult:
     tol = None
     for K in DEFAULT_LEVELS:
         h = assemble_operator(p, rho, K)
+        norm = _norm(h)
         if tol is None:
-            tol = KERNEL_TOL_FACTOR * _norm(h)
-        vals, lower, upper = _bracket(p, rho, K, h, tol)
+            tol = KERNEL_TOL_FACTOR * norm
+        vals, lower, upper = _bracket(p, rho, K, h, norm, tol)
         if upper == lower:
             nonkernel = np.abs(vals)[np.abs(vals) > tol]
             return IndexResult(

@@ -27,8 +27,6 @@ def h1(n: int) -> float:
     """Vertex lattice mean h_n(1) = (1/4n) sum_{j=1}^{n-1} 1/sin(j pi / n)."""
     if n < 1:
         raise DomainError("n must be >= 1")
-    if n == 1:
-        return 0.0
     return math.fsum(1.0 / math.sin(j * math.pi / n) for j in range(1, n)) / (4.0 * n)
 
 

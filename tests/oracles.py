@@ -55,6 +55,7 @@ from erestab.maslov import (
     DEFAULT_LEVELS,
     KERNEL_TOL_FACTOR,
     IndexResult,
+    _norm,
     _reflected_eigenvalues,
     assemble_operator,
     morse_index,
@@ -243,6 +244,11 @@ def complex_galerkin_operator(p: StabilityParams, rho: float, K: int) -> np.ndar
     return h
 
 
+def kernel_tol(h: np.ndarray) -> float:
+    """The kernel band ``morse_index`` sizes from its first level's matrix ``h``."""
+    return KERNEL_TOL_FACTOR * _norm(h)
+
+
 def full_matrix_morse_counts(
     p: StabilityParams, rho: float, levels: tuple[int, ...] = DEFAULT_LEVELS
 ) -> tuple[int, int, int]:
@@ -252,7 +258,7 @@ def full_matrix_morse_counts(
     for K in levels:
         h = assemble_operator(p, rho, K)
         if tol is None:
-            tol = KERNEL_TOL_FACTOR * float(np.max(np.sum(np.abs(h), axis=1)))
+            tol = kernel_tol(h)
         vals = np.linalg.eigvalsh(h)
         counts = (int(np.count_nonzero(vals < -tol)), int(np.count_nonzero(np.abs(vals) <= tol)))
         if counts == prev:
@@ -289,7 +295,7 @@ def ladder_morse_index(p: StabilityParams, rho: float) -> IndexResult:
     for K in DEFAULT_LEVELS:
         h = assemble_operator(p, rho, K)
         if tol is None:
-            tol = KERNEL_TOL_FACTOR * float(np.max(np.sum(np.abs(h), axis=1)))
+            tol = kernel_tol(h)
         phi, nu, min_eig, gap = _ladder_counts(h, tol, rho == 0.0)
         if prev == (phi, nu):
             return IndexResult(

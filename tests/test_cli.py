@@ -525,6 +525,51 @@ class TestExitCodes:
         assert out == ""
         assert list(tmp_path.iterdir()) == ([] if text is None else [cfg])
 
+    @staticmethod
+    def forbid_computing(monkeypatch):
+        def computed(*args, **kwargs):
+            raise AssertionError("computed before the output paths were checked")
+
+        for name in ("morse_index", "scan_theta"):
+            monkeypatch.setattr(erestab.cli, name, computed)
+
+    def test_output_directory_missing_is_2(self, tmp_path, monkeypatch, capsys):
+        self.forbid_computing(monkeypatch)
+        path = str(tmp_path / "nonexistent" / "dir" / "out.json")
+        code, out, err = run_cli(self.INDEX + ["--json", path], tmp_path, monkeypatch, capsys)
+        assert code == 2 and "is not a directory" in err and path in err
+        assert out == ""
+        assert list(tmp_path.iterdir()) == []
+
+    def test_output_directory_a_file_is_2(self, tmp_path, monkeypatch, capsys):
+        self.forbid_computing(monkeypatch)
+        readme = tmp_path / "README.md"
+        readme.write_text("text\n")
+        code, out, err = run_cli(["scan-theta", "--beta", "1.5", "--e", "0.3",
+                                  "--csv", "README.md/x.csv"], tmp_path, monkeypatch, capsys)
+        assert code == 2 and "README.md/x.csv" in err
+        assert out == ""
+        assert list(tmp_path.iterdir()) == [readme]
+
+    @pytest.mark.parametrize("args, output", [
+        (INDEX, {"json": 5}),
+        (["scan-theta", "--beta", "1.5", "--e", "0.3"], {"csv": ""}),
+    ], ids=["json-number", "csv-empty"])
+    def test_output_not_a_path_is_2(self, args, output, tmp_path, monkeypatch, capsys):
+        self.forbid_computing(monkeypatch)
+        err = assert_config_rejected(args, {"output": output}, tmp_path, monkeypatch, capsys)
+        assert "must be a non-empty path" in err
+
+    def test_unwritable_output_is_2(self, tmp_path, monkeypatch, capsys):
+        # a directory where the file should go: the write itself fails
+        (tmp_path / "out.json").mkdir()
+        code, out, err = run_cli(self.INDEX + ["--json", "out.json"],
+                                 tmp_path, monkeypatch, capsys)
+        assert code == 2 and "cannot write out.json: Is a directory" in err
+        assert out == ""
+        assert [p.name for p in tmp_path.iterdir()] == ["out.json"]
+        assert list((tmp_path / "out.json").iterdir()) == []
+
     def test_unknown_command_in_run_config(self):
         with pytest.raises(ConfigError, match="unknown command"):
             run({"command": "nope", "parameters": {}, "output": {}, "tolerances": {}})

@@ -8,13 +8,13 @@ from scipy.integrate import quad
 
 import erestab.maslov
 from erestab.errors import ConvergenceError, DomainError
-from erestab.linearization import StabilityParams
+from erestab.linearization import J4, StabilityParams
 from erestab.maslov import (
     KERNEL_TOL_FACTOR,
-    ROUNDOFF_FACTOR,
     _bracket,
     _counts,
     _high_mode_bounds,
+    _norm,
     _reflected_eigenvalues,
     assemble_operator,
     morse_index,
@@ -38,6 +38,7 @@ from oracles import (
     diamond,
     full_matrix_morse_counts,
     index_monodromy_consistency,
+    kernel_tol,
     ladder_morse_index,
     operator_spectrum_e0,
     positivity_check,
@@ -55,10 +56,6 @@ BETA_S_ROOT, BETA_M_ROOT = 0.3601339416310468, 1.18964656543386
 
 def params(alpha, beta, e):
     return StabilityParams.from_alpha_beta(alpha, beta, e)
-
-
-def kernel_tol(h):
-    return KERNEL_TOL_FACTOR * float(np.max(np.sum(np.abs(h), axis=1)))
 
 
 def ladder_counts(build, p, rho, levels=(64, 128)):
@@ -370,7 +367,7 @@ class TestCertifiedBracket:
         assert lower[0] <= fine[0] <= upper[0]
         assert lower[1] <= fine[1] <= upper[1]
         # the blocks, and the shortcut when it fires, give the same bracket
-        vals, got_lower, got_upper = _bracket(p, rho, K, h, tol)
+        vals, got_lower, got_upper = _bracket(p, rho, K, h, _norm(h), tol)
         assert got_lower == lower
         assert got_upper == upper
 
@@ -393,6 +390,25 @@ class TestCertifiedBracket:
         scale = float(g.max())
         assert np.linalg.eigvalsh(np.diag(g) - c @ c.T).min() >= -1e-12 * scale
 
+    @staticmethod
+    def spy_norm(monkeypatch) -> list:
+        """Record the matrix size of every ``_norm`` call ``morse_index`` makes."""
+        sizes = []
+
+        def spy(h):
+            sizes.append(h.shape[0])
+            return _norm(h)
+
+        monkeypatch.setattr(erestab.maslov, "_norm", spy)
+        return sizes
+
+    @pytest.mark.parametrize("rho", [0.0, 0.5])
+    def test_one_norm_per_level(self, monkeypatch, rho):
+        norms = self.spy_norm(monkeypatch)
+        res = morse_index(params(0.5, 1.5, 0.2), rho)
+        assert res.num_modes == 129
+        assert norms == [258]
+
     def test_open_bracket_escalates(self, monkeypatch):
         # delta_16 <= 0 here, so K = 16 cannot certify and K = 64 does
         levels = []
@@ -404,13 +420,40 @@ class TestCertifiedBracket:
 
         monkeypatch.setattr(erestab.maslov, "assemble_operator", spy)
         monkeypatch.setattr(erestab.maslov, "DEFAULT_LEVELS", (16, 64))
+        norms = self.spy_norm(monkeypatch)
         p = params(0.5, 2.0, 0.99)
         assert _high_mode_bounds(p, 0.0, 16)[0] <= 0.0
         res = morse_index(p, 0.0)
         assert levels == [16, 64]
+        assert norms == [66, 258]
         assert res.num_modes == 129
         want = ladder_morse_index(p, 0.0)
         assert (res.phi, res.nu) == (want.phi, want.nu)
+
+    # H_16 replaced by a synthetic diagonal spectrum in (1, 100): tol is
+    # 100 KERNEL_TOL_FACTOR and the round-off allowance n eps 100, n = 66
+    SYNTHETIC_TOL = KERNEL_TOL_FACTOR * 100.0
+    SYNTHETIC_SLACK = 66 * np.finfo(float).eps * 100.0
+
+    @staticmethod
+    def synthetic_h16(monkeypatch, entry) -> list:
+        """Levels (16, 64) with H_16 the synthetic spectrum, its k = 0 entry
+        ``entry``; K = 64 is the true operator, (phi, nu) = (2, 0).  Returns
+        the levels ``morse_index`` assembles."""
+        seen = []
+        assemble = erestab.maslov.assemble_operator
+
+        def spy(p, rho, K):
+            seen.append(K)
+            if K != 16:
+                return assemble(p, rho, K)
+            spectrum = np.linspace(1.0, 100.0, 66)
+            spectrum[32] = entry
+            return np.diag(spectrum)
+
+        monkeypatch.setattr(erestab.maslov, "assemble_operator", spy)
+        monkeypatch.setattr(erestab.maslov, "DEFAULT_LEVELS", (16, 64))
+        return seen
 
     @pytest.mark.parametrize("edge, allowances, levels, counts", [
         # inside the allowance: the bracket is open and K escalates
@@ -423,28 +466,41 @@ class TestCertifiedBracket:
     def test_eigenvalue_within_roundoff_of_the_band_escalates(
         self, monkeypatch, edge, allowances, levels, counts
     ):
-        # H_16 is replaced by a synthetic diagonal spectrum in (1, 100), so
-        # tol = 100 KERNEL_TOL_FACTOR, except for the k = 0 entry, which sits
-        # ``allowances`` round-off allowances beyond -tol or tol.  Its
-        # high-mode shift is about 3e-17, so only the allowance can open
-        # the bracket; K = 64 is the true operator, (phi, nu) = (2, 0).
-        n = 66
-        norm = 100.0
-        tol = KERNEL_TOL_FACTOR * norm
-        slack = ROUNDOFF_FACTOR * n * np.finfo(float).eps * norm
-        seen = []
-        assemble = erestab.maslov.assemble_operator
+        # the k = 0 entry sits ``allowances`` round-off allowances beyond -tol
+        # or tol.  Its high-mode shift is about 3e-17, so only the allowance
+        # can open the bracket.
+        tol, slack = self.SYNTHETIC_TOL, self.SYNTHETIC_SLACK
+        seen = self.synthetic_h16(monkeypatch, edge * (tol + allowances * slack))
+        res = morse_index(params(0.5, 1.5, 0.2), 0.5)
+        assert seen == levels
+        assert (res.phi, res.nu) == counts
 
-        def spy(p, rho, K):
-            seen.append(K)
+    @pytest.mark.parametrize("edge, shift, levels, counts", [
+        # no shift: H_16 clears the allowance and certifies its own counts
+        (-1.0, 0.0, [16], (0, 1)),
+        (1.0, 0.0, [16], (0, 0)),
+        # the shift brings the k = 0 entry within the allowance: K escalates
+        (-1.0, 2.5, [16, 64], (2, 0)),
+        (1.0, 2.5, [16, 64], (2, 0)),
+    ])
+    def test_shifted_eigenvalue_within_roundoff_of_the_band_escalates(
+        self, monkeypatch, edge, shift, levels, counts
+    ):
+        # the k = 0 entry sits three round-off allowances above -tol or tol,
+        # so H_16 itself clears the allowance.  The high-mode bounds at
+        # K = 16 are replaced by a uniform shift of ``shift`` allowances,
+        # which puts that entry of the shifted matrix half an allowance above
+        # the edge.
+        tol, slack = self.SYNTHETIC_TOL, self.SYNTHETIC_SLACK
+        seen = self.synthetic_h16(monkeypatch, edge * tol + 3.0 * slack)
+        bounds = erestab.maslov._high_mode_bounds
+
+        def high_mode_bounds(p, rho, K):
             if K != 16:
-                return assemble(p, rho, K)
-            spectrum = np.linspace(1.0, norm, n)
-            spectrum[32] = edge * (tol + allowances * slack)
-            return np.diag(spectrum)
+                return bounds(p, rho, K)
+            return 1.0 + tol, np.full(66, shift * slack)
 
-        monkeypatch.setattr(erestab.maslov, "assemble_operator", spy)
-        monkeypatch.setattr(erestab.maslov, "DEFAULT_LEVELS", (16, 64))
+        monkeypatch.setattr(erestab.maslov, "_high_mode_bounds", high_mode_bounds)
         res = morse_index(params(0.5, 1.5, 0.2), 0.5)
         assert seen == levels
         assert (res.phi, res.nu) == counts
@@ -578,3 +634,15 @@ class TestCircleJumpSum:
     )
     def test_unresolved_spectrum_is_none(self, blocks):
         assert self.jump(*blocks) is None
+
+    def test_krein_form_zero_is_none(self):
+        # rotations by 0.3 in the (Z1, Z2) plane and by 1.1 in the (z1, z2)
+        # plane: four distinct multipliers on the circle, away from +-1, whose
+        # eigenvectors lie in one plane each, so v^H J v is exactly 0
+        m = np.zeros((4, 4))
+        m[:2, :2], m[2:, 2:] = rot(0.3), rot(1.1)
+        mono = Monodromy.from_matrix(m)
+        assert np.allclose(np.abs(mono.eigenvalues), 1.0)
+        for v in mono.eigenvectors.T:
+            assert (np.conj(v) @ (J4 @ v)).imag == 0.0
+        assert circle_jump_sum(mono, DEFAULT_CIRCLE_TOL) is None

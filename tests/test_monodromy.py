@@ -184,6 +184,16 @@ class TestScalarRhsPin:
         assert mono.step_metadata == {"method": "DOP853", "tol": tol, "nfev": nfev,
                                       "nsteps": nsteps}
 
+    def test_zero_error_steps_match_solve_ivp(self):
+        # f = 0: the initial step takes the branch for vanishing derivatives,
+        # and every step has error 0 and grows tenfold until the clamp at 2 pi
+        y0 = np.eye(4).ravel()
+        sol = solve_ivp(lambda t, y: np.zeros_like(y), (0.0, TWO_PI), y0,
+                        method="DOP853", rtol=1e-10, atol=1e-10)
+        y, nfev, nsteps = _dop853(lambda t, y: (0.0,) * 16, y0, TWO_PI, 1e-10)
+        assert (nfev, nsteps) == (sol.nfev, len(sol.t) - 1) == (98, 8)
+        assert np.array_equal(y, sol.y[:, -1])
+
     def test_tableau_is_scipys(self):
         ref = dop853_coefficients
         assert np.array_equal(erestab.monodromy._C, ref.C[: ref.N_STAGES])
