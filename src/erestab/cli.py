@@ -93,13 +93,15 @@ def _atomic_write(path: str, text: str) -> None:
         raise
 
 
-def _check_output_path(key: str, path) -> None:
-    """Reject an output value that is not a file name in an existing directory."""
+def _check_output_path(key: str, path) -> str:
+    """The absolute path of an output value that names a file in an existing
+    directory; any other value is a ConfigError."""
     if not isinstance(path, str) or not path:
         raise ConfigError(f"output {key} must be a non-empty path, got {path!r}")
     directory = os.path.dirname(os.path.abspath(path))
     if not os.path.isdir(directory):
         raise ConfigError(f"output {key} {path!r}: {directory} is not a directory")
+    return os.path.abspath(path)
 
 
 def parse_range(text: str) -> list[float]:
@@ -174,31 +176,6 @@ def _values(value, item, count):
 _SETTINGS_FIELDS = {"tol": "integrator_tol", "circle_tol": "circle_tol"}
 # The sections of a run config besides "command", as a config file spells them.
 _SECTIONS = ("parameters", "output", "tolerances")
-
-
-def _merge_config_file(config: dict, path: str) -> dict:
-    try:
-        with open(path, "r") as fh:
-            data = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ConfigError(f"cannot read config file {path}: {exc}") from None
-    if not isinstance(data, dict):
-        raise ConfigError("config file must hold a JSON object")
-    unknown = set(data) - {"command", *_SECTIONS}
-    if unknown:
-        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    command = data.get("command", config["command"])
-    if command != config["command"]:
-        raise ConfigError(
-            f"config file command {command!r} conflicts with {config['command']!r}"
-        )
-    merged = {"command": command}
-    for section in _SECTIONS:
-        extra = data.get(section, {})
-        if not isinstance(extra, dict):
-            raise ConfigError(f"config section {section!r} must be an object")
-        merged[section] = {**config[section], **extra}
-    return merged
 
 
 # ---------------------------------------------------------------------------
@@ -388,8 +365,7 @@ def _cmd_find_mstar(params: dict, settings: ScanSettings, output: dict):
         "bracket_width": result.bracket_width,
         "tolerance": tol,
     }
-    path = output.get("json") or "mstar.json"
-    return summary, [(path, json.dumps(summary, indent=2) + "\n")]
+    return summary, _json_artifact(output, summary)
 
 
 def _cmd_polygon_verdicts(params: dict, settings: ScanSettings, output: dict):
@@ -411,12 +387,13 @@ def _json_artifact(output: dict, summary: dict):
 @dataclass(frozen=True)
 class _Command:
     """A command's handler, the item converter and count (see :func:`_values`)
-    of each parameter it reads, the artifacts it writes, and the tolerance
-    keys it reads."""
+    of each parameter it reads, the artifacts it writes with the path each
+    one takes when not given (None: written only when given), and the
+    tolerance keys it reads."""
 
     handler: Callable
     params: dict[str, tuple[Callable, int | None]]
-    outputs: tuple[str, ...] = ("json",)
+    outputs: dict[str, str | None] = field(default_factory=lambda: {"json": None})
     tolerances: tuple[str, ...] = ()
     flags: dict[str, str] = field(default_factory=dict)  # where the flag is not --key
 
@@ -438,18 +415,19 @@ _COMMANDS = {
         _cmd_index, {k: _FLOAT for k in ("alpha", "beta", "e", "omega", "rho")}
     ),
     "scan-theta": _Command(
-        _cmd_scan_theta, {"beta": _FLOATS, "e": _FLOATS}, ("csv", "json", "svg"),
-        tolerances=tuple(_SETTINGS_FIELDS),
+        _cmd_scan_theta, {"beta": _FLOATS, "e": _FLOATS},
+        dict.fromkeys(("csv", "json", "svg")), tolerances=tuple(_SETTINGS_FIELDS),
     ),
     "scan-mass": _Command(
         _cmd_scan_mass, {"m1": _FLOATS, "m3": _FLOATS, "e": _FLOAT},
-        ("csv", "json", "svg"), tolerances=tuple(_SETTINGS_FIELDS),
+        dict.fromkeys(("csv", "json", "svg")), tolerances=tuple(_SETTINGS_FIELDS),
     ),
-    "find-mstar": _Command(_cmd_find_mstar, {"tol": _FLOAT}, flags={"tol": "--mstar-tol"}),
+    "find-mstar": _Command(_cmd_find_mstar, {"tol": _FLOAT}, {"json": "mstar.json"},
+                           flags={"tol": "--mstar-tol"}),
     "polygon-verdicts": _Command(
         _cmd_polygon_verdicts,
         {"n": (_as_int, None), "m0_over_m": _FLOATS, "e": _FLOATS, "sites": (_as_site, None)},
-        ("csv", "json"), tolerances=tuple(_SETTINGS_FIELDS),
+        dict.fromkeys(("csv", "json")), tolerances=tuple(_SETTINGS_FIELDS),
     ),
 }
 
@@ -471,21 +449,28 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _config_from_args(args: argparse.Namespace) -> dict:
+    """The run config of the flags, with a config file's keys laid over them."""
     if args.command is None:
         raise ConfigError("a command is required; see --help")
     command = _COMMANDS[args.command]
-
-    def given(keys):
-        return {k: getattr(args, k) for k in keys if getattr(args, k) is not None}
-
-    cfg = {
-        "command": args.command,
-        "parameters": given(command.params),
-        "output": given(command.outputs),
-        "tolerances": given(command.tolerances),
-    }
+    cfg = {"command": args.command}
+    for section, keys in zip(_SECTIONS, (command.params, command.outputs, command.tolerances)):
+        cfg[section] = {k: getattr(args, k) for k in keys if getattr(args, k) is not None}
     if args.config:
-        cfg = _merge_config_file(cfg, args.config)
+        try:
+            with open(args.config, "r") as fh:
+                data = json.load(fh)
+        except (OSError, json.JSONDecodeError) as exc:
+            raise ConfigError(f"cannot read config file {args.config}: {exc}") from None
+        if not isinstance(data, dict):
+            raise ConfigError("config file must hold a JSON object")
+        if data.get("command", args.command) != args.command:
+            raise ConfigError(
+                f"config file command {data['command']!r} conflicts with {args.command!r}"
+            )
+        for key, value in data.items():  # run() checks the keys and the sections
+            merge = isinstance(cfg.get(key), dict) and isinstance(value, dict)
+            cfg[key] = {**cfg[key], **value} if merge else value
     return cfg
 
 
@@ -493,33 +478,46 @@ def run(cfg: dict) -> tuple[dict, list[tuple[str, str]]]:
     """Validate and execute a run configuration; returns (summary, artifacts).
 
     ``cfg`` is ``{"command", "parameters", "output", "tolerances"}``, the
-    layout of a config file; a missing section counts as empty.  Every key
+    layout of a config file, from flags, a file or a Python caller alike; a
+    missing section counts as empty.  Every key, top-level or in a section,
     is checked against the command table, every value converted and every
-    output path's directory found before the handler runs, so a bad input
-    leaves no artifact behind; a file that still cannot be written is a
-    ConfigError that names it.
+    output path resolved (to the table's default when not given), its
+    directory found and its file checked against the other outputs and the
+    manifest before the handler runs, so a bad input leaves no artifact
+    behind; a file that still cannot be written is a ConfigError that names it.
     """
+    unknown = set(cfg) - {"command", *_SECTIONS}
+    if unknown:
+        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
     if "command" not in cfg:
         raise ConfigError("a run config needs a command")
     name = cfg["command"]
     command = _COMMANDS.get(name)
     if command is None:
         raise ConfigError(f"unknown command {name!r}")
-    parameters, output, tolerances = (cfg.get(section, {}) for section in _SECTIONS)
-    for section, given, allowed in zip(_SECTIONS, (parameters, output, tolerances),
+    sections = [cfg.get(section, {}) for section in _SECTIONS]
+    for section, given, allowed in zip(_SECTIONS, sections,
                                        (command.params, command.outputs, command.tolerances)):
+        if not isinstance(given, dict):
+            raise ConfigError(f"config section {section!r} must be an object")
         unknown = set(given) - set(allowed)
         if unknown:
             raise ConfigError(f"unknown {section} keys for {name}: {sorted(unknown)}")
+    parameters, output, tolerances = sections
     params = _Parameters(
         {k: _values(v, *command.params[k]) for k, v in parameters.items() if v is not None}
     )
     settings = ScanSettings(
         **{_SETTINGS_FIELDS[k]: _as_float(v) for k, v in tolerances.items()}
     )
-    for key, path in output.items():
-        if path is not None:
-            _check_output_path(key, path)
+    output = {**command.outputs, **{k: v for k, v in output.items() if v is not None}}
+    paths = {k: _check_output_path(k, p) for k, p in output.items() if p is not None}
+    if paths:  # the manifest goes next to the first artifact
+        paths["manifest"] = os.path.join(os.path.dirname(next(iter(paths.values()))),
+                                         "manifest.json")
+        if len(set(paths.values())) < len(paths):
+            listed = ", ".join(f"{k} {p}" for k, p in paths.items())
+            raise ConfigError(f"outputs and the manifest must name distinct files: {listed}")
     started = datetime.now(timezone.utc)
     t0 = time.monotonic()
     summary, artifacts = command.handler(params, settings, output)
@@ -536,10 +534,7 @@ def run(cfg: dict) -> tuple[dict, list[tuple[str, str]]]:
             "settings_digest": settings.digest(),
             "artifacts": [os.path.basename(p) for p, _ in artifacts],
         }
-        manifest_path = os.path.join(
-            os.path.dirname(os.path.abspath(artifacts[0][0])), "manifest.json"
-        )
-        writes.append((manifest_path, json.dumps(manifest, indent=2) + "\n"))
+        writes.append((paths["manifest"], json.dumps(manifest, indent=2) + "\n"))
     for path, text in writes:
         try:
             _atomic_write(path, text)

@@ -64,8 +64,10 @@ class ScanSettings:
                 f"integrator tolerance must be finite and at least {MIN_TOL:g}, "
                 f"got {self.integrator_tol}"
             )
-        if not self.circle_tol > 0.0:
-            raise DomainError(f"circle tolerance must be positive, got {self.circle_tol}")
+        if not (math.isfinite(self.circle_tol) and self.circle_tol > 0.0):
+            raise DomainError(
+                f"circle tolerance must be finite and positive, got {self.circle_tol}"
+            )
 
     def canonical_json(self) -> str:
         return json.dumps(

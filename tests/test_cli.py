@@ -530,7 +530,7 @@ class TestExitCodes:
         def computed(*args, **kwargs):
             raise AssertionError("computed before the output paths were checked")
 
-        for name in ("morse_index", "scan_theta"):
+        for name in ("collinear_config", "morse_index", "scan_theta"):
             monkeypatch.setattr(erestab.cli, name, computed)
 
     def test_output_directory_missing_is_2(self, tmp_path, monkeypatch, capsys):
@@ -560,6 +560,24 @@ class TestExitCodes:
         err = assert_config_rejected(args, {"output": output}, tmp_path, monkeypatch, capsys)
         assert "must be a non-empty path" in err
 
+    # Outputs that would write one file twice: two outputs on one file, or
+    # an output on the manifest.json that lands next to the first artifact.
+    COLLIDING_OUTPUTS = [
+        ["cc", "--m", "0.5,0.3,0.2", "--json", "manifest.json"],
+        ["scan-theta", "--beta", "1.5", "--e", "0.3", "--csv", "out.txt", "--json", "out.txt"],
+        ["scan-theta", "--beta", "1.5", "--e", "0.3", "--csv", "./out.txt", "--json", "out.txt"],
+    ]
+
+    @pytest.mark.parametrize("args", COLLIDING_OUTPUTS,
+                             ids=["json-on-manifest", "csv-and-json", "dot-slash"])
+    def test_colliding_outputs_are_2(self, args, tmp_path, monkeypatch, capsys):
+        self.forbid_computing(monkeypatch)
+        code, out, err = run_cli(args, tmp_path, monkeypatch, capsys)
+        assert code == 2 and "must name distinct files" in err
+        assert args[-1] in err
+        assert out == ""
+        assert list(tmp_path.iterdir()) == []
+
     def test_unwritable_output_is_2(self, tmp_path, monkeypatch, capsys):
         # a directory where the file should go: the write itself fails
         (tmp_path / "out.json").mkdir()
@@ -577,6 +595,20 @@ class TestExitCodes:
     def test_run_config_without_a_command(self):
         with pytest.raises(ConfigError, match="needs a command"):
             run({"parameters": {}})
+
+    # A Python caller of run() gets the layout checks of a config file.
+    @pytest.mark.parametrize("cfg, message", [
+        ({"command": "cc", "parameters": {"m": "0.5,0.3,0.2"}, "outputs": {"json": "x.json"}},
+         "unknown config keys: ['outputs']"),
+        ({"command": "cc", "parameters": {"m": "0.5,0.3,0.2"}, "output": None},
+         "config section 'output' must be an object"),
+    ], ids=["outputs-misspelled", "output-none"])
+    def test_run_config_layout_is_checked(self, cfg, message, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(ConfigError) as exc:
+            run(cfg)
+        assert message in str(exc.value)
+        assert list(tmp_path.iterdir()) == []
 
     def test_missing_run_config_sections_are_empty(self):
         summary, artifacts = run({"command": "polygon",

@@ -458,7 +458,8 @@ def test_sweep_rejects_out_of_range_e(sweep, e):
     "field, value",
     [("integrator_tol", 1e-14), ("integrator_tol", float("nan")),
      ("integrator_tol", float("inf")),
-     ("circle_tol", 0.0), ("circle_tol", -1e-6), ("circle_tol", float("nan"))],
+     ("circle_tol", 0.0), ("circle_tol", -1e-6), ("circle_tol", float("nan")),
+     ("circle_tol", float("inf"))],
 )
 def test_settings_reject_bad_tolerances(field, value):
     with pytest.raises(DomainError):
