@@ -50,6 +50,7 @@ from .monodromy import (
     Verdict,
     classify_spectrum,
     integrate_fundamental,
+    integrate_fundamentals,
 )
 from .polygon_config import (
     BangQuantities,
@@ -117,6 +118,7 @@ __all__ = [
     "h1",
     "hn",
     "integrate_fundamental",
+    "integrate_fundamentals",
     "locate_offline_equilibria",
     "mass_scan_4body",
     "morse_index",

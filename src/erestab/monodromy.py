@@ -8,7 +8,9 @@ matrix come in quadruples {w, 1/w, conj(w), 1/conj(w)}, which is monitored
 as a check but never imposed.  gamma(2*pi) is decomposed once, when its
 :class:`Monodromy` is built.  Every test on the multipliers (the verdict,
 dim ker(M - w I) and the Krein-signed jump sum) reads that decomposition
-and shares one on-circle mask, one clustering and one rank rule.
+and shares one on-circle mask, one clustering and one rank rule.  A sweep
+integrates its points as one batch (:func:`integrate_fundamentals`), each
+point with its own steps and the bits of its own integration.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from typing import Sequence
 
 import numpy as np
 
@@ -67,9 +70,9 @@ class Monodromy:
 # the weights a_s of the stages before s.  _E5 and _E3, the weights of the
 # fifth- and third-order error estimates, also cover a 13th stage, f at the
 # step's end: its weight is zero, but a non-finite f still reaches the sums.
-_C = (0.0, 0.05260015195876773, 0.0789002279381516, 0.1183503419072274, 0.2816496580927726,
-      0.3333333333333333, 0.25, 0.3076923076923077, 0.6512820512820513, 0.6,
-      0.8571428571428571, 1.0)
+_C = np.array([0.0, 0.05260015195876773, 0.0789002279381516, 0.1183503419072274,
+               0.2816496580927726, 0.3333333333333333, 0.25, 0.3076923076923077,
+               0.6512820512820513, 0.6, 0.8571428571428571, 1.0])
 _A = np.zeros((12, 12))
 _A[1, :1] = 0.05260015195876773
 _A[2, :2] = 0.0197250569845379, 0.0591751709536137
@@ -106,82 +109,220 @@ _E3[_WEIGHTED] = (-0.18980075407240762, 4.450312892752409, 1.8915178993145003,
                   0.20136540080403034, 0.02265179219836082)
 
 
-def _norm(x: np.ndarray) -> float:
-    """2-norm of a vector, formed as numpy's ``linalg.norm`` forms it."""
-    return math.sqrt(x.dot(x))
-
-
 def _rms(x: np.ndarray) -> float:
-    return _norm(x) / x.size ** 0.5
+    """RMS norm of a vector, its 2-norm formed as numpy's ``linalg.norm`` forms it."""
+    return math.sqrt(x.dot(x)) / x.size ** 0.5
 
 
-def _dop853(fun, y: np.ndarray, t_end: float, tol: float) -> tuple[np.ndarray, int, int]:
-    """Integrate y' = fun(t, y), y(0) = y, over [0, t_end] with DOP853.
+# A state that overflows or turns NaN gives a non-finite error norm, which
+# rejects steps until the point fails: numpy's warnings on the way say nothing
+# more, and a point must not speak for the batch.
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
+def _dop853(fun, y0: np.ndarray, t_end: float, tol: float, args: tuple = (),
+            coefficients=None) -> list:
+    """Integrate y' = f(t, y), y(0) = y0[..., j], over [0, t_end] with DOP853
+    for every point j on the last axis of ``y0``, all points stepped
+    together in lockstep rounds.
 
-    Returns y(t_end), the number of calls of ``fun`` and the number of steps.
-    ``fun`` returns a sequence of floats.  The step is
-    ``solve_ivp(method="DOP853", rtol=tol, atol=tol)``'s, operation for
-    operation: its initial step, the stage sums as BLAS matrix-vector products
-    of the same layout, its error norm (with a norm squared as the square of a
-    square root), its step factors and clamps.  So the result is that of
-    ``solve_ivp`` bit for bit.  A step below ten spacings of the floats at t
-    raises ConvergenceError, where ``solve_ivp`` reports failure; so does a
-    step size that is not a number, on which ``solve_ivp`` would loop forever.
+    Returns, per point, (y(t_end) flattened, the number of evaluations of
+    its f, the number of steps), or the ConvergenceError that stopped it.
+    ``fun(c, y, out, *a)`` writes f for a batch of points into ``out``,
+    shaped like ``y``, point j at ``y[..., j]``; ``a`` is ``args`` cut to the
+    points in the batch along the last axis.  ``c`` holds the points' times
+    or, given ``coefficients``, what ``coefficients(t, *a)`` makes of the
+    times ``t`` of every stage of a round, shaped (stages, points), one stage
+    at a time: f's time-dependent part, formed once per round.
+
+    Each round, every point in the batch attempts one step with its own t,
+    step size, error norm and accept/reject decision: the step of
+    ``solve_ivp(method="DOP853", rtol=tol, atol=tol)``, operation for
+    operation.  That is its initial step, the stage sums as BLAS
+    matrix-vector products over the stage array, its error norm (each
+    point's by its own ``dot`` over a contiguous copy, a norm squared as the
+    square of a square root), its step factors and clamps.  So every point's
+    result is that of ``solve_ivp`` bit for bit, whatever else the batch
+    holds.  The stages are one contiguous (13, n * points) array, copied
+    afresh when a point leaves the batch: products over a strided view of it
+    change bits.  A step below ten spacings of the floats at t stops its
+    point with a ConvergenceError, where ``solve_ivp`` reports failure; so
+    does a step size that is not a number, on which ``solve_ivp`` would loop
+    forever.
     """
-    n = y.size
-    # the initial step of Hairer, Norsett & Wanner, sec. II.4, in RMS norms
-    f = np.array(fun(0.0, y))
-    scale = tol + np.abs(y) * tol
-    d0, d1 = _rms(y / scale), _rms(f / scale)
-    h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, t_end)
-    d2 = _rms((np.array(fun(h0, y + h0 * f)) - f) / scale) / h0
-    if d1 <= 1e-15 and d2 <= 1e-15:
-        h1 = max(1e-6, h0 * 1e-3)
-    else:
-        h1 = (0.01 / max(d1, d2)) ** (1 / 8)
-    h_abs = min(100 * h0, h1, t_end)
+    shape, count = y0.shape[:-1], y0.shape[-1]
+    n = math.prod(shape)
+    at = coefficients or (lambda t, *a: t)
+    out: list = [None] * count
 
-    k = np.empty((13, n))  # the stages, one per row
-    k[0] = f
-    stages = [(s, _C[s], _A[s, :s], k[:s].T) for s in range(1, 12)]
-    t, nfev, nsteps = 0.0, 2, 0
-    while t < t_end:
-        min_step = 10 * abs(math.nextafter(t, math.inf) - t)
-        if h_abs < min_step:
-            h_abs = min_step
-        rejected = False
-        while True:
-            if not h_abs >= min_step:
-                raise ConvergenceError(
-                    f"fundamental-solution integration failed: step size {h_abs:.3g} "
-                    f"below {min_step:.3g} at theta = {t!r}"
+    # the initial step of Hairer, Norsett & Wanner, sec. II.4, in RMS norms
+    y = np.array(y0, dtype=float).reshape(n, count)
+    f, f1 = np.empty_like(y), np.empty_like(y)
+    fun(at(np.zeros((1, count)), *args)[0], y.reshape(y0.shape), f.reshape(y0.shape), *args)
+    scale = tol + np.abs(y) * tol
+    d0 = [_rms(v) for v in (y / scale).T.copy()]
+    d1 = [_rms(v) for v in (f / scale).T.copy()]
+    h0 = np.array([min(1e-6 if a < 1e-5 or b < 1e-5 else 0.01 * a / b, t_end)
+                   for a, b in zip(d0, d1)])
+    fun(at(h0[None], *args)[0], (y + h0 * f).reshape(y0.shape), f1.reshape(y0.shape), *args)
+    # numpy's division, as solve_ivp's: h0 = 0 once f overflows
+    d2 = (np.array([_rms(v) for v in ((f1 - f) / scale).T.copy()]) / h0).tolist()
+    h_abs = []
+    for a, b, c in zip(h0.tolist(), d1, d2):
+        h1 = max(1e-6, a * 1e-3) if b <= 1e-15 and c <= 1e-15 else (0.01 / max(b, c)) ** (1 / 8)
+        h_abs.append(min(100 * a, h1, t_end))
+
+    # y and the stages hold entry i of point j at i * points + j
+    y = y.ravel()
+    k = np.empty((13, n * count))
+    k[0] = f.ravel()
+    points = list(range(count))  # the points in the batch, in batch order
+    size = None  # the batch size the views below are made for
+    t, min_step, rejected = [0.0] * count, [0.0] * count, [False] * count
+    attempts, nsteps = [0] * count, [0] * count
+    fresh = [True] * count  # the point starts a new step this round
+    leaving = set()  # the points that finished in the last round
+    while points:
+        for j in range(len(points)):
+            if j in leaving:
+                continue
+            if fresh[j]:
+                min_step[j] = 10 * abs(math.nextafter(t[j], math.inf) - t[j])
+                if h_abs[j] < min_step[j]:
+                    h_abs[j] = min_step[j]
+                rejected[j] = False
+            if not h_abs[j] >= min_step[j]:
+                out[points[j]] = ConvergenceError(
+                    f"fundamental-solution integration failed: step size {h_abs[j]:.3g} "
+                    f"below {min_step[j]:.3g} at theta = {t[j]!r}"
                 )
-            t_new = min(t + h_abs, t_end)
-            h = t_new - t
-            h_abs = abs(h)
-            for s, c, a, before in stages:
-                k[s] = fun(t + c * h, y + before.dot(a) * h)
-            y_new = y + h * k[:12].T.dot(_B)
-            k[12] = fun(t + h, y_new)
-            nfev += 12
-            scale = tol + np.maximum(np.abs(y), np.abs(y_new)) * tol
-            err5 = _norm(k.T.dot(_E5) / scale) ** 2
-            err3 = _norm(k.T.dot(_E3) / scale) ** 2
+                leaving.add(j)
+        if leaving:
+            keep = [j for j in range(len(points)) if j not in leaving]
+            if not keep:
+                break
+            points, t, min_step, h_abs, rejected, attempts, nsteps = (
+                [v[j] for j in keep]
+                for v in (points, t, min_step, h_abs, rejected, attempts, nsteps)
+            )
+            y = y.reshape(n, -1).take(keep, axis=1).ravel()
+            k = k.reshape(13, n, -1).take(keep, axis=2).reshape(13, -1)
+            args = tuple(a.take(keep, axis=-1) for a in args)
+            leaving = set()
+        if size != len(points):
+            size = len(points)
+            state = (*shape, size)
+            sums = [(k[:s].T, _A[s, :s]) for s in range(1, 12)]
+            outs = [row.reshape(state) for row in k]
+
+        t_new = [min(a + b, t_end) for a, b in zip(t, h_abs)]
+        h = [a - b for a, b in zip(t_new, t)]
+        h_abs = [abs(v) for v in h]
+        h_arr = np.array(h)
+        h_rep = np.concatenate((h_arr,) * n)
+        c = at(np.array(t) + np.multiply.outer(_C[1:], h_arr), *args)  # stage s at t + c_s h
+        for s, (before, a) in enumerate(sums, 1):
+            fun(c[s - 1], (y + before.dot(a) * h_rep).reshape(state), outs[s], *args)
+        y_new = y + h_rep * k[:12].T.dot(_B)
+        fun(c[10], y_new.reshape(state), outs[12], *args)  # at t + h, as stage 11: c_11 = 1
+        scale = tol + np.maximum(np.abs(y), np.abs(y_new)) * tol
+        # each point's scaled errors, contiguous for its own dot
+        errs5 = np.ascontiguousarray((k.T.dot(_E5) / scale).reshape(n, size).T)
+        errs3 = np.ascontiguousarray((k.T.dot(_E3) / scale).reshape(n, size).T)
+        fresh = [False] * size
+        for j in range(size):
+            attempts[j] += 1
+            err5 = math.sqrt(errs5[j].dot(errs5[j])) ** 2
+            err3 = math.sqrt(errs3[j].dot(errs3[j])) ** 2
             # step factors: safety 0.9, clamped to [0.2, 10], exponent -1/(7 + 1)
             if err5 == 0 and err3 == 0:
                 error = 0.0
             else:
-                error = h_abs * err5 / math.sqrt((err5 + 0.01 * err3) * n)
-            if error < 1:
+                error = h_abs[j] * err5 / math.sqrt((err5 + 0.01 * err3) * n)
+            fresh[j] = error < 1
+            if fresh[j]:
                 factor = 10 if error == 0 else min(10, 0.9 * error ** -0.125)
-                h_abs *= min(1, factor) if rejected else factor
-                break
-            h_abs *= max(0.2, 0.9 * error ** -0.125)
-            rejected = True
-        t, y = t_new, y_new
-        k[0] = k[12]  # the last stage is f at the new point
-        nsteps += 1
-    return y, nfev, nsteps
+                h_abs[j] *= min(1, factor) if rejected[j] else factor
+                t[j] = t_new[j]
+                nsteps[j] += 1
+                if not t[j] < t_end:
+                    out[points[j]] = (y_new[j::size].copy(), 2 + 12 * attempts[j], nsteps[j])
+                    leaving.add(j)
+            else:
+                h_abs[j] *= max(0.2, 0.9 * error ** -0.125)
+                rejected[j] = True
+        if all(fresh):
+            y = y_new
+            k[0] = k[12]  # the last stage is f at the new point
+        elif any(fresh):
+            moved = np.concatenate((fresh,) * n)
+            y = np.where(moved, y_new, y)
+            k[0] = np.where(moved, k[12], k[0])
+    return out
+
+
+# the rows of gamma (a, b, c, d = 0, 1, 2, 3) that make u = (b, -g1 d, a, b)
+# and v = (g0 c, a, -d, c) in _fundamental_rhs
+_UV_ROWS = [1, 3, 0, 1, 2, 0, 3, 2]
+
+
+def _weights(theta: np.ndarray, e: np.ndarray, lam34: np.ndarray) -> np.ndarray:
+    """The weights of u and v in :func:`_fundamental_rhs` at the times
+    ``theta``, shaped (times, points), for points with eccentricities ``e``
+    and the rows lambda3, lambda4 of ``lam34``: g0 = 1 - lambda3 / den and
+    -g1 = lambda4 / den - 1 (the negation is exact), with den = 1 +
+    e cos theta, and 1 or -1 for a row that stands alone.  ``math.cos`` point
+    by point: numpy's vectorised cosine may differ in the last bit."""
+    cos = np.array([math.cos(v) for v in theta.ravel().tolist()]).reshape(theta.shape)
+    q = lam34 / (1.0 + e * cos)[:, None]
+    w = np.ones((len(theta), 8, 1, theta.shape[1]))
+    w[:, 6] = -1.0
+    np.subtract(1.0, q[:, 0], out=w[:, 4, 0])
+    np.subtract(q[:, 1], 1.0, out=w[:, 1, 0])
+    return w
+
+
+def _fundamental_rhs(weights: np.ndarray, y: np.ndarray, out: np.ndarray, *args) -> None:
+    """``_dop853``'s f for gamma' = J B(theta) gamma at a batch of points,
+    ``y`` shaped (4, 4, points), with the :func:`_weights` of their times.
+
+    With gamma's rows a, b, c, d the derivative's rows are b - g0 c,
+    (-g1) d - a, a + d and b - c: u - v, every point at once.  Each entry
+    comes from the same IEEE operations as the elementwise row form's
+    b - g0 c, -a - g1 d, a + d and b - c (a product with 1 or -1, a negation
+    and the order of an addition's terms are exact), with no BLAS call that
+    could fuse a multiply and an add, so the row form's results are kept bit
+    for bit.
+    """
+    uv = y.take(_UV_ROWS, axis=0)
+    uv *= weights
+    np.subtract(uv[:4], uv[4:], out=out)
+
+
+def integrate_fundamentals(
+    ps: Sequence[StabilityParams], tol: float = DEFAULT_TOL
+) -> list[Monodromy | ConvergenceError]:
+    """:func:`integrate_fundamental` for every point of ``ps``, as one batch.
+
+    The points are stepped together, each with its own steps, so each
+    point's Monodromy equals its own integration bit for bit.  A point whose
+    integration fails gets its ConvergenceError in its place; the other
+    points are not affected.
+    """
+    if not (math.isfinite(tol) and tol >= MIN_TOL):
+        raise DomainError(f"tolerance must be finite and at least {MIN_TOL:g}, got {tol}")
+    if not ps:
+        return []
+    e = np.array([p.e for p in ps])
+    lam34 = np.array([[p.lambda3 for p in ps], [p.lambda4 for p in ps]])
+    y0 = np.repeat(np.eye(4)[:, :, None], len(ps), axis=2)
+    out = []
+    for done in _dop853(_fundamental_rhs, y0, TWO_PI, tol, (e, lam34), _weights):
+        if isinstance(done, ConvergenceError):
+            out.append(done)
+        else:
+            y, nfev, nsteps = done
+            meta = {"method": "DOP853", "tol": tol, "nfev": nfev, "nsteps": nsteps}
+            out.append(Monodromy.from_matrix(y.reshape(4, 4), meta))
+    return out
 
 
 def integrate_fundamental(p: StabilityParams, tol: float = DEFAULT_TOL) -> Monodromy:
@@ -193,37 +334,20 @@ def integrate_fundamental(p: StabilityParams, tol: float = DEFAULT_TOL) -> Monod
     e = 0.99; ``p`` never carries a larger e, because :class:`StabilityParams`
     rejects it.
 
-    The stepper is an in-house DOP853 (``_dop853``) that repeats
-    ``scipy.integrate.solve_ivp``'s IEEE operations in the same order, so
-    gamma(2*pi), nfev and the step count equal ``solve_ivp``'s bit for bit;
-    ``TestScalarRhsPin`` in ``tests/test_monodromy.py`` pins this against the
-    ``solve_ivp`` path kept in ``tests/oracles.py``.  The right-hand side is
-    evaluated in scalar form: with gamma's rows a, b, c, d it returns the rows
-    b - g0 c, -a - g1 d, a + d and b - c, each entry by the same IEEE
-    operations, in the same order, as the elementwise row form, and with no
-    BLAS call that could fuse a multiply and an add, so the row form's
-    results are kept bit for bit too.
+    This is :func:`integrate_fundamentals` on one point, so there is one
+    stepper: ``_dop853``, an in-house DOP853 that repeats
+    ``scipy.integrate.solve_ivp``'s IEEE operations in the same order.
+    gamma(2*pi), nfev and the step count equal ``solve_ivp``'s bit for bit,
+    alone or in any batch; ``TestScalarRhsPin`` and ``TestBatchPin`` in
+    ``tests/test_monodromy.py`` pin this against the ``solve_ivp`` path kept
+    in ``tests/oracles.py``.  A sweep integrates its points together: one
+    point alone pays a batch's overhead per step, about twice the step time
+    of a scalar loop.
     """
-    if not (math.isfinite(tol) and tol >= MIN_TOL):
-        raise DomainError(f"tolerance must be finite and at least {MIN_TOL:g}, got {tol}")
-    e = p.e
-    lam3, lam4 = p.lambda3, p.lambda4
-
-    def rhs(theta, y):
-        a0, a1, a2, a3, b0, b1, b2, b3, c0, c1, c2, c3, d0, d1, d2, d3 = y.tolist()
-        den = 1.0 + e * math.cos(theta)
-        g0 = 1.0 - lam3 / den
-        g1 = 1.0 - lam4 / den
-        return (
-            b0 - g0 * c0, b1 - g0 * c1, b2 - g0 * c2, b3 - g0 * c3,
-            -a0 - g1 * d0, -a1 - g1 * d1, -a2 - g1 * d2, -a3 - g1 * d3,
-            a0 + d0, a1 + d1, a2 + d2, a3 + d3,
-            b0 - c0, b1 - c1, b2 - c2, b3 - c3,
-        )
-
-    y, nfev, nsteps = _dop853(rhs, np.eye(4).ravel(), TWO_PI, tol)
-    meta = {"method": "DOP853", "tol": tol, "nfev": nfev, "nsteps": nsteps}
-    return Monodromy.from_matrix(y.reshape(4, 4), meta)
+    (mono,) = integrate_fundamentals([p], tol)
+    if isinstance(mono, ConvergenceError):
+        raise mono
+    return mono
 
 
 # ---------------------------------------------------------------------------

@@ -2,8 +2,10 @@
 
 Grid scans are deterministic: points are processed in row-major input order
 and results carry the settings record that produced them, so re-running a
-scan with equal settings reproduces identical output.  Individual point
-failures are recorded in the emitted rows and never abort a sweep.
+scan with equal settings reproduces identical output.  A sweep integrates
+its points in batches, which give each point the bits of its own
+integration.  Individual point failures are recorded in the emitted rows and
+never abort a sweep.
 """
 
 from __future__ import annotations
@@ -38,6 +40,7 @@ from .monodromy import (
     circle_jump_sum,
     classify_spectrum,
     integrate_fundamental,
+    integrate_fundamentals,
     kernel_dimension,
 )
 from .polygon_config import PolygonSystem, Site, solve_site
@@ -64,10 +67,9 @@ class ScanSettings:
                 f"integrator tolerance must be finite and at least {MIN_TOL:g}, "
                 f"got {self.integrator_tol}"
             )
-        if not (math.isfinite(self.circle_tol) and self.circle_tol > 0.0):
-            raise DomainError(
-                f"circle tolerance must be finite and positive, got {self.circle_tol}"
-            )
+        # a multiplier off the circle by 1 or more is not "on the circle"
+        if not 0.0 < self.circle_tol < 1.0:
+            raise DomainError(f"circle tolerance must lie in (0, 1), got {self.circle_tol}")
 
     def canonical_json(self) -> str:
         return json.dumps(
@@ -120,7 +122,13 @@ def analyze(
     phi_1 and nu_1 come from the operator at w = 1, phi_{-1} and nu_{-1} from
     :func:`_minus_one`.  Numerical failures propagate as :class:`ErestabError`.
     """
-    mono = integrate_fundamental(p, settings.integrator_tol)
+    return _analyzed(p, integrate_fundamental(p, settings.integrator_tol), settings, indices)
+
+
+def _analyzed(
+    p: StabilityParams, mono: Monodromy, settings: ScanSettings, indices: bool
+) -> PointResult:
+    """:func:`analyze` of ``p`` with its monodromy ``mono`` already integrated."""
     out = {
         "verdict": classify_spectrum(mono, settings.circle_tol),
         "eigenvalues": mono.eigenvalues,
@@ -188,16 +196,48 @@ def _check_eccentricities(e_values: Sequence[float], e_max: float = MAX_ECCENTRI
             raise DomainError(f"e {e} outside [0, {e_max}]")
 
 
-def _point(keys: dict, build, record: type, indices: bool, settings: ScanSettings):
-    """Sweep point ``keys`` as a ``record``: ``build(**keys)`` returns the
-    point's parameters and the columns it derives from them, which are then
-    analyzed.  A failed point keeps only its keys and the message."""
-    try:
-        p, derived = build(**keys)
-        result = analyze(p, settings, indices)
-    except ErestabError as exc:
-        return record(**keys, error=str(exc))
-    return record(**keys, **derived, **vars(result))
+# Sweep points built, integrated and analyzed together: enough to spread
+# numpy's cost per call over many points, few enough that the stage arrays
+# (13 x 16 doubles per point) and the monodromies of one batch stay small.
+SWEEP_BATCH = 1024
+
+
+def _sweep(keys: list[dict], build, record: type, indices: bool, settings: ScanSettings) -> list:
+    """Every sweep point ``keys[i]`` as a ``record``, in order.
+
+    ``build(**keys[i])`` returns the point's parameters and the columns it
+    derives from them.  Batch by batch of ``SWEEP_BATCH`` keys, the points
+    that build are integrated together, then each is analyzed.  A point that
+    fails to build, to integrate or to be analyzed keeps only its keys and
+    the message.  Only messages are kept: a caught exception refers to the
+    frame that holds it, and such cycles would keep a sweep's points alive
+    until the garbage collector runs.
+    """
+    records = []
+    for start in range(0, len(keys), SWEEP_BATCH):
+        batch_keys = keys[start:start + SWEEP_BATCH]
+        built = []
+        for k in batch_keys:
+            try:
+                built.append(build(**k))
+            except ErestabError as exc:
+                built.append(str(exc))
+        monos = iter(integrate_fundamentals(
+            [b[0] for b in built if not isinstance(b, str)], settings.integrator_tol
+        ))
+        for k, b in zip(batch_keys, built):
+            outcome = b if isinstance(b, str) else next(monos)
+            if isinstance(outcome, Monodromy):
+                p, derived = b
+                try:
+                    result = _analyzed(p, outcome, settings, indices)
+                except ErestabError as exc:
+                    outcome = str(exc)
+                else:
+                    records.append(record(**k, **derived, **vars(result)))
+                    continue
+            records.append(record(**k, error=str(outcome)))
+    return records
 
 
 # ---------------------------------------------------------------------------
@@ -235,7 +275,7 @@ def scan_theta(
             raise DomainError(f"beta {b} outside [0, {THETA_BETA_MAX}]")
     _check_eccentricities(e_grid)
     keys = [{"beta": float(b), "e": float(e)} for e in e_grid for b in beta_grid]
-    return [_point(k, _theta_build, ScanRecord, True, settings) for k in keys]
+    return _sweep(keys, _theta_build, ScanRecord, True, settings)
 
 
 # ---------------------------------------------------------------------------
@@ -256,18 +296,45 @@ class CurvePoint:
     bracket_width: float
 
 
+def _bisect_boundaries(searches: list, resolution: float, prepare) -> list:
+    """Shrink each bracket of ``searches``, (pred, lo, hi) with pred(lo) true
+    and pred(hi) false, to width <= resolution, or until lo and hi are
+    adjacent floats.
+
+    The brackets are bisected in lockstep rounds, each one through the same
+    midpoints as alone: ``prepare`` gets a round's midpoints before any pred
+    reads them, so that they can be integrated as one batch.  Returns, per
+    search, (lo, hi) or the ErestabError its pred raised, which ends that
+    search only.
+    """
+    results: list = [None] * len(searches)
+    brackets = {i: (lo, hi) for i, (_, lo, hi) in enumerate(searches)}
+    while True:
+        mids = {}
+        for i, (lo, hi) in list(brackets.items()):
+            mid = 0.5 * (lo + hi)
+            if hi - lo > resolution and lo < mid < hi:
+                mids[i] = mid
+            else:
+                results[i] = brackets.pop(i)
+        if not mids:
+            return results
+        prepare(list(mids.values()))
+        for i, mid in mids.items():
+            lo, hi = brackets[i]
+            try:
+                brackets[i] = (mid, hi) if searches[i][0](mid) else (lo, mid)
+            except ErestabError as exc:
+                results[i] = exc
+                del brackets[i]
+
+
 def _bisect_boundary(pred, lo: float, hi: float, resolution: float) -> tuple[float, float]:
-    """Shrink [lo, hi] with pred(lo) true, pred(hi) false to width <= resolution,
-    or until lo and hi are adjacent floats."""
-    while hi - lo > resolution:
-        mid = 0.5 * (lo + hi)
-        if not lo < mid < hi:
-            break
-        if pred(mid):
-            lo = mid
-        else:
-            hi = mid
-    return lo, hi
+    """:func:`_bisect_boundaries` for one bracket."""
+    (result,) = _bisect_boundaries([(pred, lo, hi)], resolution, lambda mids: None)
+    if isinstance(result, ErestabError):
+        raise result
+    return result
 
 
 def _beta_grid(coarse_step: float) -> np.ndarray:
@@ -276,15 +343,23 @@ def _beta_grid(coarse_step: float) -> np.ndarray:
     return np.append(grid[grid < THETA_BETA_MAX], THETA_BETA_MAX)
 
 
-def _first_failure(pred, grid: np.ndarray, resolution: float) -> tuple[float, float] | None:
-    """Midpoint and width of the bracket below the first grid point where
-    ``pred`` (true at ``grid[0]``) fails, bisected to ``resolution``; None if
-    it never fails.  ``pred`` is evaluated in grid order up to that point."""
+def _first_failure(pred, grid: np.ndarray) -> tuple | None:
+    """(pred, lo, hi) for the grid step below the first grid point where
+    ``pred`` (true at ``grid[0]``) fails; None if it never fails.  ``pred`` is
+    evaluated in grid order up to that point."""
     for i, b in enumerate(grid):
         if not pred(b):
-            lo, hi = _bisect_boundary(pred, float(grid[i - 1]), float(b), resolution)
-            return 0.5 * (lo + hi), hi - lo
+            return pred, float(grid[i - 1]), float(b)
     return None
+
+
+def _midpoint_and_width(bracket) -> tuple[float, float]:
+    """A bisected bracket as a curve point's beta and width; raises the
+    ErestabError that ended its bisection instead."""
+    if isinstance(bracket, ErestabError):
+        raise bracket
+    lo, hi = bracket
+    return 0.5 * (lo + hi), hi - lo
 
 
 def find_curves(
@@ -302,10 +377,12 @@ def find_curves(
     monodromy spectrum keeps intersecting the unit circle; the first grid
     failure is refined under the fine-grid reading of the supremum.
 
-    Both searches read one monodromy per beta.  phi_1 vanishes for beta > 0
-    (Hu, Long & Sun 2014): a row checks (phi_1, nu_1) = (0, 0) at beta = 9
-    and passes those counts to :func:`_minus_one` everywhere.  Rows where the
-    index data does not show the expected structure are skipped with a warning.
+    Both searches read one monodromy per beta.  A row integrates its coarse
+    grid as one batch, then bisects its three brackets in lockstep, one batch
+    of new midpoints per round.  phi_1 vanishes for beta > 0 (Hu, Long & Sun
+    2014): a row checks (phi_1, nu_1) = (0, 0) at beta = 9 and passes those
+    counts to :func:`_minus_one` everywhere.  Rows where the index data does
+    not show the expected structure are skipped with a warning.
     """
     if not 0.0 < beta_resolution <= 0.01:
         raise DomainError(f"beta_resolution must lie in (0, 0.01], got {beta_resolution}")
@@ -316,11 +393,20 @@ def find_curves(
     grid = _beta_grid(coarse_step)
     for e in e_list:
         e = float(e)
+        integrated: dict = {}  # beta -> (params, monodromy), or the error raised
 
-        @cache
+        def integrate(betas) -> None:
+            """Integrate the betas not integrated yet, as one batch."""
+            new = [b for b in dict.fromkeys(betas) if b not in integrated]
+            ps = [StabilityParams.from_beta_hls(b, e) for b in new]
+            for b, p, mono in zip(new, ps, integrate_fundamentals(ps, settings.integrator_tol)):
+                integrated[b] = mono if isinstance(mono, ErestabError) else (p, mono)
+
         def monodromy(beta: float) -> tuple[StabilityParams, Monodromy]:
-            p = StabilityParams.from_beta_hls(beta, e)
-            return p, integrate_fundamental(p, settings.integrator_tol)
+            got = integrated[beta]
+            if isinstance(got, ErestabError):
+                raise got
+            return got
 
         @cache
         def phi_m1(beta: float) -> int:
@@ -334,6 +420,7 @@ def find_curves(
             idx1 = morse_index(StabilityParams.from_beta_hls(grid[-1], e), 0.0)
             if (idx1.phi, idx1.nu) != (0, 0):
                 raise CurveExtractionError(f"phi_1, nu_1 = {idx1.phi}, {idx1.nu} at beta=9, e={e}")
+            integrate(grid)
             phis = [phi_m1(b) for b in grid]
             if any(b > a for a, b in zip(phis, phis[1:])):
                 raise CurveExtractionError(f"phi_-1 not non-increasing at e={e}")
@@ -342,17 +429,20 @@ def find_curves(
                     f"phi_-1 endpoints ({phis[0]}, {phis[-1]}) != (2, 0) at e={e}"
                 )
             # a non-increasing phi_-1 from 2 to 0 leaves each level exactly once
-            (b1, w1), (b2, w2) = sorted(
-                _first_failure(lambda b: phi_m1(b) >= level, grid, beta_resolution)
-                for level in (2, 1)
-            )
+            searches = [_first_failure(lambda b, level=level: phi_m1(b) >= level, grid)
+                        for level in (2, 1)]
+            circle = circle_spectrum(grid[0])
+            beta_k = _first_failure(circle_spectrum, grid) if circle else None
+            if beta_k is not None:
+                searches.append(beta_k)
+            brackets = _bisect_boundaries(searches, beta_resolution, integrate)
+            (b1, w1), (b2, w2) = sorted(_midpoint_and_width(b) for b in brackets[:2])
             points.append(CurvePoint(e, b1, CurveKind.BETA_S, w1))
             points.append(CurvePoint(e, b2, CurveKind.BETA_M, w2))
 
-            if not circle_spectrum(grid[0]):
+            if not circle:
                 raise CurveExtractionError(f"no circle spectrum at beta=0, e={e}")
-            beta_k = _first_failure(circle_spectrum, grid, beta_resolution)
-            b, w = (float(grid[-1]), 0.0) if beta_k is None else beta_k
+            b, w = (float(grid[-1]), 0.0) if beta_k is None else _midpoint_and_width(brackets[2])
             points.append(CurvePoint(e, b, CurveKind.BETA_K, w))
         except ErestabError as exc:
             warnings.warn(f"curve extraction failed at e={e}: {exc}", stacklevel=2)
@@ -401,7 +491,7 @@ def mass_scan_4body(
         for a in m1_grid
         for b in m3_grid
     ]
-    return [_point(k, partial(_mass_build, e=float(e)), MassScanPoint, False, settings) for k in keys]
+    return _sweep(keys, partial(_mass_build, e=float(e)), MassScanPoint, False, settings)
 
 
 # ---------------------------------------------------------------------------
@@ -498,4 +588,4 @@ def polygon_verdicts(
         for e in e_list
         for site in sites
     ]
-    return [_point(k, _polygon_build, PolygonVerdictRecord, True, settings) for k in keys]
+    return _sweep(keys, _polygon_build, PolygonVerdictRecord, True, settings)

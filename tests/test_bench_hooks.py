@@ -38,13 +38,16 @@ def test_fallback_cell_is_traced(layers):
 
 def test_sweeps_run_in_the_calling_process(layers, tmp_path):
     # Every point is traced here: a point run in a worker process would
-    # record its spans in that process.
+    # record its spans in that process.  The sweep integrates its points in
+    # one batch, which no hook sees, so the points are counted by the build
+    # (compute_D) and the verdict (classify_spectrum) of each.
     argv = ["scan-mass", "--m1", "0.2,0.3", "--m3", "0.2,0.3", "--e", "0",
             "--csv", str(tmp_path / "mass.csv")]
     with layers.Tracer().installed() as tracer:
         assert main(argv) == 0
     names = [span[0] for span in tracer.spans]
-    assert names.count("monodromy.integrate_fundamental") == 4
+    assert names.count("linearization.compute_D") == 4
+    assert names.count("monodromy.classify_spectrum") == 4
 
 
 def test_morse_levels_go_through_the_hooked_assembly(layers, tmp_path):

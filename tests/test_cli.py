@@ -373,11 +373,13 @@ class TestExitCodes:
         assert list(tmp_path.iterdir()) == []
 
     # Tolerances every point would reject: an integrator tolerance below
-    # 1e-13 or a circle tolerance that is not positive.
+    # 1e-13 or a circle tolerance outside (0, 1).
     BAD_TOLERANCES = [
         (STABILITY_POLYGON, "circle_tol", -1.0),
+        (STABILITY_POLYGON, "circle_tol", 1.0),
         (["scan-theta", "--beta", "1,2", "--e", "0.1"], "tol", 1e-20),
         (["scan-theta", "--beta", "1,2", "--e", "0.1"], "circle_tol", 0.0),
+        (["scan-theta", "--beta", "8", "--e", "0.3"], "circle_tol", 5.0),
         (["scan-mass", "--m1", "0.1", "--m3", "0.1"], "circle_tol", -1e-6),
         (["polygon-verdicts", "--n", "8", "--m0-over-m", "1000", "--e", "0",
           "--sites", "S3"], "tol", 1e-20),
@@ -686,6 +688,47 @@ class TestIndexCommand:
             outputs.append(json.loads(out))
         assert outputs[0]["rho"] == 0.0
         assert outputs[0] == outputs[1]
+
+
+def run_in_subprocess(argv, tmp_path, blas_threads):
+    """``python argv`` in a fresh interpreter with ``blas_threads`` BLAS
+    threads; returns the completed process."""
+    threads = str(blas_threads)
+    env = {**os.environ, "PYTHONPATH": str(SRC), "OPENBLAS_NUM_THREADS": threads,
+           "OMP_NUM_THREADS": threads, "MKL_NUM_THREADS": threads}
+    return subprocess.run([sys.executable, *argv], cwd=tmp_path, capture_output=True,
+                          text=True, env=env, timeout=120)
+
+
+# A sweep integrates its points as one batch, and OpenBLAS may split a batch's
+# stage sums over threads once m x n passes about 9216; a one-point sum, 16
+# rows, never did.  CI pins one thread, so these are the only guards of the
+# bits at two.
+def test_mass_golden_at_two_blas_threads(tmp_path):
+    args = ["scan-mass", "--m1", "0.05,0.6", "--m3", "0.05,0.6", "--e", "0",
+            "--csv", "out.csv", "--tol", "1e-10"]
+    assert run_in_subprocess(["-m", "erestab.cli", *args], tmp_path, 2).returncode == 0
+    assert (tmp_path / "out.csv").read_text() == (DATA / "golden_mass.csv").read_text()
+
+
+# 100 points make 1600 rows, past the threshold from the fifth stage on
+BATCH_DIGEST = """
+import hashlib
+import numpy as np
+from erestab.linearization import StabilityParams
+from erestab.monodromy import integrate_fundamentals
+ps = [StabilityParams.from_beta_hls(0.09 * i, 0.0095 * i) for i in range(100)]
+digest = hashlib.sha256()
+for mono in integrate_fundamentals(ps, 1e-12):
+    digest.update(mono.gamma_end.tobytes() + repr(mono.step_metadata).encode())
+print(digest.hexdigest())
+"""
+
+
+def test_batch_bits_at_two_blas_threads(tmp_path):
+    digests = [run_in_subprocess(["-c", BATCH_DIGEST], tmp_path, threads).stdout
+               for threads in (1, 2)]
+    assert digests[0] and digests[0] == digests[1]
 
 
 # The single-point commands of the README, one golden file each.  They run in

@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -15,8 +16,11 @@ from erestab.monodromy import (
     Monodromy,
     Verdict,
     _dop853,
+    _fundamental_rhs,
+    _weights,
     classify_spectrum,
     integrate_fundamental,
+    integrate_fundamentals,
 )
 from erestab.polygon_config import Site
 from erestab.scan import polygon_params
@@ -161,6 +165,19 @@ PINNED = {
 PINNED_TOLS = [1e-10, 1e-12, 1e-13]
 
 
+def step_one(rhs, y0, tol):
+    """``_dop853`` over [0, 2 pi] on the one state ``y0`` with the right-hand
+    side ``rhs(t, y)`` of one state: (y, nfev, nsteps), or its
+    ConvergenceError raised."""
+    def batched(t, y, out):
+        out[:, 0] = rhs(t[0], y[:, 0])
+
+    (done,) = _dop853(batched, y0[:, None], TWO_PI, tol)
+    if isinstance(done, ConvergenceError):
+        raise done
+    return done
+
+
 class TestScalarRhsPin:
     """The scalar right-hand side repeats the row form's IEEE operations in
     the same order, and the in-house DOP853 repeats ``solve_ivp``'s, so the
@@ -190,7 +207,7 @@ class TestScalarRhsPin:
         y0 = np.eye(4).ravel()
         sol = solve_ivp(lambda t, y: np.zeros_like(y), (0.0, TWO_PI), y0,
                         method="DOP853", rtol=1e-10, atol=1e-10)
-        y, nfev, nsteps = _dop853(lambda t, y: (0.0,) * 16, y0, TWO_PI, 1e-10)
+        y, nfev, nsteps = step_one(lambda t, y: (0.0,) * 16, y0, 1e-10)
         assert (nfev, nsteps) == (sol.nfev, len(sol.t) - 1) == (98, 8)
         assert np.array_equal(y, sol.y[:, -1])
 
@@ -214,14 +231,135 @@ class TestStepperFailure:
         sol = solve_ivp(self.rhs, (0.0, TWO_PI), y0, method="DOP853", rtol=1e-10, atol=1e-10)
         assert not sol.success and len(sol.t) > 10
         with pytest.raises(ConvergenceError, match="step size .* below") as raised:
-            _dop853(self.rhs, y0, TWO_PI, 1e-10)
+            step_one(self.rhs, y0, 1e-10)
         # after the same accepted steps, at the same theta
         assert str(raised.value).endswith(f"at theta = {float(sol.t[-1])!r}")
 
     def test_step_size_not_a_number_raises(self):
         # solve_ivp would shrink a NaN step forever
         with pytest.raises(ConvergenceError, match="step size nan"):
-            _dop853(lambda theta, y: (math.nan,) * 16, np.eye(4).ravel(), TWO_PI, 1e-10)
+            step_one(lambda theta, y: (math.nan,) * 16, np.eye(4).ravel(), 1e-10)
+
+
+@functools.cache
+def oracle(p, tol):
+    return integrate_fundamental_solve_ivp(p, tol)
+
+
+def assert_oracle_bits(monos, ps, tol):
+    """Each Monodromy of ``monos`` is the ``solve_ivp`` oracle's for its point,
+    bit for bit in gamma(2 pi), nfev and nsteps."""
+    for p, mono in zip(ps, monos, strict=True):
+        gamma, nfev, nsteps = oracle(p, tol)
+        assert np.array_equal(mono.gamma_end, gamma)
+        assert mono.step_metadata == {"method": "DOP853", "tol": tol, "nfev": nfev,
+                                      "nsteps": nsteps}
+
+
+# The pinned points and an e sweep up to 0.95 at two betas: at 1e-12 the
+# step counts run from 31 to 129.
+BATCH = [*PINNED.values(),
+         *(StabilityParams.from_beta_hls(b, e) for e in (0.0, 0.3, 0.6, 0.8, 0.9, 0.95)
+           for b in (0.5, 6.0))]
+
+
+class TestBatchPin:
+    """Each point of a batch keeps its own steps, so it gets the bits of its
+    own integration whatever else the batch holds."""
+
+    @pytest.mark.parametrize("tol", PINNED_TOLS)
+    def test_mixed_batch_bit_identical_to_solve_ivp(self, tol):
+        assert_oracle_bits(integrate_fundamentals(BATCH, tol), BATCH, tol)
+
+    @pytest.mark.parametrize("tol", PINNED_TOLS)
+    def test_reversed_batch_bit_identical_to_solve_ivp(self, tol):
+        batch = BATCH[::-1]
+        assert_oracle_bits(integrate_fundamentals(batch, tol), batch, tol)
+
+    @pytest.mark.parametrize("tol", PINNED_TOLS)
+    def test_batch_of_one_bit_identical_to_solve_ivp(self, tol):
+        for p in BATCH[::7]:
+            assert_oracle_bits(integrate_fundamentals([p], tol), [p], tol)
+
+    def test_points_leaving_in_different_rounds(self):
+        # Each point leaves the batch in its own round, and each departure
+        # copies the stages into a narrower array; a strided view of the old
+        # one moved bits.
+        batch = [StabilityParams.from_beta_hls(0.5, 0.95)] + [
+            StabilityParams.from_beta_hls(b, e) for e in (0.0, 0.6, 0.3, 0.9) for b in (0.5, 6.0)
+        ]
+        monos = integrate_fundamentals(batch, 1e-12)
+        attempts = [(m.step_metadata["nfev"] - 2) // 12 for m in monos]
+        assert len(set(attempts)) == len(batch)
+        assert_oracle_bits(monos, batch, 1e-12)
+
+    def test_empty_batch(self):
+        assert integrate_fundamentals([], 1e-12) == []
+
+    def test_tolerance_rejected_before_integrating(self, monkeypatch):
+        def never(*args, **kwargs):
+            raise AssertionError("the stepper reached with a bad tolerance")
+
+        monkeypatch.setattr(erestab.monodromy, "_dop853", never)
+        with pytest.raises(DomainError):
+            integrate_fundamentals(BATCH[:2], 1e-14)
+
+
+def _mixed_coefficients(t, e, lam34, kind):
+    return list(zip(_weights(t, e, lam34), t))
+
+
+def _mixed_rhs(coefficients, y, out, e, lam34, kind):
+    """The fundamental system, but ``TestStepperFailure.rhs`` for the points
+    of kind 1 and NaN for those of kind 2."""
+    weights, theta = coefficients
+    _fundamental_rhs(weights, y, out)
+    for j in np.flatnonzero(kind == 1):
+        out[..., j] = np.reshape(TestStepperFailure.rhs(theta[j], y[..., j].ravel()), (4, 4))
+    out[..., kind == 2] = math.nan
+
+
+class TestBatchFailure:
+    """A point that fails leaves the batch with the message of its own
+    integration; the other points keep their bits."""
+
+    def test_failing_points_keep_their_messages(self):
+        ps = [StabilityParams.from_beta_hls(b, e) for b, e in
+              ((0.5, 0.3), (2.0, 0.0), (4.0, 0.6), (6.0, 0.9), (8.0, 0.2))]
+        kind = np.array([0, 1, 0, 2, 0])
+        e = np.array([p.e for p in ps])
+        lam34 = np.array([[p.lambda3 for p in ps], [p.lambda4 for p in ps]])
+        y0 = np.repeat(np.eye(4)[:, :, None], len(ps), axis=2)
+        out = _dop853(_mixed_rhs, y0, TWO_PI, 1e-12, (e, lam34, kind), _mixed_coefficients)
+
+        for rhs, failed in ((TestStepperFailure.rhs, out[1]),
+                            (lambda theta, y: (math.nan,) * 16, out[3])):
+            with pytest.raises(ConvergenceError) as alone:
+                step_one(rhs, np.eye(4).ravel(), 1e-12)
+            assert isinstance(failed, ConvergenceError)
+            assert str(failed) == str(alone.value)
+        assert "at theta = " in str(out[1]) and "step size nan" in str(out[3])
+        for j in (0, 2, 4):
+            gamma, nfev, nsteps = oracle(ps[j], 1e-12)
+            assert np.array_equal(out[j][0], gamma.ravel())
+            assert out[j][1:] == (nfev, nsteps)
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                                "ignore:invalid value:RuntimeWarning")  # from solve_ivp
+    def test_overflowing_point_fails_alone(self):
+        # lambda3 = 1e200 overflows f at once: the initial step is 0, as in
+        # solve_ivp, and the step falls below ten float spacings at theta = 0
+        huge = StabilityParams(1e200, 1.0, 0.3)
+        batch = [BATCH[0], huge, BATCH[1]]
+        monos = integrate_fundamentals(batch, 1e-12)
+        with pytest.raises(ConvergenceError) as alone:
+            integrate_fundamental(huge, 1e-12)
+        with pytest.raises(ConvergenceError):
+            integrate_fundamental_solve_ivp(huge, 1e-12)
+        assert isinstance(monos[1], ConvergenceError)
+        assert str(monos[1]) == str(alone.value)
+        assert str(monos[1]).endswith("at theta = 0.0")
+        assert_oracle_bits([monos[0], monos[2]], [BATCH[0], BATCH[1]], 1e-12)
 
 
 class TestClassification:

@@ -5,10 +5,16 @@ import numpy as np
 import pytest
 
 import erestab.scan
-from erestab.errors import CurveExtractionError, DomainError
+from erestab.errors import ConvergenceError, CurveExtractionError, DomainError
 from erestab.linearization import symmetric_beta
 from erestab.maslov import morse_index
-from erestab.monodromy import Verdict, classify_spectrum, integrate_fundamental, kernel_dimension
+from erestab.monodromy import (
+    Verdict,
+    classify_spectrum,
+    integrate_fundamental,
+    integrate_fundamentals,
+    kernel_dimension,
+)
 from erestab.linearization import StabilityParams
 from erestab.scan import (
     CurveKind,
@@ -21,7 +27,7 @@ from erestab.scan import (
     polygon_verdicts,
     scan_theta,
 )
-from erestab.scan import _beta_grid, _bisect_boundary
+from erestab.scan import _beta_grid, _bisect_boundaries, _bisect_boundary
 from erestab.polygon_config import Site
 
 from oracles import region_of
@@ -65,6 +71,30 @@ class TestScanTheta:
         (rec,) = scan_theta([0.3], [0.2], FAST)
         assert rec.phi_m1 == 2 and rec.phi_1 == 0
         assert rec.nu_1 == 0 and rec.nu_m1 == 0
+
+    def test_failed_points_keep_their_rows(self, monkeypatch):
+        # beta = 1 fails to build and beta = 2 to integrate (lambda3 = 1e200
+        # overflows); the batch around them keeps every row and every bit
+        huge = StabilityParams(1e200, 1.0, 0.3)
+
+        def build(beta, e):
+            if beta == 1.0:
+                raise DomainError("no such point")
+            return (huge if beta == 2.0 else StabilityParams.from_beta_hls(beta, e)), {}
+
+        monkeypatch.setattr(erestab.scan, "_theta_build", build)
+        records = scan_theta([0.5, 1.0, 2.0, 3.0], [0.3], FAST)
+        assert [(r.beta, r.e) for r in records] == [(0.5, 0.3), (1.0, 0.3), (2.0, 0.3), (3.0, 0.3)]
+        with pytest.raises(ConvergenceError) as alone:
+            integrate_fundamental(huge, FAST.integrator_tol)
+        assert records[1].error == "no such point"
+        assert records[2].error == str(alone.value)
+        assert all(r.verdict is None and r.eigenvalues is None for r in records[1:3])
+        assert records[0] == scan_theta([0.5], [0.3], FAST)[0]
+        assert records[3] == scan_theta([3.0], [0.3], FAST)[0]
+        # the same rows when the sweep runs in batches of three points
+        monkeypatch.setattr(erestab.scan, "SWEEP_BATCH", 3)
+        assert scan_theta([0.5, 1.0, 2.0, 3.0], [0.3], FAST) == records
 
 
 class TestCurves:
@@ -119,6 +149,34 @@ class TestCurves:
     def test_bisection_stops_at_adjacent_floats(self):
         lo, hi = _bisect_boundary(lambda x: x < 0.3, 0.0, 1.0, 1e-300)
         assert lo < 0.3 <= hi and np.nextafter(lo, 1.0) == hi
+
+    def test_lockstep_brackets_see_their_own_midpoints(self):
+        # brackets of different widths and depths, a repeated one, and one
+        # whose pred raises at its first midpoint
+        def search(log, i, limit, lo, hi):
+            def pred(x):
+                log[i].append(x)
+                if i == 3:
+                    raise CurveExtractionError("no answer")
+                return x < limit
+            return pred, lo, hi
+
+        specs = [(0.3, 0.0, 1.0), (2.71, 2.0, 3.0), (0.3, 0.0, 1.0), (5.5, 4.0, 8.0),
+                 (0.1, 0.0, 0.1 + 1e-3)]
+        joint, alone, rounds = [[] for _ in specs], [[] for _ in specs], []
+        together = _bisect_boundaries([search(joint, i, *s) for i, s in enumerate(specs)],
+                                      1e-6, rounds.append)
+        for i, s in enumerate(specs):
+            if i == 3:
+                with pytest.raises(CurveExtractionError):
+                    _bisect_boundary(*search(alone, i, *s), 1e-6)
+                assert isinstance(together[i], CurveExtractionError)
+            else:
+                assert together[i] == _bisect_boundary(*search(alone, i, *s), 1e-6)
+        assert joint == alone
+        # round k hands over the k-th midpoint of every bracket still open
+        assert rounds == [[log[k] for log in alone if len(log) > k]
+                          for k in range(max(map(len, alone)))]
 
     @pytest.mark.parametrize("step", [0.05, 0.25, 0.7, 1.0, 2.0, 4.0, 10.0])
     def test_beta_grid_ends_at_nine(self, step):
@@ -407,11 +465,11 @@ class TestOneDecomposition:
     def test_find_curves_decomposes_once_per_integration(self, decompositions, monkeypatch):
         integrations = []
 
-        def spy(p, tol):
-            integrations.append(p.beta_hls)
-            return integrate_fundamental(p, tol)
+        def spy(ps, tol):
+            integrations.extend(p.beta_hls for p in ps)
+            return integrate_fundamentals(ps, tol)
 
-        monkeypatch.setattr(erestab.scan, "integrate_fundamental", spy)
+        monkeypatch.setattr(erestab.scan, "integrate_fundamentals", spy)
         find_curves([0.3], 0.01, coarse_step=1.0)
         assert integrations and len(decompositions) == len(integrations)
 
@@ -459,7 +517,7 @@ def test_sweep_rejects_out_of_range_e(sweep, e):
     [("integrator_tol", 1e-14), ("integrator_tol", float("nan")),
      ("integrator_tol", float("inf")),
      ("circle_tol", 0.0), ("circle_tol", -1e-6), ("circle_tol", float("nan")),
-     ("circle_tol", float("inf"))],
+     ("circle_tol", float("inf")), ("circle_tol", 1.0), ("circle_tol", 5.0)],
 )
 def test_settings_reject_bad_tolerances(field, value):
     with pytest.raises(DomainError):
