@@ -9,9 +9,9 @@ level instead of the two reflection blocks at w = 1, the "two truncation
 levels agree" ladder instead of the certified Morse bracket, a 2000-sample locus
 scan for every off-line equilibrium instead of one descent of the amended
 potential, a direct quartic-multiplier formula instead of integrated
-monodromies, numpy row operations instead of the scalar right-hand side
-of ``integrate_fundamental``, and scipy's ``solve_ivp`` instead of its
-in-house DOP853 stepper.
+monodromies, numpy row operations and a scalar right-hand side instead of
+the batched one of ``integrate_fundamental``, and scipy's ``solve_ivp``
+instead of its in-house DOP853 stepper.
 
 The helpers after them (matrix exponential, D-form coefficient path,
 spectral distances, symplectic samples, positivity sweep, the K-form
@@ -444,8 +444,8 @@ def integrate_fundamental_rows(p: StabilityParams, tol: float = DEFAULT_TOL):
     the rows of J B(theta) gamma as numpy row operations.
 
     Returns (gamma(2*pi), nfev, step count).  Same DOP853 settings as
-    ``integrate_fundamental``, whose scalar right-hand side must reproduce
-    all three bit for bit.
+    ``integrate_fundamental``, whose right-hand side must reproduce all three
+    bit for bit.
     """
     e = p.e
     lam3, lam4 = p.lambda3, p.lambda4
@@ -478,8 +478,9 @@ def integrate_fundamental_rows(p: StabilityParams, tol: float = DEFAULT_TOL):
 
 
 def integrate_fundamental_solve_ivp(p: StabilityParams, tol: float = DEFAULT_TOL):
-    """``integrate_fundamental``'s scalar right-hand side, stepped by
-    ``scipy.integrate.solve_ivp`` as it was before the in-house DOP853.
+    """The scalar right-hand side ``integrate_fundamental`` had before its
+    batched one, stepped by ``scipy.integrate.solve_ivp`` as it was before
+    the in-house DOP853.
 
     Returns (gamma(2*pi), nfev, step count), all three of which
     ``integrate_fundamental`` must reproduce bit for bit.
