@@ -260,15 +260,15 @@ def _damped_newton(residual, newton_step, x: np.ndarray, tol: float, name: str) 
             except SingularityError:
                 scale *= 0.5
                 continue
-            if np.max(np.abs(trial_res)) < norm:
+            trial_norm = float(np.max(np.abs(trial_res)))
+            if trial_norm < norm:
                 break
             scale *= 0.5
         else:
             raise ConvergenceError(
                 f"{name} stalled (30 halvings without progress)", residual=norm
             )
-        x, res, extra = trial, trial_res, trial_extra
-        norm = float(np.max(np.abs(res)))
+        x, res, extra, norm = trial, trial_res, trial_extra, trial_norm
     raise ConvergenceError(f"{name} did not converge in {MAX_ITER} iterations", residual=norm)
 
 
@@ -331,6 +331,19 @@ def moulton_collinear(
 # Equilibrium of the massless body off the primaries' line
 # ---------------------------------------------------------------------------
 
+def massless_sums(config: Configuration, point: np.ndarray):
+    """Offsets d_j = a_j - a of the primaries from the massless body at a,
+    r_j, r_j^3, sum_j m_j / r_j^3 and sum_j m_j d_j d_j^T / r_j^5: the sums
+    V's derivatives, the multiplier identity and D are built from."""
+    m = config.masses.array
+    diff = config.primary_positions - point[None, :]
+    r = np.hypot(diff[:, 0], diff[:, 1])
+    if np.any(r < 1e-12):
+        raise SingularityError("massless body hit a primary")
+    r3 = r**3
+    return diff, r, r3, float(np.sum(m / r3)), np.einsum("k,ki,kj->ij", m / r**5, diff, diff)
+
+
 def _amended_potential(config: Configuration, point: np.ndarray):
     """V(a) = sum_j m_j/|a - a_j| + mu |a|^2 / 2, its gradient and Hessian.
 
@@ -338,15 +351,10 @@ def _amended_potential(config: Configuration, point: np.ndarray):
     equation of the massless body and the Hessian is its Jacobian.
     """
     m = config.masses.array
-    diff = config.primary_positions - point[None, :]
-    r = np.hypot(diff[:, 0], diff[:, 1])
-    if np.any(r < 1e-12):
-        raise SingularityError("massless body hit a primary")
-    r3 = r**3
+    diff, r, r3, s1, outer = massless_sums(config, point)
     value = float(np.sum(m / r)) + 0.5 * config.mu * float(point @ point)
     grad = (m[:, None] * diff / r3[:, None]).sum(axis=0) + config.mu * point
-    outer = np.einsum("k,ki,kj->ij", m / r**5, diff, diff)
-    hess = 3.0 * outer - np.eye(2) * float(np.sum(m / r3)) + config.mu * np.eye(2)
+    hess = 3.0 * outer - np.eye(2) * s1 + config.mu * np.eye(2)
     return value, grad, hess
 
 
@@ -383,9 +391,7 @@ def restricted_position(
             "Newton converged to a point on the primaries' line; "
             "choose a different guess"
         )
-    diff = config.primary_positions - a[None, :]
-    r = np.hypot(diff[:, 0], diff[:, 1])
-    mu_check = float(np.sum(config.masses.array / r**3))
+    mu_check = massless_sums(config, a)[3]
     if abs(config.mu - mu_check) > 1e-9:
         raise InvariantViolation(
             f"off-line multiplier identity violated: |mu - sum m_j/r^3| = "

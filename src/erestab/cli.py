@@ -86,6 +86,8 @@ def _atomic_write(path: str, text: str) -> None:
     try:
         with os.fdopen(fd, "w") as fh:
             fh.write(text)
+        os.umask(umask := os.umask(0))  # mkstemp made the file 0600: give it open()'s mode
+        os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -101,6 +103,8 @@ def _check_output_path(key: str, path) -> str:
     directory = os.path.dirname(os.path.abspath(path))
     if not os.path.isdir(directory):
         raise ConfigError(f"output {key} {path!r}: {directory} is not a directory")
+    if not os.path.basename(path) or os.path.isdir(path):
+        raise ConfigError(f"output {key} {path!r} names a directory")
     return os.path.abspath(path)
 
 
@@ -513,8 +517,8 @@ def run(cfg: dict) -> tuple[dict, list[tuple[str, str]]]:
     output = {**command.outputs, **{k: v for k, v in output.items() if v is not None}}
     paths = {k: _check_output_path(k, p) for k, p in output.items() if p is not None}
     if paths:  # the manifest goes next to the first artifact
-        paths["manifest"] = os.path.join(os.path.dirname(next(iter(paths.values()))),
-                                         "manifest.json")
+        directory = os.path.dirname(next(iter(paths.values())))
+        paths["manifest"] = _check_output_path("manifest", os.path.join(directory, "manifest.json"))
         if len(set(paths.values())) < len(paths):
             listed = ", ".join(f"{k} {p}" for k, p in paths.items())
             raise ConfigError(f"outputs and the manifest must name distinct files: {listed}")

@@ -20,8 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .central_config import Configuration, solve_symmetric_y
-from .errors import DomainError, InvariantViolation, SingularityError
+from .central_config import Configuration, massless_sums, solve_symmetric_y
+from .errors import DomainError, InvariantViolation
 
 I2 = np.eye(2)
 J4 = np.block([[np.zeros((2, 2)), -I2], [I2, np.zeros((2, 2))]])
@@ -66,14 +66,8 @@ def compute_D(config: Configuration) -> DMatrix:
     """Assemble D from a configuration with the massless position attached."""
     if config.massless_position is None:
         raise DomainError("configuration has no massless-body position")
-    m = config.masses.array
-    diff = config.primary_positions - config.massless_position[None, :]
-    r = np.hypot(diff[:, 0], diff[:, 1])
-    if np.any(r < 1e-12):
-        raise SingularityError("massless body coincides with a primary")
+    s1, s2 = massless_sums(config, config.massless_position)[3:]
     mu = config.mu
-    s1 = float(np.sum(m / r**3))
-    s2 = np.einsum("k,ki,kj->ij", m / r**5, diff, diff)
     d = I2 - (s1 / mu) * I2 + (3.0 / mu) * s2
     d = 0.5 * (d + d.T)
     d.setflags(write=False)

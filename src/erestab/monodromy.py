@@ -31,6 +31,12 @@ MIN_TOL = 1e-13  # the tightest integrator tolerance accepted
 DEFAULT_CIRCLE_TOL = 1e-6
 
 
+def check_integrator_tol(tol: float) -> None:
+    """Raise DomainError unless ``tol`` is finite and at least MIN_TOL."""
+    if not (math.isfinite(tol) and tol >= MIN_TOL):
+        raise DomainError(f"integrator tolerance must be finite and at least {MIN_TOL:g}, got {tol}")
+
+
 def symplectic_residual(mat: np.ndarray) -> float:
     """Max-norm of M^T J M - J."""
     return float(np.max(np.abs(mat.T @ J4 @ mat - J4)))
@@ -118,8 +124,7 @@ def _rms(x: np.ndarray) -> float:
 # rejects steps until the point fails: numpy's warnings on the way say nothing
 # more, and a point must not speak for the batch.
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
-def _dop853(fun, y0: np.ndarray, t_end: float, tol: float, args: tuple = (),
-            coefficients=None) -> list:
+def _dop853(fun, y0: np.ndarray, t_end: float, tol: float, args: tuple, coefficients) -> list:
     """Integrate y' = f(t, y), y(0) = y0[..., j], over [0, t_end] with DOP853
     for every point j on the last axis of ``y0``, all points stepped
     together in lockstep rounds.
@@ -128,10 +133,9 @@ def _dop853(fun, y0: np.ndarray, t_end: float, tol: float, args: tuple = (),
     its f, the number of steps), or the ConvergenceError that stopped it.
     ``fun(c, y, out, *a)`` writes f for a batch of points into ``out``,
     shaped like ``y``, point j at ``y[..., j]``; ``a`` is ``args`` cut to the
-    points in the batch along the last axis.  ``c`` holds the points' times
-    or, given ``coefficients``, what ``coefficients(t, *a)`` makes of the
-    times ``t`` of every stage of a round, shaped (stages, points), one stage
-    at a time: f's time-dependent part, formed once per round.
+    points in the batch along the last axis.  ``c`` is f's time-dependent
+    part, ``coefficients(t, *a)`` of the times ``t`` of a round's stages,
+    shaped (stages, points), formed once per round and read a stage at a time.
 
     Each round, every point in the batch attempts one step with its own t,
     step size, error norm and accept/reject decision: the step of
@@ -143,26 +147,26 @@ def _dop853(fun, y0: np.ndarray, t_end: float, tol: float, args: tuple = (),
     result is that of ``solve_ivp`` bit for bit, whatever else the batch
     holds.  The stages are one contiguous (13, n * points) array, copied
     afresh when a point leaves the batch: products over a strided view of it
-    change bits.  A step below ten spacings of the floats at t stops its
-    point with a ConvergenceError, where ``solve_ivp`` reports failure; so
-    does a step size that is not a number, on which ``solve_ivp`` would loop
-    forever.
+    change bits.  Points leave the batch at one site, the top of a round: a
+    point that would start a step at t >= t_end is done, its end state in
+    ``y``; a step below ten spacings of the floats at t fails its point with
+    a ConvergenceError, where ``solve_ivp`` reports failure, and so does a
+    step size that is not a number, on which ``solve_ivp`` would loop forever.
     """
     shape, count = y0.shape[:-1], y0.shape[-1]
     n = math.prod(shape)
-    at = coefficients or (lambda t, *a: t)
     out: list = [None] * count
 
     # the initial step of Hairer, Norsett & Wanner, sec. II.4, in RMS norms
     y = np.array(y0, dtype=float).reshape(n, count)
     f, f1 = np.empty_like(y), np.empty_like(y)
-    fun(at(np.zeros((1, count)), *args)[0], y.reshape(y0.shape), f.reshape(y0.shape), *args)
+    fun(coefficients(np.zeros((1, count)), *args)[0], y.reshape(y0.shape), f.reshape(y0.shape), *args)
     scale = tol + np.abs(y) * tol
     d0 = [_rms(v) for v in (y / scale).T.copy()]
     d1 = [_rms(v) for v in (f / scale).T.copy()]
     h0 = np.array([min(1e-6 if a < 1e-5 or b < 1e-5 else 0.01 * a / b, t_end)
                    for a, b in zip(d0, d1)])
-    fun(at(h0[None], *args)[0], (y + h0 * f).reshape(y0.shape), f1.reshape(y0.shape), *args)
+    fun(coefficients(h0[None], *args)[0], (y + h0 * f).reshape(y0.shape), f1.reshape(y0.shape), *args)
     # numpy's division, as solve_ivp's: h0 = 0 once f overflows
     d2 = (np.array([_rms(v) for v in ((f1 - f) / scale).T.copy()]) / h0).tolist()
     h_abs = []
@@ -179,12 +183,13 @@ def _dop853(fun, y0: np.ndarray, t_end: float, tol: float, args: tuple = (),
     t, min_step, rejected = [0.0] * count, [0.0] * count, [False] * count
     attempts, nsteps = [0] * count, [0] * count
     fresh = [True] * count  # the point starts a new step this round
-    leaving = set()  # the points that finished in the last round
-    while points:
+    while True:
+        keep = []  # the points that stay in the batch
         for j in range(len(points)):
-            if j in leaving:
-                continue
             if fresh[j]:
+                if not t[j] < t_end:
+                    out[points[j]] = (y[j::len(points)].copy(), 2 + 12 * attempts[j], nsteps[j])
+                    continue
                 min_step[j] = 10 * abs(math.nextafter(t[j], math.inf) - t[j])
                 if h_abs[j] < min_step[j]:
                     h_abs[j] = min_step[j]
@@ -194,11 +199,11 @@ def _dop853(fun, y0: np.ndarray, t_end: float, tol: float, args: tuple = (),
                     f"fundamental-solution integration failed: step size {h_abs[j]:.3g} "
                     f"below {min_step[j]:.3g} at theta = {t[j]!r}"
                 )
-                leaving.add(j)
-        if leaving:
-            keep = [j for j in range(len(points)) if j not in leaving]
-            if not keep:
-                break
+                continue
+            keep.append(j)
+        if not keep:
+            return out
+        if len(keep) < len(points):
             points, t, min_step, h_abs, rejected, attempts, nsteps = (
                 [v[j] for j in keep]
                 for v in (points, t, min_step, h_abs, rejected, attempts, nsteps)
@@ -206,7 +211,6 @@ def _dop853(fun, y0: np.ndarray, t_end: float, tol: float, args: tuple = (),
             y = y.reshape(n, -1).take(keep, axis=1).ravel()
             k = k.reshape(13, n, -1).take(keep, axis=2).reshape(13, -1)
             args = tuple(a.take(keep, axis=-1) for a in args)
-            leaving = set()
         if size != len(points):
             size = len(points)
             state = (*shape, size)
@@ -218,7 +222,7 @@ def _dop853(fun, y0: np.ndarray, t_end: float, tol: float, args: tuple = (),
         h_abs = [abs(v) for v in h]
         h_arr = np.array(h)
         h_rep = np.concatenate((h_arr,) * n)
-        c = at(np.array(t) + np.multiply.outer(_C[1:], h_arr), *args)  # stage s at t + c_s h
+        c = coefficients(np.array(t) + np.multiply.outer(_C[1:], h_arr), *args)  # at t + c_s h
         for s, (before, a) in enumerate(sums, 1):
             fun(c[s - 1], (y + before.dot(a) * h_rep).reshape(state), outs[s], *args)
         y_new = y + h_rep * k[:12].T.dot(_B)
@@ -243,9 +247,6 @@ def _dop853(fun, y0: np.ndarray, t_end: float, tol: float, args: tuple = (),
                 h_abs[j] *= min(1, factor) if rejected[j] else factor
                 t[j] = t_new[j]
                 nsteps[j] += 1
-                if not t[j] < t_end:
-                    out[points[j]] = (y_new[j::size].copy(), 2 + 12 * attempts[j], nsteps[j])
-                    leaving.add(j)
             else:
                 h_abs[j] *= max(0.2, 0.9 * error ** -0.125)
                 rejected[j] = True
@@ -256,7 +257,6 @@ def _dop853(fun, y0: np.ndarray, t_end: float, tol: float, args: tuple = (),
             moved = np.concatenate((fresh,) * n)
             y = np.where(moved, y_new, y)
             k[0] = np.where(moved, k[12], k[0])
-    return out
 
 
 # the rows of gamma (a, b, c, d = 0, 1, 2, 3) that make u = (b, -g1 d, a, b)
@@ -307,8 +307,7 @@ def integrate_fundamentals(
     integration fails gets its ConvergenceError in its place; the other
     points are not affected.
     """
-    if not (math.isfinite(tol) and tol >= MIN_TOL):
-        raise DomainError(f"tolerance must be finite and at least {MIN_TOL:g}, got {tol}")
+    check_integrator_tol(tol)
     if not ps:
         return []
     e = np.array([p.e for p in ps])

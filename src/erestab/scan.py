@@ -34,9 +34,9 @@ from .maslov import DEFAULT_LEVELS, IndexResult, morse_index
 from .monodromy import (
     DEFAULT_CIRCLE_TOL,
     DEFAULT_TOL,
-    MIN_TOL,
     Monodromy,
     SpectrumVerdict,
+    check_integrator_tol,
     circle_jump_sum,
     classify_spectrum,
     integrate_fundamental,
@@ -62,11 +62,7 @@ class ScanSettings:
     circle_tol: float = DEFAULT_CIRCLE_TOL
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.integrator_tol) and self.integrator_tol >= MIN_TOL):
-            raise DomainError(
-                f"integrator tolerance must be finite and at least {MIN_TOL:g}, "
-                f"got {self.integrator_tol}"
-            )
+        check_integrator_tol(self.integrator_tol)
         # a multiplier off the circle by 1 or more is not "on the circle"
         if not 0.0 < self.circle_tol < 1.0:
             raise DomainError(f"circle tolerance must lie in (0, 1), got {self.circle_tol}")

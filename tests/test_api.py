@@ -148,6 +148,29 @@ def test_one_general_eigensolve():
     assert found == ["monodromy.Monodromy.from_matrix"]
 
 
+def test_one_distance_sum_kernel():
+    """The massless body's distance sums are formed in one place: the 1/r^5
+    outer product, ``einsum`` with subscripts ``"k,ki,kj->ij"``, appears only
+    inside ``central_config.massless_sums``, which V's gradient and Hessian,
+    the multiplier identity and D all read."""
+    found = []
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef)):
+                visit(child, f"{where}.{child.name}")
+                continue
+            if (isinstance(child, ast.Call) and getattr(child.func, "attr", None) == "einsum"
+                    and isinstance(child.args[0], ast.Constant)
+                    and child.args[0].value == "k,ki,kj->ij"):
+                found.append(where)
+            visit(child, where)
+
+    for path in sorted(SRC.glob("*.py")):
+        visit(ast.parse(path.read_text()), path.stem)
+    assert found == ["central_config.massless_sums"]
+
+
 def test_readme_python_block_runs(capsys):
     """The README's Quick start runs and prints what its comments say."""
     section = README.read_text().split("## Quick start (Python)", 1)[1]

@@ -1,6 +1,8 @@
+import errno
 import json
 import os
 import shlex
+import stat
 import subprocess
 import sys
 from pathlib import Path
@@ -580,15 +582,34 @@ class TestExitCodes:
         assert out == ""
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("output, made", [
+        (["--json", "sub"], "sub"),
+        ([], "manifest.json"),
+        (["--json", "new/"], None),
+    ], ids=["output", "manifest", "trailing-slash"])
+    def test_output_naming_a_directory_is_2(self, output, made, tmp_path, monkeypatch, capsys):
+        # found only at the write, it would leave the artifacts written before it
+        self.forbid_computing(monkeypatch)
+        made = [tmp_path / made] if made else []
+        for directory in made:
+            directory.mkdir()
+        args = ["scan-theta", "--beta", "1.5", "--e", "0.3", "--csv", "t.csv", *output]
+        code, out, err = run_cli(args, tmp_path, monkeypatch, capsys)
+        assert code == 2 and "names a directory" in err
+        assert out == ""
+        assert list(tmp_path.rglob("*")) == made
+
     def test_unwritable_output_is_2(self, tmp_path, monkeypatch, capsys):
-        # a directory where the file should go: the write itself fails
-        (tmp_path / "out.json").mkdir()
+        # the write itself fails and leaves no file behind
+        def full(src, dst):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        monkeypatch.setattr(erestab.cli.os, "replace", full)
         code, out, err = run_cli(self.INDEX + ["--json", "out.json"],
                                  tmp_path, monkeypatch, capsys)
-        assert code == 2 and "cannot write out.json: Is a directory" in err
+        assert code == 2 and f"cannot write out.json: {os.strerror(errno.ENOSPC)}" in err
         assert out == ""
-        assert [p.name for p in tmp_path.iterdir()] == ["out.json"]
-        assert list((tmp_path / "out.json").iterdir()) == []
+        assert list(tmp_path.iterdir()) == []
 
     def test_unknown_command_in_run_config(self):
         with pytest.raises(ConfigError, match="unknown command"):
@@ -922,6 +943,25 @@ def test_atomic_write_failed_replace_keeps_target(tmp_path, monkeypatch):
         _atomic_write(str(target), "new\n")
     assert target.read_text() == "old\n"
     assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o002], ids=["022", "002"])
+def test_artifacts_get_the_mode_open_gives(umask, tmp_path, monkeypatch, capsys):
+    # a temp file is made 0600; the artifacts and the manifest get the mode of
+    # a file made by open(), when written and when rewritten
+    saved = os.umask(umask)
+    try:
+        (tmp_path / "plain").write_text("")
+        mode = stat.S_IMODE((tmp_path / "plain").stat().st_mode)
+        for _ in range(2):
+            code, _, _ = run_cli(["polygon", "--n", "8", "--m0-over-m", "1e3", "--site", "S3",
+                                  "--json", "p.json"], tmp_path, monkeypatch, capsys)
+            assert code == 0
+            for name in ("p.json", "manifest.json"):
+                assert stat.S_IMODE((tmp_path / name).stat().st_mode) == mode, name
+    finally:
+        os.umask(saved)
+    assert mode == 0o666 & ~umask
 
 
 def readme_commands() -> list[list[str]]:

@@ -172,7 +172,7 @@ def step_one(rhs, y0, tol):
     def batched(t, y, out):
         out[:, 0] = rhs(t[0], y[:, 0])
 
-    (done,) = _dop853(batched, y0[:, None], TWO_PI, tol)
+    (done,) = _dop853(batched, y0[:, None], TWO_PI, tol, (), lambda t: t)
     if isinstance(done, ConvergenceError):
         raise done
     return done

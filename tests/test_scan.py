@@ -9,6 +9,7 @@ from erestab.errors import ConvergenceError, CurveExtractionError, DomainError
 from erestab.linearization import symmetric_beta
 from erestab.maslov import morse_index
 from erestab.monodromy import (
+    MIN_TOL,
     Verdict,
     classify_spectrum,
     integrate_fundamental,
@@ -522,3 +523,15 @@ def test_sweep_rejects_out_of_range_e(sweep, e):
 def test_settings_reject_bad_tolerances(field, value):
     with pytest.raises(DomainError):
         ScanSettings(**{field: value})
+
+
+@pytest.mark.parametrize("tol", [0.0, -1.0, 1e-14, float("nan"), float("inf")])
+def test_one_integrator_tolerance_rule(tol):
+    """The settings and the integrator reject a tolerance by one rule, with
+    one message."""
+    with pytest.raises(DomainError) as settings:
+        ScanSettings(integrator_tol=tol)
+    with pytest.raises(DomainError) as integrator:
+        integrate_fundamentals([], tol)
+    assert str(settings.value) == str(integrator.value)
+    assert integrate_fundamentals([], MIN_TOL) == []
