@@ -9,6 +9,7 @@ passed to the constructors are recentered and rescaled automatically.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 from typing import Sequence
@@ -162,9 +163,12 @@ class Configuration:
         amended potential V at ``position``.
         """
         p = np.asarray(position, dtype=float).reshape(2)
-        grad = _amended_potential(self, p)[1]
-        residual = max(self.cc_residual, float(np.hypot(*grad)))
-        return replace(self, massless_position=_readonly(p), cc_residual=residual)
+        return _attach_massless(self, p, _derivatives(self, p)[0])
+
+
+def _attach_massless(config: Configuration, p: np.ndarray, grad: np.ndarray) -> Configuration:
+    residual = max(config.cc_residual, float(np.hypot(*grad)))
+    return replace(config, massless_position=_readonly(p), cc_residual=residual)
 
 
 # ---------------------------------------------------------------------------
@@ -189,6 +193,23 @@ def euler_quintic_coefficients(m1: float, m2: float, m3: float) -> np.ndarray:
     )
 
 
+@functools.cache
+def _scan_grid() -> np.ndarray:
+    """The quintic's sign-scan points: 10^4 log-spaced on [1e-8, 100]."""
+    grid = np.geomspace(1e-8, 100.0, 10_000)
+    grid.setflags(write=False)
+    return grid
+
+
+def _horner(coeffs: list[float], x: float) -> float:
+    """The polynomial ``coeffs`` (highest degree first) at x by Horner's rule,
+    with np.polyval's operations in its order, so with its bits."""
+    y = 0.0
+    for c in coeffs:
+        y = y * x + c
+    return y
+
+
 def solve_euler_quintic(m1: float, m2: float, m3: float) -> float:
     """Unique positive root of the collinear spacing quintic.
 
@@ -196,28 +217,30 @@ def solve_euler_quintic(m1: float, m2: float, m3: float) -> float:
     so the positive root is unique.  The root is bracketed by a sign scan on
     10^4 log-spaced points of (0, 100) and refined with Brent's method plus
     two Newton polish steps.
+
+    Only the sign scan is a numpy array operation (one ``np.polyval`` over
+    the grid, built on first use); Brent's callback, the polish and the
+    residual check evaluate the quintic on Python floats by :func:`_horner`,
+    which rounds as ``np.polyval`` on a scalar does at a fraction of its
+    per-call cost.
     """
     from scipy.optimize import brentq
 
-    if min(m1, m2, m3) <= 0.0:
-        raise DomainError("masses must be positive")
+    if not all(0.0 < m < math.inf for m in (m1, m2, m3)):
+        raise DomainError(f"masses must be positive and finite, got {(m1, m2, m3)}")
     coeffs = euler_quintic_coefficients(m1, m2, m3)
-    deriv = np.polyder(coeffs)
-    grid = np.geomspace(1e-8, 100.0, 10_000)
+    grid = _scan_grid()
     vals = np.polyval(coeffs, grid)
     flips = np.flatnonzero(np.sign(vals[:-1]) != np.sign(vals[1:]))
     if flips.size == 0:
         raise ConvergenceError("no sign change of the quintic on (0, 100)")
     i = int(flips[0])
-    x = brentq(
-        lambda t: float(np.polyval(coeffs, t)),
-        float(grid[i]),
-        float(grid[i + 1]),
-        xtol=1e-15,
-    )
+    c = coeffs.tolist()
+    deriv = [ci * (len(c) - 1 - k) for k, ci in enumerate(c[:-1])]
+    x = brentq(lambda t: _horner(c, t), float(grid[i]), float(grid[i + 1]), xtol=1e-15)
     for _ in range(2):
-        x -= float(np.polyval(coeffs, x)) / float(np.polyval(deriv, x))
-    scaled = abs(float(np.polyval(coeffs, x))) / float(np.max(np.abs(coeffs)))
+        x -= _horner(c, x) / _horner(deriv, x)
+    scaled = abs(_horner(c, x)) / max(abs(ci) for ci in c)
     if scaled > 1e-13:
         raise ConvergenceError("quintic root failed the residual check", residual=scaled)
     return float(x)
@@ -236,21 +259,23 @@ def collinear_three_primaries(masses: MassSystem) -> Configuration:
 # Damped Newton iteration shared by the configuration solvers
 # ---------------------------------------------------------------------------
 
-def _damped_newton(residual, newton_step, x: np.ndarray, tol: float, name: str) -> np.ndarray:
+def _damped_newton(residual, newton_step, x: np.ndarray, tol: float, name: str):
     """Solve residual(x) = 0 by Newton steps halved until the max-norm drops.
 
     ``residual(x)`` returns the residual vector and whatever ``newton_step``
     needs besides it; ``newton_step(x, res, extra)`` returns the full step.
     Each step is halved up to 30 times, and a trial point where ``residual``
     raises SingularityError counts as no progress.  Stops once the max-norm
-    is below ``tol``; raises ConvergenceError if 30 halvings do not reduce
-    it or MAX_ITER steps do not reach ``tol``.
+    is below ``tol`` and returns x with ``residual(x)``'s (res, extra):
+    the last point evaluated is always the one returned.  Raises
+    ConvergenceError if 30 halvings do not reduce the max-norm or MAX_ITER
+    steps do not reach ``tol``.
     """
     res, extra = residual(x)
     norm = float(np.max(np.abs(res)))
     for _ in range(MAX_ITER):
         if norm < tol:
-            return x
+            return x, res, extra
         step = newton_step(x, res, extra)
         scale = 1.0
         for _ in range(30):
@@ -322,7 +347,7 @@ def moulton_collinear(
         )
         return np.linalg.lstsq(jac, -res, rcond=None)[0]
 
-    u = _damped_newton(residual, gauss_newton_step, np.zeros(k - 1), 1e-12, "Moulton iteration")
+    u = _damped_newton(residual, gauss_newton_step, np.zeros(k - 1), 1e-12, "Moulton iteration")[0]
     x = _line_positions(m, u, ordering)
     return Configuration.from_primaries(masses, np.column_stack([x, np.zeros(k)]))
 
@@ -331,30 +356,77 @@ def moulton_collinear(
 # Equilibrium of the massless body off the primaries' line
 # ---------------------------------------------------------------------------
 
+def _check_guess(guess: Sequence[float]) -> np.ndarray:
+    a = np.asarray(guess, dtype=float).reshape(2)
+    if not (math.isfinite(a[0]) and math.isfinite(a[1])):
+        raise DomainError(f"guess must be finite, got {tuple(a.tolist())}")
+    return a
+
+
 def massless_sums(config: Configuration, point: np.ndarray):
-    """Offsets d_j = a_j - a of the primaries from the massless body at a,
-    r_j, r_j^3, sum_j m_j / r_j^3 and sum_j m_j d_j d_j^T / r_j^5: the sums
-    V's derivatives, the multiplier identity and D are built from."""
-    m = config.masses.array
+    """Distance sums of the massless body at a = ``point``: with offsets
+    d_j = a_j - a of the primaries and r_j = |d_j|, the array of r_j,
+    s1 = sum_j m_j / r_j^3, the force sum_j m_j d_j / r_j^3 as (fx, fy) and
+    the outer sum sum_j m_j d_j d_j^T / r_j^5 as ((xx, xy), (yx, yy)): the
+    sums V's derivatives, the multiplier identity and D are built from.
+
+    Scalar Python over ``tolist()`` floats, except ``np.hypot``, ``r**3``
+    and ``r**5``, which stay numpy array operations: Python's scalar ``**``
+    rounds differently from numpy's array power on some inputs.  Each sum
+    runs in index order with ``+=`` (``sum()`` compensates from Python
+    3.12), as ``einsum`` and the axis-0 ``sum`` add, and an outer term is
+    (w_j d_ji) d_jk with w_j = m_j / r_j^5, as ``einsum`` multiplies, so
+    xy and yx may differ in the last bit.  numpy's ``sum`` adds in index
+    order only below eight terms, so s1 of eight or more primaries is
+    ``np.sum``'s.
+    """
     diff = config.primary_positions - point[None, :]
     r = np.hypot(diff[:, 0], diff[:, 1])
     if np.any(r < 1e-12):
         raise SingularityError("massless body hit a primary")
     r3 = r**3
-    return diff, r, r3, float(np.sum(m / r3)), np.einsum("k,ki,kj->ij", m / r**5, diff, diff)
+    m = config.masses.masses
+    s1 = fx = fy = xx = xy = yx = yy = 0.0
+    for mj, (dx, dy), q3, q5 in zip(m, diff.tolist(), r3.tolist(), (r**5).tolist()):
+        s1 += mj / q3
+        fx += mj * dx / q3
+        fy += mj * dy / q3
+        w = mj / q5
+        xx += w * dx * dx
+        xy += w * dx * dy
+        yx += w * dy * dx
+        yy += w * dy * dy
+    if len(m) >= 8:
+        s1 = float(np.sum(config.masses.array / r3))
+    return r, s1, (fx, fy), ((xx, xy), (yx, yy))
+
+
+def _derivatives(config: Configuration, point: np.ndarray):
+    """Gradient of V (see :func:`_amended_potential`) at ``point``, then its
+    Hessian, s1 and r from :func:`massless_sums`: the residual of
+    :func:`restricted_position`'s Newton iteration and what its step, its
+    multiplier identity and V's value read.
+
+    The Hessian is 3 outer - s1 I + mu I entry by entry, as numpy formed it,
+    so it keeps the outer sum's asymmetry in the last bit.
+    """
+    r, s1, (fx, fy), ((xx, xy), (yx, yy)) = massless_sums(config, point)
+    mu = config.mu
+    px, py = point.tolist()
+    grad = np.array([fx + mu * px, fy + mu * py])
+    hess = np.array([[3.0 * xx - s1 + mu, 3.0 * xy], [3.0 * yx, 3.0 * yy - s1 + mu]])
+    return grad, (hess, s1, r)
 
 
 def _amended_potential(config: Configuration, point: np.ndarray):
     """V(a) = sum_j m_j/|a - a_j| + mu |a|^2 / 2, its gradient and Hessian.
 
     The gradient sum_j m_j (a_j - a)/|a_j - a|^3 + mu a is the equilibrium
-    equation of the massless body and the Hessian is its Jacobian.
+    equation of the massless body and the Hessian is its Jacobian.  Only the
+    descent of :func:`locate_offline_equilibria` reads the value.
     """
-    m = config.masses.array
-    diff, r, r3, s1, outer = massless_sums(config, point)
-    value = float(np.sum(m / r)) + 0.5 * config.mu * float(point @ point)
-    grad = (m[:, None] * diff / r3[:, None]).sum(axis=0) + config.mu * point
-    hess = 3.0 * outer - np.eye(2) * s1 + config.mu * np.eye(2)
+    grad, (hess, _, r) = _derivatives(config, point)
+    value = float(np.sum(config.masses.array / r)) + 0.5 * config.mu * float(point @ point)
     return value, grad, hess
 
 
@@ -376,12 +448,12 @@ def restricted_position(
     guess : pair of floats
         Starting point; must not lie on the primaries' line.
     """
-    a = np.asarray(guess, dtype=float).reshape(2)
+    a = _check_guess(guess)
     if abs(a[1]) < 1e-12:
         raise DomainError("guess must lie off the primaries' line")
-    a = _damped_newton(
-        lambda x: _amended_potential(config, x)[1:],
-        lambda x, f, jac: np.linalg.solve(jac, -f),
+    a, grad, (_, mu_check, _) = _damped_newton(
+        lambda x: _derivatives(config, x),
+        lambda x, f, extra: np.linalg.solve(extra[0], -f),
         a,
         1e-11,
         "restricted-position Newton",
@@ -391,13 +463,12 @@ def restricted_position(
             "Newton converged to a point on the primaries' line; "
             "choose a different guess"
         )
-    mu_check = massless_sums(config, a)[3]
     if abs(config.mu - mu_check) > 1e-9:
         raise InvariantViolation(
             f"off-line multiplier identity violated: |mu - sum m_j/r^3| = "
             f"{abs(config.mu - mu_check):.3e}"
         )
-    return config.with_massless(a)
+    return _attach_massless(config, a, grad)
 
 
 def locate_offline_equilibria(
@@ -419,7 +490,8 @@ def locate_offline_equilibria(
 
     if np.max(np.abs(config.primary_positions[:, 1])) > 1e-10:
         raise DomainError("locate_offline_equilibria needs primaries on the x-axis")
-    start = np.array([guess[0], abs(guess[1])], dtype=float)
+    g = _check_guess(guess)
+    start = np.array([g[0], abs(g[1])])
     res = minimize(
         lambda a: _amended_potential(config, a)[:2],
         start,

@@ -66,9 +66,9 @@ def compute_D(config: Configuration) -> DMatrix:
     """Assemble D from a configuration with the massless position attached."""
     if config.massless_position is None:
         raise DomainError("configuration has no massless-body position")
-    s1, s2 = massless_sums(config, config.massless_position)[3:]
+    _, s1, _, outer = massless_sums(config, config.massless_position)
     mu = config.mu
-    d = I2 - (s1 / mu) * I2 + (3.0 / mu) * s2
+    d = I2 - (s1 / mu) * I2 + (3.0 / mu) * np.array(outer)
     d = 0.5 * (d + d.T)
     d.setflags(write=False)
     return DMatrix(entries=d, beta20=s1 / mu - 1.0)

@@ -10,8 +10,10 @@ levels agree" ladder instead of the certified Morse bracket, a 2000-sample locus
 scan for every off-line equilibrium instead of one descent of the amended
 potential, a direct quartic-multiplier formula instead of integrated
 monodromies, numpy row operations and a scalar right-hand side instead of
-the batched one of ``integrate_fundamental``, and scipy's ``solve_ivp``
-instead of its in-house DOP853 stepper.
+the batched one of ``integrate_fundamental``, scipy's ``solve_ivp``
+instead of its in-house DOP853 stepper, and numpy calls on a handful of
+numbers (``np.polyval`` on scalars, ``einsum`` and axis sums) instead of
+the scalar Python spacing-quintic and distance-sum kernels.
 
 The helpers after them (matrix exponential, D-form coefficient path,
 spectral distances, symplectic samples, positivity sweep, the K-form
@@ -42,6 +44,7 @@ from scipy.integrate import solve_ivp
 from scipy.linalg import toeplitz
 from scipy.optimize import brentq, linear_sum_assignment
 
+from erestab import central_config
 from erestab.central_config import (
     Configuration,
     MassSystem,
@@ -49,7 +52,7 @@ from erestab.central_config import (
     restricted_position,
     solve_symmetric_y,
 )
-from erestab.errors import ConvergenceError, DomainError
+from erestab.errors import ConvergenceError, DomainError, SingularityError
 from erestab.linearization import I2, J4, DMatrix, StabilityParams, spectral_params
 from erestab.maslov import (
     DEFAULT_LEVELS,
@@ -90,6 +93,58 @@ def quintic_positive_roots(m1, m2, m3):
     roots = np.roots(coeffs)
     real = roots[np.abs(roots.imag) < 1e-9 * np.maximum(1.0, np.abs(roots.real))].real
     return np.sort(real[real > 0])
+
+
+def solve_euler_quintic_polyval(m1, m2, m3):
+    """The spacing quintic's root by ``np.polyval`` at every evaluation and a
+    grid built on every call: the numpy form that
+    ``central_config.solve_euler_quintic`` repeats with Python Horner."""
+    if min(m1, m2, m3) <= 0.0:
+        raise DomainError("masses must be positive")
+    coeffs = central_config.euler_quintic_coefficients(m1, m2, m3)
+    deriv = np.polyder(coeffs)
+    grid = np.geomspace(1e-8, 100.0, 10_000)
+    vals = np.polyval(coeffs, grid)
+    flips = np.flatnonzero(np.sign(vals[:-1]) != np.sign(vals[1:]))
+    if flips.size == 0:
+        raise ConvergenceError("no sign change of the quintic on (0, 100)")
+    i = int(flips[0])
+    x = brentq(
+        lambda t: float(np.polyval(coeffs, t)),
+        float(grid[i]),
+        float(grid[i + 1]),
+        xtol=1e-15,
+    )
+    for _ in range(2):
+        x -= float(np.polyval(coeffs, x)) / float(np.polyval(deriv, x))
+    scaled = abs(float(np.polyval(coeffs, x))) / float(np.max(np.abs(coeffs)))
+    if scaled > 1e-13:
+        raise ConvergenceError("quintic root failed the residual check", residual=scaled)
+    return float(x)
+
+
+def massless_sums_numpy(config, point):
+    """Offsets d_j = a_j - a, r_j, r_j^3, sum_j m_j / r_j^3 and
+    sum_j m_j d_j d_j^T / r_j^5 by numpy array calls: the form that
+    ``central_config.massless_sums`` repeats in scalar Python."""
+    m = config.masses.array
+    diff = config.primary_positions - point[None, :]
+    r = np.hypot(diff[:, 0], diff[:, 1])
+    if np.any(r < 1e-12):
+        raise SingularityError("massless body hit a primary")
+    r3 = r**3
+    return diff, r, r3, float(np.sum(m / r3)), np.einsum("k,ki,kj->ij", m / r**5, diff, diff)
+
+
+def amended_potential_numpy(config, point):
+    """V, its gradient and Hessian from :func:`massless_sums_numpy`, as
+    ``central_config._amended_potential`` formed them by numpy calls."""
+    m = config.masses.array
+    diff, r, r3, s1, outer = massless_sums_numpy(config, point)
+    value = float(np.sum(m / r)) + 0.5 * config.mu * float(point @ point)
+    grad = (m[:, None] * diff / r3[:, None]).sum(axis=0) + config.mu * point
+    hess = 3.0 * outer - np.eye(2) * s1 + config.mu * np.eye(2)
+    return value, grad, hess
 
 
 def cc_defect_complex(masses, positions, mu, massless=None):

@@ -149,26 +149,30 @@ def test_one_general_eigensolve():
 
 
 def test_one_distance_sum_kernel():
-    """The massless body's distance sums are formed in one place: the 1/r^5
-    outer product, ``einsum`` with subscripts ``"k,ki,kj->ij"``, appears only
-    inside ``central_config.massless_sums``, which V's gradient and Hessian,
-    the multiplier identity and D all read."""
+    """The massless body's distance sums are formed in one place: a fifth
+    power (``** 5`` or ``** -5``), which the 1/r^5 outer sum needs, appears
+    only in ``central_config.massless_sums``, which V's gradient and Hessian,
+    the multiplier identity and D all read, and in the polygon family's
+    closed-form lattice sum, which never sees a ``Configuration``."""
     found = []
+
+    def fifth(node):
+        if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
+            node = node.operand
+        return isinstance(node, ast.Constant) and node.value == 5
 
     def visit(node, where):
         for child in ast.iter_child_nodes(node):
             if isinstance(child, (ast.ClassDef, ast.FunctionDef)):
                 visit(child, f"{where}.{child.name}")
                 continue
-            if (isinstance(child, ast.Call) and getattr(child.func, "attr", None) == "einsum"
-                    and isinstance(child.args[0], ast.Constant)
-                    and child.args[0].value == "k,ki,kj->ij"):
+            if isinstance(child, ast.BinOp) and isinstance(child.op, ast.Pow) and fifth(child.right):
                 found.append(where)
             visit(child, where)
 
     for path in sorted(SRC.glob("*.py")):
         visit(ast.parse(path.read_text()), path.stem)
-    assert found == ["central_config.massless_sums"]
+    assert found == ["central_config.massless_sums"] + ["polygon_config.bang_quantities"] * 2
 
 
 def test_readme_python_block_runs(capsys):

@@ -9,9 +9,12 @@ from erestab.central_config import (
     SQRT3,
     Configuration,
     MassSystem,
+    _amended_potential,
     _damped_newton,
+    _derivatives,
     collinear_three_primaries,
     locate_offline_equilibria,
+    massless_sums,
     moulton_collinear,
     offline_equilibrium,
     restricted_position,
@@ -26,9 +29,12 @@ from erestab.errors import (
 )
 
 from oracles import (
+    amended_potential_numpy,
     cc_defect_complex,
     locus_scan_equilibria,
+    massless_sums_numpy,
     quintic_positive_roots,
+    solve_euler_quintic_polyval,
     symmetric_four_body,
     symmetric_y_highprec,
 )
@@ -86,6 +92,7 @@ class TestEulerQuintic:
         monkeypatch.setattr(erestab.central_config, "euler_quintic_coefficients",
                             lambda m1, m2, m3: np.array([0.0, 0.0, 0.0, 0.0, 1.0, -g]))
         assert solve_euler_quintic(0.2, 0.6, 0.2) == g
+        assert solve_euler_quintic_polyval(0.2, 0.6, 0.2) == g
 
 
 class TestCollinearThree:
@@ -236,6 +243,75 @@ def test_solver_outputs_pinned():
     )
 
 
+def _bits(values) -> bytes:
+    return np.asarray(values, dtype=float).tobytes()
+
+
+class TestScalarKernelPin:
+    """The scalar spacing-quintic and distance-sum kernels return the bits of
+    the numpy forms they replaced (``tests/oracles.py``)."""
+
+    def test_quintic_roots(self):
+        triples = np.random.default_rng(27).dirichlet((1.5, 1.5, 1.5), 2000).tolist()
+        got = [solve_euler_quintic(*t) for t in triples]
+        assert _bits(got) == _bits([solve_euler_quintic_polyval(*t) for t in triples])
+
+    @staticmethod
+    def _cases():
+        """(configuration, point) pairs: 10 points each on 200 cells of the
+        C11 mass grid and the six fallback cells, then on chains of 2 to 12
+        primaries (s1 of eight or more terms is numpy's pairwise sum)."""
+        rng = np.random.default_rng(2027)
+        grid = np.linspace(0.005, 0.985, 100)
+        cells = [(m1, m3) for m1 in grid for m3 in grid if m1 + m3 < 1.0]
+        picks = [cells[i] for i in rng.choice(len(cells), 200, replace=False)]
+        picks += [((k1 + 0.25) / 14, (k3 + 0.25) / 14)
+                  for k1, k3 in TestRestrictedPosition.FALLBACK_CELLS]
+        configs = [collinear_three_primaries(MassSystem.normalized((m1, 1.0 - m1 - m3, m3)))
+                   for m1, m3 in picks]
+        configs += [moulton_collinear(MassSystem.normalized(rng.uniform(0.5, 2.0, k)))
+                    for k in (2, 4, 7, 8, 9, 12)]
+        for cfg in configs:
+            eq = offline_equilibrium(cfg).massless_position if len(cfg.masses) == 3 else None
+            points = rng.uniform((-2.0, -2.0), (2.0, 2.0), (10, 2))
+            if eq is not None:
+                points[:2] = [eq, (0.0, 1.0)]
+            for p in points:
+                yield cfg, p
+
+    def test_distance_sums_gradient_and_hessian(self):
+        got, want = [], []
+        for cfg, p in self._cases():
+            r, s1, _, outer = massless_sums(cfg, p)
+            grad, (hess, s1_newton, r_newton) = _derivatives(cfg, p)
+            value, grad_v, hess_v = _amended_potential(cfg, p)
+            _, r_np, _, s1_np, outer_np = massless_sums_numpy(cfg, p)
+            value_np, grad_np, hess_np = amended_potential_numpy(cfg, p)
+            got.append(np.concatenate([r, r_newton, [s1, s1_newton, value], np.ravel(outer),
+                                       grad, grad_v, hess.ravel(), hess_v.ravel()]))
+            want.append(np.concatenate([r_np, r_np, [s1_np, s1_np, value_np], outer_np.ravel(),
+                                        grad_np, grad_np, hess_np.ravel(), hess_np.ravel()]))
+        assert len(got) >= 2000
+        assert _bits(np.concatenate(got)) == _bits(np.concatenate(want))
+
+
+NAN, INF = math.nan, math.inf
+
+
+@pytest.mark.parametrize("solver, args", [
+    (solve_euler_quintic, (NAN, 0.5, 0.5)),
+    (solve_euler_quintic, (0.5, 0.5, INF)),
+    (offline_equilibrium, ((0.0, NAN),)),
+    (locate_offline_equilibria, ((0.0, NAN),)),
+    (restricted_position, ((INF, 1.0),)),
+], ids=["quintic-nan", "quintic-inf", "offline-nan", "locate-nan", "restricted-inf"])
+def test_non_finite_input_is_domain_error(solver, args):
+    if solver is not solve_euler_quintic:
+        args = (collinear_three_primaries(MassSystem((0.5, 0.3, 0.2))),) + args
+    with pytest.raises(DomainError, match="finite"):
+        solver(*args)
+
+
 class TestDampedNewton:
     def test_singular_trial_is_halved(self):
         # The step overshoots 4x into a region where the residual is singular;
@@ -248,9 +324,10 @@ class TestDampedNewton:
                 raise SingularityError("singular trial point")
             return x - 1.0, None
 
-        x = _damped_newton(residual, lambda x, res, extra: -4.0 * res,
-                           np.zeros(1), 1e-12, "toy")
+        x, res, _ = _damped_newton(residual, lambda x, res, extra: -4.0 * res,
+                                   np.zeros(1), 1e-12, "toy")
         assert x.tolist() == [1.0]
+        assert res.tolist() == [0.0]
         assert trials == [0.0, 4.0, 2.0, 1.0]
 
     def test_slow_descent_stops_at_max_iter(self):
