@@ -20,6 +20,7 @@ from .errors import (
     ConvergenceError,
     DegenerateSolutionError,
     DomainError,
+    ErestabError,
     InvariantViolation,
     SingularityError,
 )
@@ -29,6 +30,7 @@ SQRT3 = math.sqrt(3.0)
 MASS_SUM_TOL = 1e-14
 CC_RESIDUAL_TOL = 1e-10
 MAX_ITER = 200  # iteration cap of the Moulton and restricted-position solvers
+HIT_PRIMARY = "massless body hit a primary"
 
 
 @dataclass(frozen=True)
@@ -163,7 +165,7 @@ class Configuration:
         amended potential V at ``position``.
         """
         p = np.asarray(position, dtype=float).reshape(2)
-        return _attach_massless(self, p, _derivatives(self, p)[0])
+        return _attach_massless(self, p, _config_derivatives(self, p)[0])
 
 
 def _attach_massless(config: Configuration, p: np.ndarray, grad: np.ndarray) -> Configuration:
@@ -259,42 +261,91 @@ def collinear_three_primaries(masses: MassSystem) -> Configuration:
 # Damped Newton iteration shared by the configuration solvers
 # ---------------------------------------------------------------------------
 
-def _damped_newton(residual, newton_step, x: np.ndarray, tol: float, name: str):
-    """Solve residual(x) = 0 by Newton steps halved until the max-norm drops.
+def _one(outcome):
+    """A batch of one's outcome, raised if it is an error."""
+    if isinstance(outcome, ErestabError):
+        raise outcome
+    return outcome
 
-    ``residual(x)`` returns the residual vector and whatever ``newton_step``
-    needs besides it; ``newton_step(x, res, extra)`` returns the full step.
-    Each step is halved up to 30 times, and a trial point where ``residual``
-    raises SingularityError counts as no progress.  Stops once the max-norm
-    is below ``tol`` and returns x with ``residual(x)``'s (res, extra):
-    the last point evaluated is always the one returned.  Raises
-    ConvergenceError if 30 halvings do not reduce the max-norm or MAX_ITER
-    steps do not reach ``tol``.
+
+def _damped_newton(
+    residual, newton_step, x: np.ndarray, args: tuple, tol: float, name: str
+) -> list:
+    """Solve residual(x) = 0 from every starting point of the batch ``x``
+    (points, n) by Newton steps halved until the max-norm drops.
+
+    ``residual(x, *a)`` evaluates the rows of ``x``, ``a`` being ``args``
+    cut to the points still iterating, as ``_dop853`` cuts its own: it
+    returns their residual rows, a tuple of arrays with a row per point that
+    ``newton_step`` needs besides them, and the mask of the points that hit
+    a primary there.  ``newton_step(x, res, extra)`` returns full steps.
+    Each point has its own step, scale, halvings and iteration count: each
+    step is halved up to 30 times, and a trial that hits a primary counts as
+    no progress for its point only.  A round evaluates one trial of every
+    point still iterating, so each point takes the steps it would take
+    alone, bit for bit.
+
+    Returns, per point, (x, res, extra) of its last evaluation once the
+    max-norm is below ``tol`` (the last point evaluated is always the one
+    returned), or the error that ended it: SingularityError if it starts on
+    a primary, ConvergenceError if 30 halvings do not reduce the max-norm or
+    MAX_ITER steps do not reach ``tol``.
     """
-    res, extra = residual(x)
-    norm = float(np.max(np.abs(res)))
-    for _ in range(MAX_ITER):
-        if norm < tol:
-            return x, res, extra
-        step = newton_step(x, res, extra)
-        scale = 1.0
-        for _ in range(30):
-            trial = x + scale * step
-            try:
-                trial_res, trial_extra = residual(trial)
-            except SingularityError:
-                scale *= 0.5
-                continue
-            trial_norm = float(np.max(np.abs(trial_res)))
-            if trial_norm < norm:
-                break
-            scale *= 0.5
-        else:
-            raise ConvergenceError(
-                f"{name} stalled (30 halvings without progress)", residual=norm
+    out: list = [None] * len(x)
+    rows = np.arange(len(x))  # the points still iterating, in batch order
+    x = np.array(x, dtype=float)
+    res, extra, hit = residual(x, *args)
+    for i in np.flatnonzero(hit):
+        out[i] = SingularityError(HIT_PRIMARY)
+    norm = np.max(np.abs(res), axis=1)
+    step = np.empty_like(x)
+    scale = np.ones(len(x))
+    iters, halvings = np.zeros(len(x), dtype=int), np.zeros(len(x), dtype=int)
+    fresh = ~hit  # the point is at the top of a Newton step
+    while True:
+        capped = fresh & (iters == MAX_ITER)
+        done = fresh & ~capped & (norm < tol)
+        stalled = ~fresh & (halvings == 30)
+        for j in np.flatnonzero(capped | done | stalled):
+            if done[j]:
+                out[rows[j]] = (x[j], res[j], tuple(e[j] for e in extra))
+            elif capped[j]:
+                out[rows[j]] = ConvergenceError(
+                    f"{name} did not converge in {MAX_ITER} iterations", residual=float(norm[j])
+                )
+            else:
+                out[rows[j]] = ConvergenceError(
+                    f"{name} stalled (30 halvings without progress)", residual=float(norm[j])
+                )
+        stay = ~(hit | capped | done | stalled)
+        if not stay.any():
+            return out
+        if not stay.all():
+            rows, x, res, norm, step, scale, iters, halvings, fresh, hit = (
+                a[stay] for a in (rows, x, res, norm, step, scale, iters, halvings, fresh, hit)
             )
-        x, res, extra, norm = trial, trial_res, trial_extra, trial_norm
-    raise ConvergenceError(f"{name} did not converge in {MAX_ITER} iterations", residual=norm)
+            extra, args = tuple(e[stay] for e in extra), tuple(a[stay] for a in args)
+        if fresh.all():
+            step = newton_step(x, res, extra)
+            scale[:] = 1.0
+            halvings[:] = 0
+        elif fresh.any():
+            step[fresh] = newton_step(x[fresh], res[fresh], tuple(e[fresh] for e in extra))
+            scale[fresh] = 1.0
+            halvings[fresh] = 0
+        trial = x + scale[:, None] * step
+        trial_res, trial_extra, trial_hit = residual(trial, *args)
+        trial_norm = np.max(np.abs(trial_res), axis=1)
+        fresh = ~trial_hit & (trial_norm < norm)
+        if fresh.all():
+            x, res, extra, norm = trial, trial_res, trial_extra, trial_norm
+        else:
+            x[fresh], res[fresh], norm[fresh] = trial[fresh], trial_res[fresh], trial_norm[fresh]
+            for e, t in zip(extra, trial_extra):
+                e[fresh] = t[fresh]
+            scale[~fresh] *= 0.5
+            halvings[~fresh] += 1
+        iters[fresh] += 1
 
 
 # ---------------------------------------------------------------------------
@@ -337,17 +388,23 @@ def moulton_collinear(
         raise DomainError(f"ordering must be a permutation of 0..{k - 1}")
     m = masses.array
 
+    def line_residual(u):
+        return _line_cc_residual(m, _line_positions(m, u, ordering))
+
     def residual(u):
-        return _line_cc_residual(m, _line_positions(m, u, ordering)), None
+        return line_residual(u[0])[None], (), np.zeros(1, dtype=bool)
 
-    def gauss_newton_step(u, res, _):
-        h = 1e-7
-        jac = np.column_stack(
-            [(residual(u + h * d)[0] - residual(u - h * d)[0]) / (2.0 * h) for d in np.eye(k - 1)]
-        )
-        return np.linalg.lstsq(jac, -res, rcond=None)[0]
+    def gauss_newton_step(u, res, extra):
+        h, v = 1e-7, u[0]
+        jac = np.column_stack([
+            (line_residual(v + h * d) - line_residual(v - h * d)) / (2.0 * h) for d in np.eye(k - 1)
+        ])
+        return np.linalg.lstsq(jac, -res[0], rcond=None)[0][None]
 
-    u = _damped_newton(residual, gauss_newton_step, np.zeros(k - 1), 1e-12, "Moulton iteration")[0]
+    solved = _damped_newton(
+        residual, gauss_newton_step, np.zeros((1, k - 1)), (), 1e-12, "Moulton iteration"
+    )
+    u = _one(solved[0])[0]
     x = _line_positions(m, u, ordering)
     return Configuration.from_primaries(masses, np.column_stack([x, np.zeros(k)]))
 
@@ -363,59 +420,79 @@ def _check_guess(guess: Sequence[float]) -> np.ndarray:
     return a
 
 
-def massless_sums(config: Configuration, point: np.ndarray):
-    """Distance sums of the massless body at a = ``point``: with offsets
-    d_j = a_j - a of the primaries and r_j = |d_j|, the array of r_j,
-    s1 = sum_j m_j / r_j^3, the force sum_j m_j d_j / r_j^3 as (fx, fy) and
-    the outer sum sum_j m_j d_j d_j^T / r_j^5 as ((xx, xy), (yx, yy)): the
-    sums V's derivatives, the multiplier identity and D are built from.
+def massless_sums(positions: np.ndarray, masses: np.ndarray, points: np.ndarray):
+    """Distance sums of the massless body at a batch of points: with the
+    offsets d_j = a_j - a of the primaries at ``positions`` (points, k, 2),
+    masses ``masses`` (points, k), a = ``points`` (points, 2) and r_j =
+    |d_j|, the array of r_j, s1 = sum_j m_j / r_j^3, the force
+    sum_j m_j d_j / r_j^3 as (fx, fy) and the outer sum
+    sum_j m_j d_j d_j^T / r_j^5 as ((xx, xy), (yx, yy)), one entry per
+    point: the sums V's derivatives, the multiplier identity and D are built
+    from.  The last item is the mask of the points closer than 1e-12 to a
+    primary, whose sums mean nothing.  Without the leading axis the inputs
+    are one point, and so are the outputs.
 
-    Scalar Python over ``tolist()`` floats, except ``np.hypot``, ``r**3``
-    and ``r**5``, which stay numpy array operations: Python's scalar ``**``
-    rounds differently from numpy's array power on some inputs.  Each sum
-    runs in index order with ``+=`` (``sum()`` compensates from Python
-    3.12), as ``einsum`` and the axis-0 ``sum`` add, and an outer term is
-    (w_j d_ji) d_jk with w_j = m_j / r_j^5, as ``einsum`` multiplies, so
-    xy and yx may differ in the last bit.  numpy's ``sum`` adds in index
-    order only below eight terms, so s1 of eight or more primaries is
-    ``np.sum``'s.
+    ``np.hypot``, ``r**3`` and ``r**5`` are elementwise, and each sum is
+    formed column by column in index order, ``0.0 + t_1 + ... + t_k``, the
+    IEEE operations of a scalar ``+=`` loop and of ``einsum``, and so with
+    their bits whatever else the batch holds.  An outer term is
+    (w_j d_ji) d_jk with w_j = m_j / r_j^5, as ``einsum`` multiplies, so xy
+    and yx may differ in the last bit.  numpy's ``sum`` adds in index order
+    only below eight terms, so s1 of eight or more primaries is
+    ``np.sum``'s over the last axis.
     """
-    diff = config.primary_positions - point[None, :]
-    r = np.hypot(diff[:, 0], diff[:, 1])
-    if np.any(r < 1e-12):
-        raise SingularityError("massless body hit a primary")
-    r3 = r**3
-    m = config.masses.masses
+    diff = positions - points[..., None, :]
+    dx, dy = diff[..., 0], diff[..., 1]
+    r = np.hypot(dx, dy)
+    hit = (r < 1e-12).any(axis=-1)
+    if hit.any():  # a distance of 1 keeps the point's garbage finite
+        r = np.where(hit[..., None], 1.0, r)
+    r3, r5 = r**3, r**5
     s1 = fx = fy = xx = xy = yx = yy = 0.0
-    for mj, (dx, dy), q3, q5 in zip(m, diff.tolist(), r3.tolist(), (r**5).tolist()):
-        s1 += mj / q3
-        fx += mj * dx / q3
-        fy += mj * dy / q3
+    # primary j's terms: floats for one point, column j for a batch
+    for mj, dxj, dyj, q3, q5 in zip(masses.T, dx.T, dy.T, r3.T, r5.T):
+        s1 = s1 + mj / q3
+        fx = fx + mj * dxj / q3
+        fy = fy + mj * dyj / q3
         w = mj / q5
-        xx += w * dx * dx
-        xy += w * dx * dy
-        yx += w * dy * dx
-        yy += w * dy * dy
-    if len(m) >= 8:
-        s1 = float(np.sum(config.masses.array / r3))
-    return r, s1, (fx, fy), ((xx, xy), (yx, yy))
+        xx = xx + w * dxj * dxj
+        xy = xy + w * dxj * dyj
+        yx = yx + w * dyj * dxj
+        yy = yy + w * dyj * dyj
+    if masses.shape[-1] >= 8:
+        s1 = np.sum(masses / r3, axis=-1)
+    return r, s1, (fx, fy), ((xx, xy), (yx, yy)), hit
 
 
-def _derivatives(config: Configuration, point: np.ndarray):
-    """Gradient of V (see :func:`_amended_potential`) at ``point``, then its
-    Hessian, s1 and r from :func:`massless_sums`: the residual of
-    :func:`restricted_position`'s Newton iteration and what its step, its
-    multiplier identity and V's value read.
+def _derivatives(positions: np.ndarray, masses: np.ndarray, mu, points: np.ndarray):
+    """Gradient of V (see :func:`_amended_potential`) at a batch of
+    ``points``, then its Hessian, s1 and r from :func:`massless_sums`, and
+    the mask of the points on a primary: the residual of the off-line
+    equilibrium's Newton iteration and what its step, its multiplier
+    identity and V's value read.  ``mu`` is each point's multiplier.
 
     The Hessian is 3 outer - s1 I + mu I entry by entry, as numpy formed it,
     so it keeps the outer sum's asymmetry in the last bit.
     """
-    r, s1, (fx, fy), ((xx, xy), (yx, yy)) = massless_sums(config, point)
-    mu = config.mu
-    px, py = point.tolist()
-    grad = np.array([fx + mu * px, fy + mu * py])
-    hess = np.array([[3.0 * xx - s1 + mu, 3.0 * xy], [3.0 * yx, 3.0 * yy - s1 + mu]])
-    return grad, (hess, s1, r)
+    r, s1, (fx, fy), ((xx, xy), (yx, yy)), hit = massless_sums(positions, masses, points)
+    grad = np.empty(points.shape)
+    grad[..., 0] = fx + mu * points[..., 0]
+    grad[..., 1] = fy + mu * points[..., 1]
+    hess = np.empty(points.shape + (2,))
+    hess[..., 0, 0] = 3.0 * xx - s1 + mu
+    hess[..., 0, 1] = 3.0 * xy
+    hess[..., 1, 0] = 3.0 * yx
+    hess[..., 1, 1] = 3.0 * yy - s1 + mu
+    return grad, (hess, s1, r), hit
+
+
+def _config_derivatives(config: Configuration, point: np.ndarray):
+    """:func:`_derivatives` at one point of ``config``; raises
+    SingularityError if the point hits a primary."""
+    grad, extra, hit = _derivatives(config.primary_positions, config.masses.array, config.mu, point)
+    if hit:
+        raise SingularityError(HIT_PRIMARY)
+    return grad, extra
 
 
 def _amended_potential(config: Configuration, point: np.ndarray):
@@ -425,9 +502,76 @@ def _amended_potential(config: Configuration, point: np.ndarray):
     equation of the massless body and the Hessian is its Jacobian.  Only the
     descent of :func:`locate_offline_equilibria` reads the value.
     """
-    grad, (hess, _, r) = _derivatives(config, point)
+    grad, (hess, _, r) = _config_derivatives(config, point)
     value = float(np.sum(config.masses.array / r)) + 0.5 * config.mu * float(point @ point)
     return value, grad, hess
+
+
+def stack_by_size(configs: Sequence[Configuration]) -> list:
+    """``configs`` grouped by their number k of primaries, in order of first
+    appearance: per group its indices into ``configs`` and the primaries'
+    positions (points, k, 2), masses (points, k) and multipliers (points,),
+    the batch inputs of :func:`massless_sums` and :func:`_derivatives`."""
+    groups: dict[int, list[int]] = {}
+    for i, c in enumerate(configs):
+        groups.setdefault(len(c.masses), []).append(i)
+    return [
+        (
+            members,
+            np.array([configs[i].primary_positions for i in members]),
+            np.array([configs[i].masses.masses for i in members]),
+            np.array([configs[i].mu for i in members]),
+        )
+        for members in groups.values()
+    ]
+
+
+def _equilibrium_residual(x, positions, masses, mu):
+    grad, (hess, s1, _), hit = _derivatives(positions, masses, mu, x)
+    return grad, (hess, s1), hit
+
+
+def _equilibrium_step(x, grad, extra):
+    return np.linalg.solve(extra[0], -grad[..., None])[..., 0]
+
+
+def _restricted_positions(configs: Sequence[Configuration], starts: np.ndarray) -> list:
+    """The damped Newton iteration of :func:`restricted_position` for each
+    configuration from its row of ``starts``, one batch per number of
+    primaries: per point its Configuration with the position attached, or
+    the ErestabError that ended it."""
+    out: list = [None] * len(configs)
+    for members, positions, masses, mu in stack_by_size(configs):
+        solved = _damped_newton(
+            _equilibrium_residual, _equilibrium_step, starts[members], (positions, masses, mu),
+            1e-11, "restricted-position Newton",
+        )
+        for i, outcome in zip(members, solved):
+            config = configs[i]
+            if isinstance(outcome, ErestabError):
+                out[i] = outcome
+                continue
+            a, grad, (_, mu_check) = outcome
+            if abs(a[1]) < 1e-8:
+                out[i] = DegenerateSolutionError(
+                    "Newton converged to a point on the primaries' line; "
+                    "choose a different guess"
+                )
+            elif abs(config.mu - mu_check) > 1e-9:
+                out[i] = InvariantViolation(
+                    f"off-line multiplier identity violated: |mu - sum m_j/r^3| = "
+                    f"{abs(config.mu - mu_check):.3e}"
+                )
+            else:
+                out[i] = _attach_massless(config, a, grad)
+    return out
+
+
+def _newton_start(guess: Sequence[float]) -> np.ndarray:
+    a = _check_guess(guess)
+    if abs(a[1]) < 1e-12:
+        raise DomainError("guess must lie off the primaries' line")
+    return a
 
 
 def restricted_position(
@@ -439,7 +583,8 @@ def restricted_position(
     fixed by the primaries.  A damped 2D Newton iteration starts from
     ``guess`` (default (0, 1) in normalized units).  At any off-line
     solution the y-component of the equation forces the identity
-    mu = sum_j m_j / |a_j - a|^3, which is verified to 1e-9.
+    mu = sum_j m_j / |a_j - a|^3, which is verified to 1e-9.  This is the
+    Newton stage of :func:`offline_equilibria` on one point.
 
     Parameters
     ----------
@@ -448,27 +593,7 @@ def restricted_position(
     guess : pair of floats
         Starting point; must not lie on the primaries' line.
     """
-    a = _check_guess(guess)
-    if abs(a[1]) < 1e-12:
-        raise DomainError("guess must lie off the primaries' line")
-    a, grad, (_, mu_check, _) = _damped_newton(
-        lambda x: _derivatives(config, x),
-        lambda x, f, extra: np.linalg.solve(extra[0], -f),
-        a,
-        1e-11,
-        "restricted-position Newton",
-    )
-    if abs(a[1]) < 1e-8:
-        raise DegenerateSolutionError(
-            "Newton converged to a point on the primaries' line; "
-            "choose a different guess"
-        )
-    if abs(config.mu - mu_check) > 1e-9:
-        raise InvariantViolation(
-            f"off-line multiplier identity violated: |mu - sum m_j/r^3| = "
-            f"{abs(config.mu - mu_check):.3e}"
-        )
-    return _attach_massless(config, a, grad)
+    return _one(_restricted_positions([config], _newton_start(guess)[None])[0])
 
 
 def locate_offline_equilibria(
@@ -492,11 +617,19 @@ def locate_offline_equilibria(
         raise DomainError("locate_offline_equilibria needs primaries on the x-axis")
     g = _check_guess(guess)
     start = np.array([g[0], abs(g[1])])
+    last: list = [None, None]  # the point last evaluated and V's terms there
+
+    def terms(a: np.ndarray):
+        # scipy asks for the value and gradient, then the Hessian, at each iterate
+        if last[0] is None or last[0].tobytes() != a.tobytes():
+            last[:] = a.copy(), _amended_potential(config, a)
+        return last[1]
+
     res = minimize(
-        lambda a: _amended_potential(config, a)[:2],
+        lambda a: terms(a)[:2],
         start,
         jac=True,
-        hess=lambda a: _amended_potential(config, a)[2],
+        hess=lambda a: terms(a)[2],
         method="trust-exact",
         options={"gtol": 1e-10},
     )
@@ -506,18 +639,48 @@ def locate_offline_equilibria(
     return np.array([x, abs(y)])
 
 
+def offline_equilibria(
+    configs: Sequence[Configuration], guesses: Sequence[Sequence[float]] | None = None
+) -> list[Configuration | ErestabError]:
+    """:func:`offline_equilibrium` of every configuration of ``configs``,
+    each from its guess (default (0, 1) for all), as one batch.
+
+    The Newton iterations run in lockstep rounds, each point with its own
+    steps, halvings and stop, so each point's position and residual equal
+    its own solve bit for bit.  Points whose Newton iteration fails to
+    converge are seeded one at a time by :func:`locate_offline_equilibria`
+    from their guesses and solved again, as a second batch.  A point that
+    fails gets its ErestabError in its place; the other points are not
+    affected.  A guess that is not finite or lies on the primaries' line
+    raises DomainError before any work.
+    """
+    if guesses is None:
+        guesses = [(0.0, 1.0)] * len(configs)
+    starts = np.array([_newton_start(g) for g in guesses]).reshape(-1, 2)
+    out = _restricted_positions(configs, starts)
+    seeds = {}
+    for i, outcome in enumerate(out):
+        if isinstance(outcome, ConvergenceError):
+            try:
+                seeds[i] = _newton_start(locate_offline_equilibria(configs[i], guesses[i]))
+            except ErestabError as exc:
+                out[i] = exc.with_traceback(None)  # no frame kept alive
+    if seeds:
+        again = _restricted_positions([configs[i] for i in seeds], np.array(list(seeds.values())))
+        for i, outcome in zip(seeds, again):
+            out[i] = outcome
+    return out
+
+
 def offline_equilibrium(config: Configuration, guess: Sequence[float] = (0.0, 1.0)) -> Configuration:
     """Robust off-line equilibrium: Newton first, a descent of V as fallback.
 
     Tries :func:`restricted_position` from ``guess``; if the iteration
-    degenerates onto the primaries' line, re-seeds it at the minimum of the
-    amended potential that :func:`locate_offline_equilibria` descends to
-    from the guess.
+    fails to converge, re-seeds it at the minimum of the amended potential
+    that :func:`locate_offline_equilibria` descends to from the guess.
+    This is :func:`offline_equilibria` on one point.
     """
-    try:
-        return restricted_position(config, guess)
-    except ConvergenceError:
-        return restricted_position(config, locate_offline_equilibria(config, guess))
+    return _one(offline_equilibria([config], [guess])[0])
 
 
 def solve_symmetric_y(m2: float) -> float:

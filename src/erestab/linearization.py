@@ -17,11 +17,18 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
-from .central_config import Configuration, massless_sums, solve_symmetric_y
-from .errors import DomainError, InvariantViolation
+from .central_config import (
+    HIT_PRIMARY,
+    Configuration,
+    massless_sums,
+    solve_symmetric_y,
+    stack_by_size,
+)
+from .errors import DomainError, ErestabError, InvariantViolation, SingularityError
 
 I2 = np.eye(2)
 J4 = np.block([[np.zeros((2, 2)), -I2], [I2, np.zeros((2, 2))]])
@@ -62,16 +69,43 @@ class DMatrix:
         return (half_tr + root, half_tr - root)
 
 
-def compute_D(config: Configuration) -> DMatrix:
-    """Assemble D from a configuration with the massless position attached."""
-    if config.massless_position is None:
+def compute_Ds(configs: Sequence[Configuration]) -> list[DMatrix | ErestabError]:
+    """:func:`compute_D` of every configuration of ``configs``, from one
+    batched :func:`massless_sums` call per number of primaries.
+
+    D is formed entry by entry with the operations of one configuration's,
+    so each equals its own bit for bit.  A point whose D cannot be formed
+    gets its ErestabError in its place.  A configuration without a
+    massless-body position raises DomainError before any work.
+    """
+    if any(c.massless_position is None for c in configs):
         raise DomainError("configuration has no massless-body position")
-    _, s1, _, outer = massless_sums(config, config.massless_position)
-    mu = config.mu
-    d = I2 - (s1 / mu) * I2 + (3.0 / mu) * np.array(outer)
-    d = 0.5 * (d + d.T)
-    d.setflags(write=False)
-    return DMatrix(entries=d, beta20=s1 / mu - 1.0)
+    out: list = [None] * len(configs)
+    for members, positions, masses, mu in stack_by_size(configs):
+        points = np.array([configs[i].massless_position for i in members])
+        _, s1, _, outer, hit = massless_sums(positions, masses, points)
+        q, t = (s1 / mu)[:, None, None], (3.0 / mu)[:, None, None]
+        d = I2 - q * I2 + t * np.moveaxis(np.array(outer), -1, 0)
+        d = 0.5 * (d + d.transpose(0, 2, 1))
+        d.setflags(write=False)
+        for i, entries, beta20, on_primary in zip(members, d, (s1 / mu - 1.0).tolist(), hit):
+            if on_primary:
+                out[i] = SingularityError(HIT_PRIMARY)
+                continue
+            try:
+                out[i] = DMatrix(entries=entries, beta20=beta20)
+            except ErestabError as exc:
+                out[i] = exc.with_traceback(None)  # no frame kept alive
+    return out
+
+
+def compute_D(config: Configuration) -> DMatrix:
+    """Assemble D from a configuration with the massless position attached:
+    :func:`compute_Ds` on one configuration."""
+    (d,) = compute_Ds([config])
+    if isinstance(d, ErestabError):
+        raise d
+    return d
 
 
 @dataclass(frozen=True)

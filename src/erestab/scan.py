@@ -26,10 +26,18 @@ from .central_config import (
     MassSystem,
     collinear_three_primaries,
     moulton_collinear,
+    offline_equilibria,
     offline_equilibrium,
 )
 from .errors import CurveExtractionError, DomainError, ErestabError
-from .linearization import MAX_ECCENTRICITY, StabilityParams, compute_D, spectral_params, symmetric_beta
+from .linearization import (
+    MAX_ECCENTRICITY,
+    StabilityParams,
+    compute_D,
+    compute_Ds,
+    spectral_params,
+    symmetric_beta,
+)
 from .maslov import DEFAULT_LEVELS, IndexResult, morse_index
 from .monodromy import (
     DEFAULT_CIRCLE_TOL,
@@ -186,6 +194,12 @@ def _check_nonempty(*grids: Sequence) -> None:
         raise DomainError("all sweep lists must be nonempty")
 
 
+def _check_finite(name: str, values: Sequence[float]) -> None:
+    for v in values:
+        if not math.isfinite(v):
+            raise DomainError(f"{name} {v} is not finite")
+
+
 def _check_eccentricities(e_values: Sequence[float], e_max: float = MAX_ECCENTRICITY) -> None:
     for e in e_values:
         if not 0.0 <= e <= e_max:
@@ -198,26 +212,38 @@ def _check_eccentricities(e_values: Sequence[float], e_max: float = MAX_ECCENTRI
 SWEEP_BATCH = 1024
 
 
-def _sweep(keys: list[dict], build, record: type, indices: bool, settings: ScanSettings) -> list:
-    """Every sweep point ``keys[i]`` as a ``record``, in order.
+def _each(build):
+    """A batch build for :func:`_sweep` that calls ``build(**key)`` on each
+    key of the batch in turn, a failure becoming its message."""
 
-    ``build(**keys[i])`` returns the point's parameters and the columns it
-    derives from them.  Batch by batch of ``SWEEP_BATCH`` keys, the points
-    that build are integrated together, then each is analyzed.  A point that
-    fails to build, to integrate or to be analyzed keeps only its keys and
-    the message.  Only messages are kept: a caught exception refers to the
-    frame that holds it, and such cycles would keep a sweep's points alive
-    until the garbage collector runs.
-    """
-    records = []
-    for start in range(0, len(keys), SWEEP_BATCH):
-        batch_keys = keys[start:start + SWEEP_BATCH]
+    def build_batch(batch_keys: list[dict]) -> list:
         built = []
         for k in batch_keys:
             try:
                 built.append(build(**k))
             except ErestabError as exc:
                 built.append(str(exc))
+        return built
+
+    return build_batch
+
+
+def _sweep(keys: list[dict], build, record: type, indices: bool, settings: ScanSettings) -> list:
+    """Every sweep point ``keys[i]`` as a ``record``, in order.
+
+    ``build(batch_keys)`` returns, per key of the batch, the point's
+    parameters and the columns it derives from them, or the message of its
+    failure.  Batch by batch of ``SWEEP_BATCH`` keys, the points that build
+    are integrated together, then each is analyzed.  A point that fails to
+    build, to integrate or to be analyzed keeps only its keys and the
+    message.  Only messages are kept: a caught exception refers to the frame
+    that holds it, and such cycles would keep a sweep's points alive until
+    the garbage collector runs.
+    """
+    records = []
+    for start in range(0, len(keys), SWEEP_BATCH):
+        batch_keys = keys[start:start + SWEEP_BATCH]
+        built = build(batch_keys)
         monos = iter(integrate_fundamentals(
             [b[0] for b in built if not isinstance(b, str)], settings.integrator_tol
         ))
@@ -271,7 +297,7 @@ def scan_theta(
             raise DomainError(f"beta {b} outside [0, {THETA_BETA_MAX}]")
     _check_eccentricities(e_grid)
     keys = [{"beta": float(b), "e": float(e)} for e in e_grid for b in beta_grid]
-    return _sweep(keys, _theta_build, ScanRecord, True, settings)
+    return _sweep(keys, _each(_theta_build), ScanRecord, True, settings)
 
 
 # ---------------------------------------------------------------------------
@@ -459,11 +485,32 @@ class MassScanPoint(PointResult):
     beta: float | None = None
 
 
-def _mass_build(m1: float, m3: float, m2: float, e: float) -> tuple[StabilityParams, dict]:
+def _mass_config(m1: float, m3: float, m2: float) -> Configuration:
     if m1 <= 0.0 or m3 <= 0.0 or m2 <= 0.0:
         raise DomainError("masses must be positive with m1 + m3 < 1")
-    p = collinear_params(MassSystem.normalized((m1, m2, m3)), e)
-    return p, {"beta": p.beta_hls}
+    return collinear_config(MassSystem.normalized((m1, m2, m3)))
+
+
+def _mass_build(batch_keys: list[dict], e: float) -> list:
+    """:func:`collinear_params` of a batch of mass-plane cells: each cell's
+    primaries on their own, then the batch's off-line equilibria together
+    and its D from one batched distance sum."""
+    built = _each(_mass_config)(batch_keys)
+    todo = [i for i, b in enumerate(built) if isinstance(b, Configuration)]
+    for i, config in zip(todo, offline_equilibria([built[i] for i in todo])):
+        built[i] = config if isinstance(config, Configuration) else str(config)
+    todo = [i for i in todo if isinstance(built[i], Configuration)]
+    for i, d in zip(todo, compute_Ds([built[i] for i in todo])):
+        if isinstance(d, ErestabError):
+            built[i] = str(d)
+            continue
+        try:
+            p = spectral_params(d, e)
+        except ErestabError as exc:
+            built[i] = str(exc)
+        else:
+            built[i] = (p, {"beta": p.beta_hls})
+    return built
 
 
 def mass_scan_4body(
@@ -478,9 +525,12 @@ def mass_scan_4body(
     verdict is computed through the full chain: spacing quintic, off-line
     equilibrium, stability matrix, monodromy.  Emits one point per grid
     cell in m1-major order; inadmissible or failed cells carry an error.
-    Empty grids and an ``e`` outside [0, 0.99] raise before any cell is computed.
+    Empty grids, a mass that is not finite and an ``e`` outside [0, 0.99]
+    raise before any cell is computed.
     """
     _check_nonempty(m1_grid, m3_grid)
+    _check_finite("m1", m1_grid)
+    _check_finite("m3", m3_grid)
     _check_eccentricities([e])
     keys = [
         {"m1": float(a), "m3": float(b), "m2": 1.0 - float(a) - float(b)}
@@ -569,10 +619,11 @@ def polygon_verdicts(
 ) -> list[PolygonVerdictRecord]:
     """Verdict and index table over (n, m0/M, e, site) cells.
 
-    Empty lists, a non-integral ``n`` and an ``e`` outside [0, 0.99] raise
-    before any cell is computed.
+    Empty lists, a non-integral ``n``, an m0/M that is not finite and an
+    ``e`` outside [0, 0.99] raise before any cell is computed.
     """
     _check_nonempty(n_list, m0_over_M_list, e_list, sites)
+    _check_finite("m0/M", m0_over_M_list)
     _check_eccentricities(e_list)
     for n in n_list:
         if not float(n).is_integer():
@@ -584,4 +635,4 @@ def polygon_verdicts(
         for e in e_list
         for site in sites
     ]
-    return _sweep(keys, _polygon_build, PolygonVerdictRecord, True, settings)
+    return _sweep(keys, _each(_polygon_build), PolygonVerdictRecord, True, settings)

@@ -13,7 +13,9 @@ monodromies, numpy row operations and a scalar right-hand side instead of
 the batched one of ``integrate_fundamental``, scipy's ``solve_ivp``
 instead of its in-house DOP853 stepper, and numpy calls on a handful of
 numbers (``np.polyval`` on scalars, ``einsum`` and axis sums) instead of
-the scalar Python spacing-quintic and distance-sum kernels.
+the scalar Python spacing-quintic and the column-wise distance-sum kernels,
+and the off-line equilibrium's Newton loop one point at a time instead of
+its lockstep batch.
 
 The helpers after them (matrix exponential, D-form coefficient path,
 spectral distances, symplectic samples, positivity sweep, the K-form
@@ -52,7 +54,13 @@ from erestab.central_config import (
     restricted_position,
     solve_symmetric_y,
 )
-from erestab.errors import ConvergenceError, DomainError, SingularityError
+from erestab.errors import (
+    ConvergenceError,
+    DegenerateSolutionError,
+    DomainError,
+    InvariantViolation,
+    SingularityError,
+)
 from erestab.linearization import I2, J4, DMatrix, StabilityParams, spectral_params
 from erestab.maslov import (
     DEFAULT_LEVELS,
@@ -145,6 +153,69 @@ def amended_potential_numpy(config, point):
     grad = (m[:, None] * diff / r3[:, None]).sum(axis=0) + config.mu * point
     hess = 3.0 * outer - np.eye(2) * s1 + config.mu * np.eye(2)
     return value, grad, hess
+
+
+def restricted_position_scalar(config, guess=(0.0, 1.0)):
+    """The off-line equilibrium's damped Newton iteration one point at a
+    time, with V's derivatives from :func:`amended_potential_numpy`: the
+    loop ``central_config.restricted_position`` ran before its iterations
+    were batched.  Returns the position and the attached ``cc_residual``, or
+    raises what that loop raised."""
+    a = np.array(guess, dtype=float)
+
+    def residual(x):
+        _, _, _, s1, _ = massless_sums_numpy(config, x)  # raises on a primary
+        _, grad, hess = amended_potential_numpy(config, x)
+        return grad, hess, s1
+
+    grad, hess, s1 = residual(a)
+    norm = float(np.max(np.abs(grad)))
+    for _ in range(central_config.MAX_ITER):
+        if norm < 1e-11:
+            break
+        step = np.linalg.solve(hess, -grad)
+        scale = 1.0
+        for _ in range(30):
+            trial = a + scale * step
+            try:
+                t_grad, t_hess, t_s1 = residual(trial)
+            except SingularityError:
+                scale *= 0.5
+                continue
+            t_norm = float(np.max(np.abs(t_grad)))
+            if t_norm < norm:
+                break
+            scale *= 0.5
+        else:
+            raise ConvergenceError(
+                "restricted-position Newton stalled (30 halvings without progress)", residual=norm
+            )
+        a, grad, hess, s1, norm = trial, t_grad, t_hess, t_s1, t_norm
+    else:
+        raise ConvergenceError(
+            f"restricted-position Newton did not converge in {central_config.MAX_ITER} iterations",
+            residual=norm,
+        )
+    if abs(a[1]) < 1e-8:
+        raise DegenerateSolutionError(
+            "Newton converged to a point on the primaries' line; choose a different guess"
+        )
+    if abs(config.mu - s1) > 1e-9:
+        raise InvariantViolation(
+            f"off-line multiplier identity violated: |mu - sum m_j/r^3| = {abs(config.mu - s1):.3e}"
+        )
+    return a, max(config.cc_residual, float(np.hypot(*grad)))
+
+
+def offline_equilibrium_scalar(config, guess=(0.0, 1.0)):
+    """:func:`restricted_position_scalar`, re-seeded by
+    ``central_config.locate_offline_equilibria`` where it fails to converge:
+    ``offline_equilibrium`` one point at a time."""
+    try:
+        return restricted_position_scalar(config, guess)
+    except ConvergenceError:
+        seed = central_config.locate_offline_equilibria(config, guess)
+        return restricted_position_scalar(config, seed)
 
 
 def cc_defect_complex(masses, positions, mu, massless=None):

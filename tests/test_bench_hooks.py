@@ -27,26 +27,30 @@ def test_every_hook_resolves_to_a_callable(layers):
 
 def test_fallback_cell_is_traced(layers):
     # Newton from (0, 1) degenerates in this cell, so the fallback fires
-    # once and Newton runs twice.
+    # once.  The sweep solves its equilibria and D as batches, which no hook
+    # sees: the cell's build shows as its primaries and its descent.
     with layers.Tracer().installed() as tracer:
         (point,) = mass_scan_4body([0.25 / 14], [0.375])
     assert point.error is None
-    names = [span[0] for span in tracer.spans]
-    assert names.count("central_config.locate_offline_equilibria") == 1
-    assert names.count("central_config.restricted_position") == 2
+    assert [span[0] for span in tracer.spans] == [
+        "central_config.collinear_three_primaries",
+        "central_config.locate_offline_equilibria",
+        "monodromy.classify_spectrum",
+    ]
 
 
 def test_sweeps_run_in_the_calling_process(layers, tmp_path):
     # Every point is traced here: a point run in a worker process would
     # record its spans in that process.  The sweep integrates its points in
     # one batch, which no hook sees, so the points are counted by the build
-    # (compute_D) and the verdict (classify_spectrum) of each.
+    # (their primaries, collinear_three_primaries) and the verdict
+    # (classify_spectrum) of each.
     argv = ["scan-mass", "--m1", "0.2,0.3", "--m3", "0.2,0.3", "--e", "0",
             "--csv", str(tmp_path / "mass.csv")]
     with layers.Tracer().installed() as tracer:
         assert main(argv) == 0
     names = [span[0] for span in tracer.spans]
-    assert names.count("linearization.compute_D") == 4
+    assert names.count("central_config.collinear_three_primaries") == 4
     assert names.count("monodromy.classify_spectrum") == 4
 
 

@@ -12,10 +12,12 @@ from erestab.central_config import (
     _amended_potential,
     _damped_newton,
     _derivatives,
+    _restricted_positions,
     collinear_three_primaries,
     locate_offline_equilibria,
     massless_sums,
     moulton_collinear,
+    offline_equilibria,
     offline_equilibrium,
     restricted_position,
     solve_euler_quintic,
@@ -25,6 +27,7 @@ from erestab.errors import (
     ConvergenceError,
     DegenerateSolutionError,
     DomainError,
+    ErestabError,
     SingularityError,
 )
 
@@ -33,7 +36,9 @@ from oracles import (
     cc_defect_complex,
     locus_scan_equilibria,
     massless_sums_numpy,
+    offline_equilibrium_scalar,
     quintic_positive_roots,
+    restricted_position_scalar,
     solve_euler_quintic_polyval,
     symmetric_four_body,
     symmetric_y_highprec,
@@ -205,6 +210,22 @@ class TestRestrictedPosition:
         assert np.hypot(*(found.massless_position - nearest)) < 1e-9
         assert found.cc_residual < 1e-10
 
+    def test_descent_evaluates_each_iterate_once(self, monkeypatch):
+        # scipy asks for V's value and gradient, then for its Hessian, at
+        # each iterate; one evaluation answers both
+        points = []
+        amended_potential = erestab.central_config._amended_potential
+
+        def counted(config, a):
+            points.append(a.tobytes())
+            return amended_potential(config, a)
+
+        monkeypatch.setattr(erestab.central_config, "_amended_potential", counted)
+        m1, m3 = 0.25 / 14, 0.375  # the benchmark's fallback cell
+        locate_offline_equilibria(
+            collinear_three_primaries(MassSystem.normalized((m1, 1.0 - m1 - m3, m3))))
+        assert len(points) == len(set(points)) == 6
+
     def test_guess_on_line_rejected(self):
         cfg = collinear_three_primaries(MassSystem((0.5, 0.3, 0.2)))
         with pytest.raises(DomainError):
@@ -282,8 +303,9 @@ class TestScalarKernelPin:
     def test_distance_sums_gradient_and_hessian(self):
         got, want = [], []
         for cfg, p in self._cases():
-            r, s1, _, outer = massless_sums(cfg, p)
-            grad, (hess, s1_newton, r_newton) = _derivatives(cfg, p)
+            r, s1, _, outer, _ = massless_sums(cfg.primary_positions, cfg.masses.array, p)
+            grad, (hess, s1_newton, r_newton), _ = _derivatives(
+                cfg.primary_positions, cfg.masses.array, cfg.mu, p)
             value, grad_v, hess_v = _amended_potential(cfg, p)
             _, r_np, _, s1_np, outer_np = massless_sums_numpy(cfg, p)
             value_np, grad_np, hess_np = amended_potential_numpy(cfg, p)
@@ -293,6 +315,113 @@ class TestScalarKernelPin:
                                         grad_np, grad_np, hess_np.ravel(), hess_np.ravel()]))
         assert len(got) >= 2000
         assert _bits(np.concatenate(got)) == _bits(np.concatenate(want))
+
+
+def _outcome(solve, *args):
+    """What a solve gives bit for bit: the position's bytes and the attached
+    residual, or the error's type and message."""
+    try:
+        got = solve(*args)
+    except ErestabError as exc:
+        return type(exc).__name__, str(exc)
+    return _settled(got)
+
+
+def _settled(got):
+    if isinstance(got, ErestabError):
+        return type(got).__name__, str(got)
+    if isinstance(got, Configuration):
+        return _bits(got.massless_position), repr(float(got.cc_residual))
+    position, residual = got
+    return _bits(position), repr(float(residual))
+
+
+class TestLockstepEquilibriumPin:
+    """The off-line equilibria of a batch are solved in lockstep: each point
+    keeps its own steps, halvings and stop, so its position, residual or
+    error message are those of its own solve, alone, in a batch, in the
+    reversed batch and in the one-point Newton loop of ``tests/oracles.py``."""
+
+    BASE = (0.5, 0.3, 0.2)
+    # Newton's first full step from here lands within 1e-12 of the primary
+    # at x < 0, so that trial counts as no progress and is halved.
+    TRIAL_HITS = (0.09303958271888683, -0.5208178797404428)
+    # From here 30 halvings of one step make no progress.
+    STALLS = ((0.39546198954297845, 0.5930180594914135, 0.011519950965607977),
+              (2.341646112028754, -1.6370544387997217))
+    # From here MAX_ITER steps do not reach the tolerance.
+    NEVER_CONVERGES = ((0.00764839802320166, 0.7587027924328181, 0.2336488095439802),
+                       (-0.9934685783040642, -1.5546418375203608))
+
+    @classmethod
+    def _cases(cls):
+        """(configuration, guess) pairs: 200 seeded cells of the C11 mass
+        grid and the six fallback cells from (0, 1), chains of 2 to 12
+        primaries, then a first trial that hits a primary, a stall and a
+        point that never converges."""
+        rng = np.random.default_rng(2028)
+        grid = np.linspace(0.005, 0.985, 100)
+        cells = [(m1, m3) for m1 in grid for m3 in grid if m1 + m3 < 1.0]
+        picks = [cells[i] for i in rng.choice(len(cells), 200, replace=False)]
+        picks += [((k1 + 0.25) / 14, (k3 + 0.25) / 14)
+                  for k1, k3 in TestRestrictedPosition.FALLBACK_CELLS]
+        cases = [(collinear_three_primaries(MassSystem.normalized((m1, 1.0 - m1 - m3, m3))),
+                  (0.0, 1.0)) for m1, m3 in picks]
+        cases += [(moulton_collinear(MassSystem.normalized(rng.uniform(0.5, 2.0, k))), (0.0, 1.0))
+                  for k in range(2, 13)]
+        base = collinear_three_primaries(MassSystem(cls.BASE))
+        cases.append((base, cls.TRIAL_HITS))
+        for masses, guess in (cls.STALLS, cls.NEVER_CONVERGES):
+            cases.append((collinear_three_primaries(MassSystem.normalized(masses)), guess))
+        return cases
+
+    def test_the_special_points_are_what_they_claim(self):
+        base = collinear_three_primaries(MassSystem(self.BASE))
+        start = np.array(self.TRIAL_HITS)
+        grad, (hess, _, _), _ = _derivatives(
+            base.primary_positions, base.masses.array, base.mu, start)
+        trial = start + np.linalg.solve(hess, -grad)
+        assert np.hypot(*(trial - base.primary_positions[0])) < 1e-12
+        cases = self._cases()[-3:]
+        want = ["Configuration", "stalled", "did not converge"]
+        for (config, guess), what in zip(cases, want):
+            got = _outcome(restricted_position, config, guess)
+            assert (what in got[1]) if what != "Configuration" else isinstance(got[0], bytes)
+
+    def test_newton_stage(self):
+        cases = self._cases()
+        configs = [c for c, _ in cases]
+        starts = np.array([g for _, g in cases])
+        alone = [_outcome(restricted_position, c, g) for c, g in cases]
+        oracle = [_outcome(restricted_position_scalar, c, g) for c, g in cases]
+        batch = [_settled(o) for o in _restricted_positions(configs, starts)]
+        backwards = [_settled(o) for o in _restricted_positions(configs[::-1], starts[::-1])][::-1]
+        assert sum(isinstance(b[0], str) for b in batch) >= 8  # six fallbacks and two specials
+        assert batch == alone == backwards == oracle
+
+    def test_with_the_fallback(self):
+        cases = self._cases()
+        configs, guesses = [c for c, _ in cases], [g for _, g in cases]
+        alone = [_outcome(offline_equilibrium, c, g) for c, g in cases]
+        oracle = [_outcome(offline_equilibrium_scalar, c, g) for c, g in cases]
+        batch = [_settled(o) for o in offline_equilibria(configs, guesses)]
+        backwards = [_settled(o) for o in offline_equilibria(configs[::-1], guesses[::-1])][::-1]
+        assert batch == alone == backwards == oracle
+
+    def test_stacked_solve_equals_one_matrix_at_a_time(self):
+        rng = np.random.default_rng(5000)
+        a, b = rng.normal(size=(5000, 2, 2)), rng.normal(size=(5000, 2))
+        stacked = np.linalg.solve(a, b[..., None])[..., 0]
+        assert _bits(stacked) == _bits([np.linalg.solve(m, v) for m, v in zip(a, b)])
+
+    def test_row_wise_distances_and_powers_equal_one_point_at_a_time(self):
+        rng = np.random.default_rng(5001)
+        d = rng.uniform(-3.0, 3.0, (5000, 3, 2)) * 10.0 ** rng.uniform(-4.0, 1.0, (5000, 3, 1))
+        r = np.hypot(d[..., 0], d[..., 1])
+        rows = [np.hypot(p[:, 0], p[:, 1]) for p in d]
+        assert _bits(r) == _bits(rows)
+        assert _bits(r**3) == _bits([q**3 for q in rows])
+        assert _bits(r**5) == _bits([q**5 for q in rows])
 
 
 NAN, INF = math.nan, math.inf
@@ -319,13 +448,13 @@ class TestDampedNewton:
         trials = []
 
         def residual(x):
-            trials.append(float(x[0]))
-            if x[0] >= 1.5:
-                raise SingularityError("singular trial point")
-            return x - 1.0, None
+            trials.append(float(x[0, 0]))
+            hit = x[:, 0] >= 1.5
+            # a trial on a primary is no progress, whatever its residual reads
+            return np.where(hit[:, None], 0.0, x - 1.0), (), hit
 
-        x, res, _ = _damped_newton(residual, lambda x, res, extra: -4.0 * res,
-                                   np.zeros(1), 1e-12, "toy")
+        ((x, res, _),) = _damped_newton(residual, lambda x, res, extra: -4.0 * res,
+                                        np.zeros((1, 1)), (), 1e-12, "toy")
         assert x.tolist() == [1.0]
         assert res.tolist() == [0.0]
         assert trials == [0.0, 4.0, 2.0, 1.0]
@@ -334,13 +463,25 @@ class TestDampedNewton:
         # Each full step halves the residual, so every step is accepted but
         # MAX_ITER of them leave it at 2**-MAX_ITER, far above tol.
         def residual(x):
-            return x, None
+            return x, (), np.zeros(len(x), dtype=bool)
 
-        with pytest.raises(ConvergenceError,
-                           match=f"toy did not converge in {MAX_ITER} iterations") as exc:
-            _damped_newton(residual, lambda x, res, extra: -0.5 * res,
-                           np.ones(1), 1e-100, "toy")
-        assert exc.value.residual == 2.0 ** -MAX_ITER
+        (outcome,) = _damped_newton(residual, lambda x, res, extra: -0.5 * res,
+                                    np.ones((1, 1)), (), 1e-100, "toy")
+        assert isinstance(outcome, ConvergenceError)
+        assert str(outcome) == (
+            f"toy did not converge in {MAX_ITER} iterations (last residual {2.0 ** -MAX_ITER:.3e})"
+        )
+        assert outcome.residual == 2.0 ** -MAX_ITER
+
+    def test_start_on_a_primary_fails_that_point_only(self):
+        def residual(x):
+            return x - 1.0, (), x[:, 0] == 5.0
+
+        out = _damped_newton(residual, lambda x, res, extra: -res,
+                             np.array([[0.0], [5.0], [3.0]]), (), 1e-12, "toy")
+        assert [o[0].tolist() for o in (out[0], out[2])] == [[1.0], [1.0]]
+        assert isinstance(out[1], SingularityError)
+        assert str(out[1]) == "massless body hit a primary"
 
 
 class TestSymmetricY:

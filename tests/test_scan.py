@@ -1,3 +1,4 @@
+import re
 from dataclasses import fields, replace
 from functools import partial
 
@@ -496,6 +497,29 @@ def test_settings_hold_only_the_tolerances():
 def test_empty_grid_rejected(sweep):
     with pytest.raises(DomainError, match="nonempty"):
         sweep()
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+@pytest.mark.parametrize(
+    "sweep, name",
+    [
+        (lambda v: mass_scan_4body([v], [0.2], 0.0, FAST), "m1"),
+        (lambda v: mass_scan_4body([0.2], [0.1, v], 0.0, FAST), "m3"),
+        (lambda v: polygon_verdicts([8], [1e3, v], [0.0], [Site.S3], FAST), "m0/M"),
+    ],
+    ids=["mass-m1", "mass-m3", "polygon-ratio"],
+)
+def test_sweep_rejects_non_finite_values_before_any_cell(sweep, name, value, monkeypatch):
+    # such a value used to reach its cell and fail there as "total mass must
+    # be positive" or "masses must be positive"; now the sweep names it and
+    # builds no cell
+    def no_cell(*args, **kwargs):
+        raise AssertionError("a cell was computed")
+
+    monkeypatch.setattr(erestab.scan, "collinear_three_primaries", no_cell)
+    monkeypatch.setattr(erestab.scan, "solve_site", no_cell)
+    with pytest.raises(DomainError, match=f"^{re.escape(name)} {value} is not finite$"):
+        sweep(value)
 
 
 @pytest.mark.parametrize("e", [2.0, -0.1])
