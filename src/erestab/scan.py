@@ -318,37 +318,73 @@ class CurvePoint:
     bracket_width: float
 
 
+# Levels of bisection per lockstep round.  A round integrates the up to
+# 2**BISECT_LEVELS - 1 midpoints those levels of a bracket may read, and
+# bisection reads one of them per level: 4 levels cost fewer, larger batches
+# than 3 and fewer unread points than 5.
+BISECT_LEVELS = 4
+
+
+def _midpoint(lo: float, hi: float, resolution: float) -> float | None:
+    """The midpoint bisection reads inside (lo, hi); None once the bracket is
+    no wider than ``resolution`` or ``lo`` and ``hi`` are adjacent floats."""
+    mid = 0.5 * (lo + hi)
+    return mid if hi - lo > resolution and lo < mid < hi else None
+
+
+def _bisection_tree(lo: float, hi: float, resolution: float) -> list[float]:
+    """Every midpoint the next BISECT_LEVELS steps of bisecting (lo, hi) may
+    read, level by level, each computed as :func:`_midpoint` computes it."""
+    mids, level = [], [(lo, hi)]
+    for _ in range(BISECT_LEVELS):
+        below = []
+        for a, b in level:
+            mid = _midpoint(a, b, resolution)
+            if mid is not None:
+                mids.append(mid)
+                below += [(a, mid), (mid, b)]
+        level = below
+    return mids
+
+
 def _bisect_boundaries(searches: list, resolution: float, prepare) -> list:
     """Shrink each bracket of ``searches``, (pred, lo, hi) with pred(lo) true
     and pred(hi) false, to width <= resolution, or until lo and hi are
     adjacent floats.
 
-    The brackets are bisected in lockstep rounds, each one through the same
-    midpoints as alone: ``prepare`` gets a round's midpoints before any pred
-    reads them, so that they can be integrated as one batch.  Returns, per
-    search, (lo, hi) or the ErestabError its pred raised, which ends that
-    search only.
+    The brackets are bisected in lockstep, each one through the same
+    midpoints as alone, level by level in search order.  A round covers
+    BISECT_LEVELS levels: ``prepare`` first gets the
+    :func:`_bisection_tree` of every open bracket, each midpoint those
+    levels may read, so that they can be integrated as one batch; the preds
+    then read one midpoint per level of each bracket.  Returns, per search,
+    (lo, hi) or the ErestabError its pred raised, which ends that search
+    only.
     """
     results: list = [None] * len(searches)
     brackets = {i: (lo, hi) for i, (_, lo, hi) in enumerate(searches)}
     while True:
-        mids = {}
+        mids = []
         for i, (lo, hi) in list(brackets.items()):
-            mid = 0.5 * (lo + hi)
-            if hi - lo > resolution and lo < mid < hi:
-                mids[i] = mid
+            tree = _bisection_tree(lo, hi, resolution)
+            if tree:
+                mids += tree
             else:
                 results[i] = brackets.pop(i)
         if not mids:
             return results
-        prepare(list(mids.values()))
-        for i, mid in mids.items():
-            lo, hi = brackets[i]
-            try:
-                brackets[i] = (mid, hi) if searches[i][0](mid) else (lo, mid)
-            except ErestabError as exc:
-                results[i] = exc
-                del brackets[i]
+        prepare(mids)
+        for _ in range(BISECT_LEVELS):
+            for i, (lo, hi) in list(brackets.items()):
+                mid = _midpoint(lo, hi, resolution)
+                if mid is None:
+                    results[i] = brackets.pop(i)
+                    continue
+                try:
+                    brackets[i] = (mid, hi) if searches[i][0](mid) else (lo, mid)
+                except ErestabError as exc:
+                    results[i] = exc
+                    del brackets[i]
 
 
 def _bisect_boundary(pred, lo: float, hi: float, resolution: float) -> tuple[float, float]:
@@ -400,11 +436,16 @@ def find_curves(
     failure is refined under the fine-grid reading of the supremum.
 
     Both searches read one monodromy per beta.  A row integrates its coarse
-    grid as one batch, then bisects its three brackets in lockstep, one batch
-    of new midpoints per round.  phi_1 vanishes for beta > 0 (Hu, Long & Sun
-    2014): a row checks (phi_1, nu_1) = (0, 0) at beta = 9 and passes those
-    counts to :func:`_minus_one` everywhere.  Rows where the index data does
-    not show the expected structure are skipped with a warning.
+    grid in batches of at most SWEEP_BATCH points, then bisects its three
+    brackets in lockstep.  Each round integrates, as one batch, every
+    midpoint the next BISECT_LEVELS levels of each bracket may read; only
+    the midpoints a search reads get their spectrum classified or a Morse
+    solve, so a speculative point that is never read, even one that fails
+    to integrate, leaves the row as it was.  phi_1 vanishes for beta > 0
+    (Hu, Long & Sun 2014): a row checks (phi_1, nu_1) = (0, 0) at beta = 9
+    and passes those counts to :func:`_minus_one` everywhere.  Rows where
+    the index data does not show the expected structure are skipped with a
+    warning.
     """
     if not 0.0 < beta_resolution <= 0.01:
         raise DomainError(f"beta_resolution must lie in (0, 0.01], got {beta_resolution}")
@@ -418,11 +459,14 @@ def find_curves(
         integrated: dict = {}  # beta -> (params, monodromy), or the error raised
 
         def integrate(betas) -> None:
-            """Integrate the betas not integrated yet, as one batch."""
+            """Integrate the betas not integrated yet, in batches of SWEEP_BATCH."""
             new = [b for b in dict.fromkeys(betas) if b not in integrated]
-            ps = [StabilityParams.from_beta_hls(b, e) for b in new]
-            for b, p, mono in zip(new, ps, integrate_fundamentals(ps, settings.integrator_tol)):
-                integrated[b] = mono if isinstance(mono, ErestabError) else (p, mono)
+            for start in range(0, len(new), SWEEP_BATCH):
+                batch = new[start:start + SWEEP_BATCH]
+                ps = [StabilityParams.from_beta_hls(b, e) for b in batch]
+                monos = integrate_fundamentals(ps, settings.integrator_tol)
+                for b, p, mono in zip(batch, ps, monos):
+                    integrated[b] = mono if isinstance(mono, ErestabError) else (p, mono)
 
         def monodromy(beta: float) -> tuple[StabilityParams, Monodromy]:
             got = integrated[beta]

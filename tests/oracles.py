@@ -15,7 +15,8 @@ instead of its in-house DOP853 stepper, and numpy calls on a handful of
 numbers (``np.polyval`` on scalars, ``einsum`` and axis sums) instead of
 the scalar Python spacing-quintic and the column-wise distance-sum kernels,
 and the off-line equilibrium's Newton loop one point at a time instead of
-its lockstep batch.
+its lockstep batch, and a plain one-bracket bisection, one midpoint per
+step, instead of the speculative lockstep rounds of ``find_curves``.
 
 The helpers after them (matrix exponential, D-form coefficient path,
 spectral distances, symplectic samples, positivity sweep, the K-form
@@ -216,6 +217,20 @@ def offline_equilibrium_scalar(config, guess=(0.0, 1.0)):
     except ConvergenceError:
         seed = central_config.locate_offline_equilibria(config, guess)
         return restricted_position_scalar(config, seed)
+
+
+def bisect_bracket(pred, lo: float, hi: float, resolution: float) -> tuple[float, float]:
+    """Plain bisection of one bracket, pred(lo) true and pred(hi) false,
+    reading pred at one midpoint per step until the bracket is no wider than
+    ``resolution`` or lo and hi are adjacent floats."""
+    while True:
+        mid = 0.5 * (lo + hi)
+        if not (hi - lo > resolution and lo < mid < hi):
+            return lo, hi
+        if pred(mid):
+            lo = mid
+        else:
+            hi = mid
 
 
 def cc_defect_complex(masses, positions, mu, massless=None):

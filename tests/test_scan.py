@@ -1,4 +1,5 @@
 import re
+import warnings
 from dataclasses import fields, replace
 from functools import partial
 
@@ -32,7 +33,7 @@ from erestab.scan import (
 from erestab.scan import _beta_grid, _bisect_boundaries, _bisect_boundary
 from erestab.polygon_config import Site
 
-from oracles import region_of
+from oracles import bisect_bracket, region_of
 
 FAST = ScanSettings(integrator_tol=1e-10)
 
@@ -154,31 +155,46 @@ class TestCurves:
 
     def test_lockstep_brackets_see_their_own_midpoints(self):
         # brackets of different widths and depths, a repeated one, and one
-        # whose pred raises at its first midpoint
-        def search(log, i, limit, lo, hi):
+        # whose pred raises at its first midpoint; every pred also raises on
+        # a midpoint that was not handed to prepare beforehand
+        prepared = set()
+
+        def search(log, i, limit, lo, hi, lockstep=False):
             def pred(x):
+                if lockstep and x not in prepared:
+                    raise AssertionError(f"midpoint {x} read before it was prepared")
                 log[i].append(x)
                 if i == 3:
                     raise CurveExtractionError("no answer")
                 return x < limit
             return pred, lo, hi
 
+        def prepare(mids):
+            rounds.append(mids)
+            prepared.update(mids)
+
         specs = [(0.3, 0.0, 1.0), (2.71, 2.0, 3.0), (0.3, 0.0, 1.0), (5.5, 4.0, 8.0),
                  (0.1, 0.0, 0.1 + 1e-3)]
-        joint, alone, rounds = [[] for _ in specs], [[] for _ in specs], []
-        together = _bisect_boundaries([search(joint, i, *s) for i, s in enumerate(specs)],
-                                      1e-6, rounds.append)
+        joint, alone, plain = ([[] for _ in specs] for _ in range(3))
+        rounds = []
+        together = _bisect_boundaries(
+            [search(joint, i, *s, lockstep=True) for i, s in enumerate(specs)], 1e-6, prepare
+        )
         for i, s in enumerate(specs):
             if i == 3:
                 with pytest.raises(CurveExtractionError):
                     _bisect_boundary(*search(alone, i, *s), 1e-6)
+                with pytest.raises(CurveExtractionError):
+                    bisect_bracket(*search(plain, i, *s), 1e-6)
                 assert isinstance(together[i], CurveExtractionError)
             else:
                 assert together[i] == _bisect_boundary(*search(alone, i, *s), 1e-6)
-        assert joint == alone
-        # round k hands over the k-th midpoint of every bracket still open
-        assert rounds == [[log[k] for log in alone if len(log) > k]
-                          for k in range(max(map(len, alone)))]
+                assert together[i] == bisect_bracket(*search(plain, i, *s), 1e-6)
+        assert joint == alone == plain
+        # a round covers BISECT_LEVELS levels of every bracket still open
+        levels = erestab.scan.BISECT_LEVELS
+        assert len(rounds) == -(-max(map(len, plain)) // levels) > 1
+        assert all(len(mids) <= (2 ** levels - 1) * len(specs) for mids in rounds)
 
     @pytest.mark.parametrize("step", [0.05, 0.25, 0.7, 1.0, 2.0, 4.0, 10.0])
     def test_beta_grid_ends_at_nine(self, step):
@@ -220,6 +236,25 @@ class TestCurves:
             "MstarResult(value=0.85423095703125, bracket_low=0.85423046875, "
             "bracket_high=0.8542314453125)"
         )
+
+    @pytest.mark.parametrize("e, s, m, k", [
+        (0.0, (0.746875, 0.006249999999999978), (0.746875, 0.006249999999999978),
+         (1.003125, 0.006250000000000089)),
+        (0.3, (0.35937500000000006, 0.006249999999999978),
+         (1.1906250000000003, 0.006249999999999867), (1.1906250000000003, 0.006249999999999867)),
+        (0.6, (0.10312500000000001, 0.0062500000000000056),
+         (1.5406250000000001, 0.006250000000000089), (1.5406250000000001, 0.006250000000000089)),
+        (0.9, (0.003125, 0.00625),
+         (1.4281250000000003, 0.006250000000000089), (1.4281250000000003, 0.006250000000000089)),
+    ])
+    def test_curves_pinned_at_default_step(self, e, s, m, k):
+        """Exact outputs at the default coarse step 0.05, the step of the
+        chart, as (beta, bracket_width) of BetaS, BetaM and BetaK."""
+        assert repr(find_curves([e], 0.01, FAST)) == "[" + ", ".join(
+            f"CurvePoint(e={e}, beta={beta}, curve=<CurveKind.{kind.name}: '{kind.value}'>, "
+            f"bracket_width={width})"
+            for kind, (beta, width) in zip(CurveKind, (s, m, k))
+        ) + "]"
 
     def test_failed_row_is_dropped_with_warning(self, monkeypatch):
         """A row whose beta = 9 check fails warns, adds no point, and the
@@ -474,6 +509,84 @@ class TestOneDecomposition:
         monkeypatch.setattr(erestab.scan, "integrate_fundamentals", spy)
         find_curves([0.3], 0.01, coarse_step=1.0)
         assert integrations and len(decompositions) == len(integrations)
+
+
+class TestSpeculativeMidpoints:
+    """A bisection round integrates midpoints its walk may never read; only
+    the points it reads reach a row."""
+
+    @pytest.fixture
+    def row(self, monkeypatch):
+        """Runs ``find_curves([0.3, 0.0], 0.01, FAST, coarse_step=1.0)``, the
+        integration of each point in ``failing`` replaced by a
+        ConvergenceError, and returns its points with the integrated and the
+        read StabilityParams of the e = 0.3 row."""
+        integrated, read, owner, failing = [], set(), {}, set()
+        real_minus_one = erestab.scan._minus_one
+
+        def integrate(ps, tol):
+            monos = integrate_fundamentals(ps, tol)
+            integrated.extend(p for p in ps if p.e == 0.3)
+            owner.update((id(mono), p) for p, mono in zip(ps, monos))
+            return [ConvergenceError(f"no monodromy at {p}") if p in failing else mono
+                    for p, mono in zip(ps, monos)]
+
+        def minus_one(p, mono, *args):
+            read.add(p)
+            return real_minus_one(p, mono, *args)
+
+        def classify(mono, circle_tol):
+            read.add(owner[id(mono)])
+            return classify_spectrum(mono, circle_tol)
+
+        monkeypatch.setattr(erestab.scan, "integrate_fundamentals", integrate)
+        monkeypatch.setattr(erestab.scan, "_minus_one", minus_one)
+        monkeypatch.setattr(erestab.scan, "classify_spectrum", classify)
+
+        def run(*fail):
+            integrated.clear()
+            read.clear()
+            failing.clear()
+            failing.update(fail)
+            points = find_curves([0.3, 0.0], 0.01, FAST, coarse_step=1.0)
+            return points, list(integrated), {p for p in read if p.e == 0.3}
+
+        return run
+
+    def test_unread_failure_leaves_the_row(self, row):
+        clean, integrated, read = row()
+        unread = [p for p in integrated if p not in read]
+        assert unread and len(read) < len(integrated)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for p in (unread[0], unread[-1]):
+                assert row(p)[0] == clean
+
+    def test_read_failure_drops_the_row(self, row):
+        clean, integrated, read = row()
+        grid = {StabilityParams.from_beta_hls(b, 0.3) for b in _beta_grid(1.0)}
+        midpoint = next(p for p in integrated if p in read and p not in grid)
+        with pytest.warns(UserWarning, match=re.escape(
+                f"curve extraction failed at e=0.3: no monodromy at {midpoint}")):
+            points, _, _ = row(midpoint)
+        assert points == [p for p in clean if p.e == 0.0]
+
+
+def test_curve_integration_batches_bounded_by_sweep_batch(monkeypatch):
+    """The coarse grid and every bisection round are integrated in batches
+    of at most SWEEP_BATCH points, with the bits of one batch."""
+    clean = find_curves([0.3], 0.01, FAST, coarse_step=1.0)
+    batches = []
+
+    def spy(ps, tol):
+        batches.append(len(ps))
+        return integrate_fundamentals(ps, tol)
+
+    monkeypatch.setattr(erestab.scan, "integrate_fundamentals", spy)
+    monkeypatch.setattr(erestab.scan, "SWEEP_BATCH", 4)
+    assert find_curves([0.3], 0.01, FAST, coarse_step=1.0) == clean
+    # the 10-point grid as 4 + 4 + 2, then the rounds' midpoints
+    assert batches[:3] == [4, 4, 2] and max(batches) == 4
 
 
 def test_settings_hold_only_the_tolerances():
