@@ -23,6 +23,8 @@ from .errors import (
     ErestabError,
     InvariantViolation,
     SingularityError,
+    caught,
+    unwrap,
 )
 
 SQRT3 = math.sqrt(3.0)
@@ -261,13 +263,6 @@ def collinear_three_primaries(masses: MassSystem) -> Configuration:
 # Damped Newton iteration shared by the configuration solvers
 # ---------------------------------------------------------------------------
 
-def _one(outcome):
-    """A batch of one's outcome, raised if it is an error."""
-    if isinstance(outcome, ErestabError):
-        raise outcome
-    return outcome
-
-
 def _damped_newton(
     residual, newton_step, x: np.ndarray, args: tuple, tol: float, name: str
 ) -> list:
@@ -404,7 +399,7 @@ def moulton_collinear(
     solved = _damped_newton(
         residual, gauss_newton_step, np.zeros((1, k - 1)), (), 1e-12, "Moulton iteration"
     )
-    u = _one(solved[0])[0]
+    u = unwrap(solved[0])[0]
     x = _line_positions(m, u, ordering)
     return Configuration.from_primaries(masses, np.column_stack([x, np.zeros(k)]))
 
@@ -414,7 +409,9 @@ def moulton_collinear(
 # ---------------------------------------------------------------------------
 
 def _check_guess(guess: Sequence[float]) -> np.ndarray:
-    a = np.asarray(guess, dtype=float).reshape(2)
+    a = np.asarray(guess, dtype=float)
+    if a.shape != (2,):
+        raise DomainError(f"guess must be a pair (x, y), got {guess!r}")
     if not (math.isfinite(a[0]) and math.isfinite(a[1])):
         raise DomainError(f"guess must be finite, got {tuple(a.tolist())}")
     return a
@@ -593,7 +590,7 @@ def restricted_position(
     guess : pair of floats
         Starting point; must not lie on the primaries' line.
     """
-    return _one(_restricted_positions([config], _newton_start(guess)[None])[0])
+    return unwrap(_restricted_positions([config], _newton_start(guess)[None])[0])
 
 
 def locate_offline_equilibria(
@@ -639,6 +636,11 @@ def locate_offline_equilibria(
     return np.array([x, abs(y)])
 
 
+def _descent_start(config: Configuration, guess: Sequence[float]) -> np.ndarray:
+    """The Newton start :func:`locate_offline_equilibria` descends to."""
+    return _newton_start(locate_offline_equilibria(config, guess))
+
+
 def offline_equilibria(
     configs: Sequence[Configuration], guesses: Sequence[Sequence[float]] | None = None
 ) -> list[Configuration | ErestabError]:
@@ -651,20 +653,20 @@ def offline_equilibria(
     converge are seeded one at a time by :func:`locate_offline_equilibria`
     from their guesses and solved again, as a second batch.  A point that
     fails gets its ErestabError in its place; the other points are not
-    affected.  A guess that is not finite or lies on the primaries' line
-    raises DomainError before any work.
+    affected.  A number of guesses other than one per configuration, and a
+    guess that is not a finite pair or lies on the primaries' line, raise
+    DomainError before any work.
     """
     if guesses is None:
         guesses = [(0.0, 1.0)] * len(configs)
+    if len(guesses) != len(configs):
+        raise DomainError(f"{len(guesses)} guesses for {len(configs)} configurations")
     starts = np.array([_newton_start(g) for g in guesses]).reshape(-1, 2)
     out = _restricted_positions(configs, starts)
-    seeds = {}
     for i, outcome in enumerate(out):
-        if isinstance(outcome, ConvergenceError):
-            try:
-                seeds[i] = _newton_start(locate_offline_equilibria(configs[i], guesses[i]))
-            except ErestabError as exc:
-                out[i] = exc.with_traceback(None)  # no frame kept alive
+        if isinstance(outcome, ConvergenceError):  # its seed until solved again, or the error
+            out[i] = caught(_descent_start, configs[i], guesses[i])
+    seeds = {i: seed for i, seed in enumerate(out) if isinstance(seed, np.ndarray)}
     if seeds:
         again = _restricted_positions([configs[i] for i in seeds], np.array(list(seeds.values())))
         for i, outcome in zip(seeds, again):
@@ -680,7 +682,7 @@ def offline_equilibrium(config: Configuration, guess: Sequence[float] = (0.0, 1.
     that :func:`locate_offline_equilibria` descends to from the guess.
     This is :func:`offline_equilibria` on one point.
     """
-    return _one(offline_equilibria([config], [guess])[0])
+    return unwrap(offline_equilibria([config], [guess])[0])
 
 
 def solve_symmetric_y(m2: float) -> float:

@@ -1,4 +1,4 @@
-"""Exception types shared across the library."""
+"""Exception types shared across the library, and how a batch carries them."""
 
 
 class ErestabError(Exception):
@@ -37,3 +37,20 @@ class InvariantViolation(ErestabError, RuntimeError):
 
 class CurveExtractionError(ErestabError, RuntimeError):
     """A stability curve could not be extracted from index data."""
+
+
+def caught(fn, *args, **kwargs):
+    """``fn(*args, **kwargs)``, or the ErestabError it raised without its
+    traceback: that refers to the frames of the failed call, and a batch
+    keeping it would keep them alive until the garbage collector runs."""
+    try:
+        return fn(*args, **kwargs)
+    except ErestabError as exc:
+        return exc.with_traceback(None)
+
+
+def unwrap(outcome):
+    """Raise ``outcome`` if it is an ErestabError, else return it."""
+    if isinstance(outcome, ErestabError):
+        raise outcome
+    return outcome

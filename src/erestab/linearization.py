@@ -28,7 +28,7 @@ from .central_config import (
     solve_symmetric_y,
     stack_by_size,
 )
-from .errors import DomainError, ErestabError, InvariantViolation, SingularityError
+from .errors import DomainError, ErestabError, InvariantViolation, SingularityError, caught, unwrap
 
 I2 = np.eye(2)
 J4 = np.block([[np.zeros((2, 2)), -I2], [I2, np.zeros((2, 2))]])
@@ -89,13 +89,8 @@ def compute_Ds(configs: Sequence[Configuration]) -> list[DMatrix | ErestabError]
         d = 0.5 * (d + d.transpose(0, 2, 1))
         d.setflags(write=False)
         for i, entries, beta20, on_primary in zip(members, d, (s1 / mu - 1.0).tolist(), hit):
-            if on_primary:
-                out[i] = SingularityError(HIT_PRIMARY)
-                continue
-            try:
-                out[i] = DMatrix(entries=entries, beta20=beta20)
-            except ErestabError as exc:
-                out[i] = exc.with_traceback(None)  # no frame kept alive
+            out[i] = (SingularityError(HIT_PRIMARY) if on_primary
+                      else caught(DMatrix, entries=entries, beta20=beta20))
     return out
 
 
@@ -103,9 +98,7 @@ def compute_D(config: Configuration) -> DMatrix:
     """Assemble D from a configuration with the massless position attached:
     :func:`compute_Ds` on one configuration."""
     (d,) = compute_Ds([config])
-    if isinstance(d, ErestabError):
-        raise d
-    return d
+    return unwrap(d)
 
 
 @dataclass(frozen=True)

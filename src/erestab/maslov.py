@@ -37,6 +37,7 @@ this bracket is open.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -69,13 +70,17 @@ def assemble_operator(p: StabilityParams, rho: float, K: int) -> np.ndarray:
     """Galerkin matrix of the stability operator at the twist rho, real symmetric.
 
     rho must lie in [0, 1); anything else, a complex w included, raises
-    DomainError.  Size 2(2K+1), with the two components of each mode k + rho
-    interleaved.  It equals U^H H U for the Hermitian Galerkin matrix H in
-    the twisted Fourier basis and U = I_{2K+1} (x) diag(1, i); that
-    similarity only multiplies entries by +-1 and +-i, so the equality is
-    exact.  At e = 0 the matrix is banded with couplings only at |j - k| in
-    {0, 2}.
+    DomainError, and so does a ``K`` that is not an integer of at least 8.
+    Size 2(2K+1), with the two components of each mode k + rho interleaved.
+    It equals U^H H U for the Hermitian Galerkin matrix H in the twisted
+    Fourier basis and U = I_{2K+1} (x) diag(1, i); that similarity only
+    multiplies entries by +-1 and +-i, so the equality is exact.  At e = 0
+    the matrix is banded with couplings only at |j - k| in {0, 2}.
     """
+    try:
+        K = operator.index(K)
+    except TypeError:
+        raise DomainError(f"K must be an integer, got {K!r}") from None
     if K < 8:
         raise DomainError("K must be at least 8")
     if isinstance(rho, complex) or not 0.0 <= rho < 1.0:

@@ -22,7 +22,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ConvergenceError, DomainError
+from .errors import ConvergenceError, DomainError, unwrap
 from .linearization import J4, StabilityParams
 
 TWO_PI = 2.0 * math.pi
@@ -35,6 +35,13 @@ def check_integrator_tol(tol: float) -> None:
     """Raise DomainError unless ``tol`` is finite and at least MIN_TOL."""
     if not (math.isfinite(tol) and tol >= MIN_TOL):
         raise DomainError(f"integrator tolerance must be finite and at least {MIN_TOL:g}, got {tol}")
+
+
+def check_circle_tol(circle_tol: float) -> None:
+    """Raise DomainError unless 0 < ``circle_tol`` < 1: a multiplier off the
+    circle by 1 or more is not "on the circle"."""
+    if not 0.0 < circle_tol < 1.0:
+        raise DomainError(f"circle tolerance must lie in (0, 1), got {circle_tol}")
 
 
 def symplectic_residual(mat: np.ndarray) -> float:
@@ -344,9 +351,7 @@ def integrate_fundamental(p: StabilityParams, tol: float = DEFAULT_TOL) -> Monod
     of a scalar loop.
     """
     (mono,) = integrate_fundamentals([p], tol)
-    if isinstance(mono, ConvergenceError):
-        raise mono
-    return mono
+    return unwrap(mono)
 
 
 # ---------------------------------------------------------------------------
@@ -406,8 +411,9 @@ def classify_spectrum(m: Monodromy, circle_tol: float = DEFAULT_CIRCLE_TOL) -> S
     on-circle eigenvalues the geometric multiplicity is the number of
     singular values of (M - w I) below sqrt(circle_tol) * ||M||; strong
     stability additionally requires the four eigenvalues to be distinct and
-    at distance > circle_tol from +-1.
+    at distance > circle_tol from +-1.  ``circle_tol`` must lie in (0, 1).
     """
+    check_circle_tol(circle_tol)
     eigs = np.asarray(m.eigenvalues, dtype=complex)
     on_circle = _on_circle(eigs, circle_tol)
     on_count = int(np.count_nonzero(on_circle))
@@ -444,8 +450,9 @@ def kernel_dimension(m: Monodromy, omega: complex, circle_tol: float = DEFAULT_C
     The kernel is empty unless omega is within sqrt(circle_tol) of an
     eigenvalue, so the rank test only runs behind that gate; a bare
     singular-value threshold would report spurious kernels for strongly
-    non-normal matrices.
+    non-normal matrices.  ``circle_tol`` must lie in (0, 1).
     """
+    check_circle_tol(circle_tol)
     guard = math.sqrt(circle_tol)
     eigs = np.asarray(m.eigenvalues)
     algebraic = int(np.count_nonzero(np.abs(eigs - complex(omega)) < guard))
@@ -462,8 +469,9 @@ def circle_jump_sum(m: Monodromy, circle_tol: float) -> int | None:
     jump of -sign(Im(v^H J v)) (its negative Krein sign).  Returns None when
     the jump cannot be resolved from the spectrum alone: an on-circle
     eigenvalue within sqrt(circle_tol) of +-1, two upper ones clustered, or
-    a Krein form too small to sign.
+    a Krein form too small to sign.  ``circle_tol`` must lie in (0, 1).
     """
+    check_circle_tol(circle_tol)
     eigs, vecs = np.asarray(m.eigenvalues), m.eigenvectors
     guard = math.sqrt(circle_tol)
     on = _on_circle(eigs, circle_tol)

@@ -29,7 +29,7 @@ from .central_config import (
     offline_equilibria,
     offline_equilibrium,
 )
-from .errors import CurveExtractionError, DomainError, ErestabError
+from .errors import CurveExtractionError, DomainError, ErestabError, caught, unwrap
 from .linearization import (
     MAX_ECCENTRICITY,
     StabilityParams,
@@ -44,6 +44,7 @@ from .monodromy import (
     DEFAULT_TOL,
     Monodromy,
     SpectrumVerdict,
+    check_circle_tol,
     check_integrator_tol,
     circle_jump_sum,
     classify_spectrum,
@@ -71,9 +72,7 @@ class ScanSettings:
 
     def __post_init__(self) -> None:
         check_integrator_tol(self.integrator_tol)
-        # a multiplier off the circle by 1 or more is not "on the circle"
-        if not 0.0 < self.circle_tol < 1.0:
-            raise DomainError(f"circle tolerance must lie in (0, 1), got {self.circle_tol}")
+        check_circle_tol(self.circle_tol)
 
     def canonical_json(self) -> str:
         return json.dumps(
@@ -212,53 +211,38 @@ def _check_eccentricities(e_values: Sequence[float], e_max: float = MAX_ECCENTRI
 SWEEP_BATCH = 1024
 
 
-def _each(build):
-    """A batch build for :func:`_sweep` that calls ``build(**key)`` on each
-    key of the batch in turn, a failure becoming its message."""
-
-    def build_batch(batch_keys: list[dict]) -> list:
-        built = []
-        for k in batch_keys:
-            try:
-                built.append(build(**k))
-            except ErestabError as exc:
-                built.append(str(exc))
-        return built
-
-    return build_batch
+def _each(build, batch_keys: list[dict]) -> list:
+    """A batch build for :func:`_sweep`, with ``build`` bound: ``build(**key)``
+    of each key of the batch in turn, a failure becoming its error."""
+    return [caught(build, **k) for k in batch_keys]
 
 
 def _sweep(keys: list[dict], build, record: type, indices: bool, settings: ScanSettings) -> list:
     """Every sweep point ``keys[i]`` as a ``record``, in order.
 
     ``build(batch_keys)`` returns, per key of the batch, the point's
-    parameters and the columns it derives from them, or the message of its
-    failure.  Batch by batch of ``SWEEP_BATCH`` keys, the points that build
-    are integrated together, then each is analyzed.  A point that fails to
-    build, to integrate or to be analyzed keeps only its keys and the
-    message.  Only messages are kept: a caught exception refers to the frame
-    that holds it, and such cycles would keep a sweep's points alive until
-    the garbage collector runs.
+    parameters and the columns it derives from them, or the ErestabError of
+    its failure.  Batch by batch of ``SWEEP_BATCH`` keys, the points that
+    build are integrated together, then each is analyzed.  A point that
+    fails to build, to integrate or to be analyzed keeps only its keys and
+    its error's message.
     """
     records = []
     for start in range(0, len(keys), SWEEP_BATCH):
         batch_keys = keys[start:start + SWEEP_BATCH]
         built = build(batch_keys)
         monos = iter(integrate_fundamentals(
-            [b[0] for b in built if not isinstance(b, str)], settings.integrator_tol
+            [b[0] for b in built if not isinstance(b, ErestabError)], settings.integrator_tol
         ))
         for k, b in zip(batch_keys, built):
-            outcome = b if isinstance(b, str) else next(monos)
+            outcome = b if isinstance(b, ErestabError) else next(monos)
             if isinstance(outcome, Monodromy):
                 p, derived = b
-                try:
-                    result = _analyzed(p, outcome, settings, indices)
-                except ErestabError as exc:
-                    outcome = str(exc)
-                else:
-                    records.append(record(**k, **derived, **vars(result)))
-                    continue
-            records.append(record(**k, error=str(outcome)))
+                outcome = caught(_analyzed, p, outcome, settings, indices)
+            if isinstance(outcome, PointResult):
+                records.append(record(**k, **derived, **vars(outcome)))
+            else:
+                records.append(record(**k, error=str(outcome)))
     return records
 
 
@@ -297,7 +281,7 @@ def scan_theta(
             raise DomainError(f"beta {b} outside [0, {THETA_BETA_MAX}]")
     _check_eccentricities(e_grid)
     keys = [{"beta": float(b), "e": float(e)} for e in e_grid for b in beta_grid]
-    return _sweep(keys, _each(_theta_build), ScanRecord, True, settings)
+    return _sweep(keys, partial(_each, _theta_build), ScanRecord, True, settings)
 
 
 # ---------------------------------------------------------------------------
@@ -380,19 +364,18 @@ def _bisect_boundaries(searches: list, resolution: float, prepare) -> list:
                 if mid is None:
                     results[i] = brackets.pop(i)
                     continue
-                try:
-                    brackets[i] = (mid, hi) if searches[i][0](mid) else (lo, mid)
-                except ErestabError as exc:
-                    results[i] = exc
+                below = caught(searches[i][0], mid)
+                if isinstance(below, ErestabError):
+                    results[i] = below
                     del brackets[i]
+                else:
+                    brackets[i] = (mid, hi) if below else (lo, mid)
 
 
 def _bisect_boundary(pred, lo: float, hi: float, resolution: float) -> tuple[float, float]:
     """:func:`_bisect_boundaries` for one bracket."""
     (result,) = _bisect_boundaries([(pred, lo, hi)], resolution, lambda mids: None)
-    if isinstance(result, ErestabError):
-        raise result
-    return result
+    return unwrap(result)
 
 
 def _beta_grid(coarse_step: float) -> np.ndarray:
@@ -414,9 +397,7 @@ def _first_failure(pred, grid: np.ndarray) -> tuple | None:
 def _midpoint_and_width(bracket) -> tuple[float, float]:
     """A bisected bracket as a curve point's beta and width; raises the
     ErestabError that ended its bisection instead."""
-    if isinstance(bracket, ErestabError):
-        raise bracket
-    lo, hi = bracket
+    lo, hi = unwrap(bracket)
     return 0.5 * (lo + hi), hi - lo
 
 
@@ -469,10 +450,7 @@ def find_curves(
                     integrated[b] = mono if isinstance(mono, ErestabError) else (p, mono)
 
         def monodromy(beta: float) -> tuple[StabilityParams, Monodromy]:
-            got = integrated[beta]
-            if isinstance(got, ErestabError):
-                raise got
-            return got
+            return unwrap(integrated[beta])
 
         @cache
         def phi_m1(beta: float) -> int:
@@ -539,21 +517,14 @@ def _mass_build(batch_keys: list[dict], e: float) -> list:
     """:func:`collinear_params` of a batch of mass-plane cells: each cell's
     primaries on their own, then the batch's off-line equilibria together
     and its D from one batched distance sum."""
-    built = _each(_mass_config)(batch_keys)
+    built = _each(_mass_config, batch_keys)
     todo = [i for i, b in enumerate(built) if isinstance(b, Configuration)]
     for i, config in zip(todo, offline_equilibria([built[i] for i in todo])):
-        built[i] = config if isinstance(config, Configuration) else str(config)
+        built[i] = config
     todo = [i for i in todo if isinstance(built[i], Configuration)]
     for i, d in zip(todo, compute_Ds([built[i] for i in todo])):
-        if isinstance(d, ErestabError):
-            built[i] = str(d)
-            continue
-        try:
-            p = spectral_params(d, e)
-        except ErestabError as exc:
-            built[i] = str(exc)
-        else:
-            built[i] = (p, {"beta": p.beta_hls})
+        p = d if isinstance(d, ErestabError) else caught(spectral_params, d, e)
+        built[i] = p if isinstance(p, ErestabError) else (p, {"beta": p.beta_hls})
     return built
 
 
@@ -679,4 +650,4 @@ def polygon_verdicts(
         for e in e_list
         for site in sites
     ]
-    return _sweep(keys, _each(_polygon_build), PolygonVerdictRecord, True, settings)
+    return _sweep(keys, partial(_each, _polygon_build), PolygonVerdictRecord, True, settings)

@@ -441,6 +441,31 @@ def test_non_finite_input_is_domain_error(solver, args):
         solver(*args)
 
 
+def _no_work(*args):
+    raise AssertionError("a solve started")
+
+
+@pytest.mark.parametrize("count", [1, 3])
+def test_one_guess_per_configuration(count, monkeypatch):
+    config = collinear_three_primaries(MassSystem((0.5, 0.3, 0.2)))
+    monkeypatch.setattr(erestab.central_config, "_restricted_positions", _no_work)
+    with pytest.raises(DomainError, match=f"^{count} guesses for 2 configurations$"):
+        offline_equilibria([config, config], [(0.0, 1.0)] * count)
+
+
+@pytest.mark.parametrize("guess", [(0.0, 1.0, 2.0), (1.0,), 1.0, [[0.0, 1.0]]],
+                         ids=["triple", "single", "scalar", "nested"])
+@pytest.mark.parametrize("solver", [
+    restricted_position, offline_equilibrium, locate_offline_equilibria,
+    lambda config, guess: offline_equilibria([config, config], [(0.0, 1.0), guess]),
+], ids=["restricted", "offline", "locate", "batch"])
+def test_guess_that_is_not_a_pair_is_domain_error(solver, guess, monkeypatch):
+    config = collinear_three_primaries(MassSystem((0.5, 0.3, 0.2)))
+    monkeypatch.setattr(erestab.central_config, "_restricted_positions", _no_work)
+    with pytest.raises(DomainError, match=r"^guess must be a pair \(x, y\), got "):
+        solver(config, guess)
+
+
 class TestDampedNewton:
     def test_singular_trial_is_halved(self):
         # The step overshoots 4x into a region where the residual is singular;

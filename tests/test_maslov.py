@@ -143,6 +143,15 @@ class TestAssembly:
         with pytest.raises(DomainError):
             assemble_operator(params(0.5, 0.0, 0.0), 2.0, 16)
 
+    @pytest.mark.parametrize("K", [8.0, 16.5, "16", None])
+    def test_k_that_is_not_an_integer_is_domain_error(self, K):
+        with pytest.raises(DomainError, match="^K must be an integer, got "):
+            assemble_operator(params(0.5, 1.0, 0.3), 0.0, K)
+
+    def test_numpy_integer_k_is_an_integer(self):
+        p = params(0.5, 1.0, 0.3)
+        assert np.array_equal(assemble_operator(p, 0.25, np.int64(8)), assemble_operator(p, 0.25, 8))
+
 
 class TestTwistDomain:
     # the old w arguments +-1 and i among them: none may silently mean a rho

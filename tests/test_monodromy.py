@@ -18,9 +18,11 @@ from erestab.monodromy import (
     _dop853,
     _fundamental_rhs,
     _weights,
+    circle_jump_sum,
     classify_spectrum,
     integrate_fundamental,
     integrate_fundamentals,
+    kernel_dimension,
 )
 from erestab.polygon_config import Site
 from erestab.scan import polygon_params
@@ -401,6 +403,21 @@ class TestClassification:
     def test_degenerate_top_edge_runs_clean(self):
         v = classify_spectrum(integrate_fundamental(StabilityParams.from_beta_hls(9.0, 0.0)))
         assert v.verdict is Verdict.HYPERBOLIC
+
+    @pytest.mark.parametrize("beta, e, verdict", [
+        (0.5, 0.1, Verdict.STRONGLY_LINEARLY_STABLE), (1.5, 0.3, Verdict.HYPERBOLIC)])
+    @pytest.mark.parametrize("circle_tol", [math.nan, 5.0, 1.0, 0.0, -1.0])
+    def test_circle_tolerance_outside_zero_one_is_domain_error(self, beta, e, verdict, circle_tol):
+        # unchecked, nan would call the stable point Hyperbolic and 5.0 the
+        # hyperbolic one LinearlyStable
+        m = integrate_fundamental(StabilityParams.from_beta_hls(beta, e), 1e-10)
+        assert classify_spectrum(m).verdict is verdict
+        message = rf"^circle tolerance must lie in \(0, 1\), got {circle_tol}$"
+        for call in (functools.partial(classify_spectrum, m, circle_tol),
+                     functools.partial(kernel_dimension, m, -1.0, circle_tol),
+                     functools.partial(circle_jump_sum, m, circle_tol)):
+            with pytest.raises(DomainError, match=message):
+                call()
 
 
 class TestFrameConjugacy:

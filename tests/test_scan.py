@@ -672,3 +672,15 @@ def test_one_integrator_tolerance_rule(tol):
         integrate_fundamentals([], tol)
     assert str(settings.value) == str(integrator.value)
     assert integrate_fundamentals([], MIN_TOL) == []
+
+
+@pytest.mark.parametrize("circle_tol", [0.0, -1.0, 1.0, 5.0, float("nan"), float("inf")])
+def test_one_circle_tolerance_rule(circle_tol):
+    """The settings and the spectrum tests reject a circle tolerance by one
+    rule, with one message."""
+    with pytest.raises(DomainError) as settings:
+        ScanSettings(circle_tol=circle_tol)
+    with pytest.raises(DomainError) as spectrum:
+        classify_spectrum(integrate_fundamental(StabilityParams.from_beta_hls(1.5, 0.3)), circle_tol)
+    assert str(settings.value) == str(spectrum.value)
+    assert str(settings.value) == f"circle tolerance must lie in (0, 1), got {circle_tol}"
