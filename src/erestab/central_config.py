@@ -33,6 +33,7 @@ MASS_SUM_TOL = 1e-14
 CC_RESIDUAL_TOL = 1e-10
 MAX_ITER = 200  # iteration cap of the Moulton and restricted-position solvers
 HIT_PRIMARY = "massless body hit a primary"
+MASSLESS_SEED = (0.0, 1.0)  # default start of the off-line equilibrium search
 
 
 @dataclass(frozen=True)
@@ -164,9 +165,10 @@ class Configuration:
 
         ``cc_residual`` becomes the larger of the primaries' defect and the
         norm of the massless body's equilibrium equation, the gradient of the
-        amended potential V at ``position``.
+        amended potential V at ``position``.  A position that is not a finite
+        pair raises DomainError.
         """
-        p = np.asarray(position, dtype=float).reshape(2)
+        p = _check_pair("position", position)
         return _attach_massless(self, p, _config_derivatives(self, p)[0])
 
 
@@ -207,7 +209,8 @@ def _scan_grid() -> np.ndarray:
 
 def _horner(coeffs: list[float], x: float) -> float:
     """The polynomial ``coeffs`` (highest degree first) at x by Horner's rule,
-    with np.polyval's operations in its order, so with its bits."""
+    with np.polyval's operations in its order, so with its bits on the same
+    BLAS and numpy build."""
     y = 0.0
     for c in coeffs:
         y = y * x + c
@@ -408,12 +411,14 @@ def moulton_collinear(
 # Equilibrium of the massless body off the primaries' line
 # ---------------------------------------------------------------------------
 
-def _check_guess(guess: Sequence[float]) -> np.ndarray:
-    a = np.asarray(guess, dtype=float)
+def _check_pair(name: str, pair: Sequence[float]) -> np.ndarray:
+    """``pair`` as an array; DomainError, naming it ``name``, unless it is a
+    finite pair (x, y)."""
+    a = np.asarray(pair, dtype=float)
     if a.shape != (2,):
-        raise DomainError(f"guess must be a pair (x, y), got {guess!r}")
+        raise DomainError(f"{name} must be a pair (x, y), got {pair!r}")
     if not (math.isfinite(a[0]) and math.isfinite(a[1])):
-        raise DomainError(f"guess must be finite, got {tuple(a.tolist())}")
+        raise DomainError(f"{name} must be finite, got {tuple(a.tolist())}")
     return a
 
 
@@ -565,14 +570,14 @@ def _restricted_positions(configs: Sequence[Configuration], starts: np.ndarray) 
 
 
 def _newton_start(guess: Sequence[float]) -> np.ndarray:
-    a = _check_guess(guess)
+    a = _check_pair("guess", guess)
     if abs(a[1]) < 1e-12:
         raise DomainError("guess must lie off the primaries' line")
     return a
 
 
 def restricted_position(
-    config: Configuration, guess: Sequence[float] = (0.0, 1.0)
+    config: Configuration, guess: Sequence[float] = MASSLESS_SEED
 ) -> Configuration:
     """Solve for the off-line equilibrium position of the massless body.
 
@@ -594,7 +599,7 @@ def restricted_position(
 
 
 def locate_offline_equilibria(
-    config: Configuration, guess: Sequence[float] = (0.0, 1.0)
+    config: Configuration, guess: Sequence[float] = MASSLESS_SEED
 ) -> np.ndarray:
     """An off-line equilibrium of the massless body in the upper half plane.
 
@@ -612,7 +617,7 @@ def locate_offline_equilibria(
 
     if np.max(np.abs(config.primary_positions[:, 1])) > 1e-10:
         raise DomainError("locate_offline_equilibria needs primaries on the x-axis")
-    g = _check_guess(guess)
+    g = _check_pair("guess", guess)
     start = np.array([g[0], abs(g[1])])
     last: list = [None, None]  # the point last evaluated and V's terms there
 
@@ -658,7 +663,7 @@ def offline_equilibria(
     DomainError before any work.
     """
     if guesses is None:
-        guesses = [(0.0, 1.0)] * len(configs)
+        guesses = [MASSLESS_SEED] * len(configs)
     if len(guesses) != len(configs):
         raise DomainError(f"{len(guesses)} guesses for {len(configs)} configurations")
     starts = np.array([_newton_start(g) for g in guesses]).reshape(-1, 2)
@@ -674,7 +679,9 @@ def offline_equilibria(
     return out
 
 
-def offline_equilibrium(config: Configuration, guess: Sequence[float] = (0.0, 1.0)) -> Configuration:
+def offline_equilibrium(
+    config: Configuration, guess: Sequence[float] = MASSLESS_SEED
+) -> Configuration:
     """Robust off-line equilibrium: Newton first, a descent of V as fallback.
 
     Tries :func:`restricted_position` from ``guess``; if the iteration

@@ -23,7 +23,7 @@ from typing import Callable
 import numpy as np
 
 from . import __version__
-from .central_config import MassSystem
+from .central_config import MASSLESS_SEED, MassSystem
 from .errors import DomainError, ErestabError
 from .linearization import StabilityParams
 from .maslov import morse_index
@@ -256,7 +256,7 @@ def _cmd_stability(params: dict, settings: ScanSettings, output: dict):
         raise ConfigError(f"--family {family} does not read {flags}")
     if family == "collinear":
         masses = MassSystem.normalized(params["m"])
-        p = collinear_params(masses, e, params.get("guess", (0.0, 1.0)))
+        p = collinear_params(masses, e, params.get("guess", MASSLESS_SEED))
         extra = {"family": family, "masses": list(masses.masses)}
     else:
         n, ratio, site = params["n"], params["m0_over_m"], params["site"]

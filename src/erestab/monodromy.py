@@ -151,14 +151,15 @@ def _dop853(fun, y0: np.ndarray, t_end: float, tol: float, args: tuple, coeffici
     matrix-vector products over the stage array, its error norm (each
     point's by its own ``dot`` over a contiguous copy, a norm squared as the
     square of a square root), its step factors and clamps.  So every point's
-    result is that of ``solve_ivp`` bit for bit, whatever else the batch
-    holds.  The stages are one contiguous (13, n * points) array, copied
-    afresh when a point leaves the batch: products over a strided view of it
-    change bits.  Points leave the batch at one site, the top of a round: a
-    point that would start a step at t >= t_end is done, its end state in
-    ``y``; a step below ten spacings of the floats at t fails its point with
-    a ConvergenceError, where ``solve_ivp`` reports failure, and so does a
-    step size that is not a number, on which ``solve_ivp`` would loop forever.
+    result is that of ``solve_ivp`` bit for bit on the same BLAS and numpy
+    build, whatever else the batch holds.  The stages are one contiguous
+    (13, n * points) array, copied afresh when a point leaves the batch:
+    products over a strided view of it change bits.  Points leave the batch
+    at one site, the top of a round: a point that would start a step at
+    t >= t_end is done, its end state in ``y``; a step below ten spacings of
+    the floats at t fails its point with a ConvergenceError, where
+    ``solve_ivp`` reports failure, and so does a step size that is not a
+    number, on which ``solve_ivp`` would loop forever.
     """
     shape, count = y0.shape[:-1], y0.shape[-1]
     n = math.prod(shape)
@@ -343,12 +344,12 @@ def integrate_fundamental(p: StabilityParams, tol: float = DEFAULT_TOL) -> Monod
     This is :func:`integrate_fundamentals` on one point, so there is one
     stepper: ``_dop853``, an in-house DOP853 that repeats
     ``scipy.integrate.solve_ivp``'s IEEE operations in the same order.
-    gamma(2*pi), nfev and the step count equal ``solve_ivp``'s bit for bit,
-    alone or in any batch; ``TestScalarRhsPin`` and ``TestBatchPin`` in
-    ``tests/test_monodromy.py`` pin this against the ``solve_ivp`` path kept
-    in ``tests/oracles.py``.  A sweep integrates its points together: one
-    point alone pays a batch's overhead per step, about twice the step time
-    of a scalar loop.
+    gamma(2*pi), nfev and the step count equal ``solve_ivp``'s bit for bit on
+    the same BLAS and numpy build, alone or in any batch; ``TestScalarRhsPin``
+    and ``TestBatchPin`` in ``tests/test_monodromy.py`` pin this against the
+    ``solve_ivp`` path kept in ``tests/oracles.py``.  A sweep integrates its
+    points together: one point alone pays a batch's overhead per step, about
+    twice the step time of a scalar loop.
     """
     (mono,) = integrate_fundamentals([p], tol)
     return unwrap(mono)

@@ -22,6 +22,7 @@ from typing import Sequence
 import numpy as np
 
 from .central_config import (
+    MASSLESS_SEED,
     Configuration,
     MassSystem,
     collinear_three_primaries,
@@ -171,7 +172,7 @@ def collinear_config(
 
 
 def collinear_params(
-    masses: MassSystem, e: float, guess: Sequence[float] = (0.0, 1.0)
+    masses: MassSystem, e: float, guess: Sequence[float] = MASSLESS_SEED
 ) -> StabilityParams:
     """Parameters of a collinear chain with the massless body off the line;
     ``guess`` seeds the off-line equilibrium search."""
@@ -318,17 +319,14 @@ def _midpoint(lo: float, hi: float, resolution: float) -> float | None:
 
 def _bisection_tree(lo: float, hi: float, resolution: float) -> list[float]:
     """Every midpoint the next BISECT_LEVELS steps of bisecting (lo, hi) may
-    read, level by level, each computed as :func:`_midpoint` computes it."""
-    mids, level = [], [(lo, hi)]
-    for _ in range(BISECT_LEVELS):
-        below = []
-        for a, b in level:
-            mid = _midpoint(a, b, resolution)
-            if mid is not None:
-                mids.append(mid)
-                below += [(a, mid), (mid, b)]
-        level = below
-    return mids
+    read, depth first, each computed as :func:`_midpoint` computes it."""
+    def walk(a: float, b: float, levels: int) -> list[float]:
+        mid = _midpoint(a, b, resolution) if levels else None
+        if mid is None:
+            return []
+        return [mid, *walk(a, mid, levels - 1), *walk(mid, b, levels - 1)]
+
+    return walk(lo, hi, BISECT_LEVELS)
 
 
 def _bisect_boundaries(searches: list, resolution: float, prepare) -> list:
@@ -337,27 +335,19 @@ def _bisect_boundaries(searches: list, resolution: float, prepare) -> list:
     adjacent floats.
 
     The brackets are bisected in lockstep, each one through the same
-    midpoints as alone, level by level in search order.  A round covers
-    BISECT_LEVELS levels: ``prepare`` first gets the
-    :func:`_bisection_tree` of every open bracket, each midpoint those
-    levels may read, so that they can be integrated as one batch; the preds
-    then read one midpoint per level of each bracket.  Returns, per search,
-    (lo, hi) or the ErestabError its pred raised, which ends that search
-    only.
+    midpoints as alone.  A round covers BISECT_LEVELS levels: ``prepare``
+    first gets the :func:`_bisection_tree` of every open bracket, each
+    midpoint those levels may read, so that they can be integrated as one
+    batch; the preds then read one midpoint per level of each bracket, in
+    search order.  Returns, per search, (lo, hi) or the ErestabError its
+    pred raised, which ends that search only.
     """
     results: list = [None] * len(searches)
     brackets = {i: (lo, hi) for i, (_, lo, hi) in enumerate(searches)}
-    while True:
-        mids = []
-        for i, (lo, hi) in list(brackets.items()):
-            tree = _bisection_tree(lo, hi, resolution)
-            if tree:
-                mids += tree
-            else:
-                results[i] = brackets.pop(i)
-        if not mids:
-            return results
-        prepare(mids)
+    while brackets:
+        mids = [m for lo, hi in brackets.values() for m in _bisection_tree(lo, hi, resolution)]
+        if mids:
+            prepare(mids)
         for _ in range(BISECT_LEVELS):
             for i, (lo, hi) in list(brackets.items()):
                 mid = _midpoint(lo, hi, resolution)
@@ -370,6 +360,7 @@ def _bisect_boundaries(searches: list, resolution: float, prepare) -> list:
                     del brackets[i]
                 else:
                     brackets[i] = (mid, hi) if below else (lo, mid)
+    return results
 
 
 def _bisect_boundary(pred, lo: float, hi: float, resolution: float) -> tuple[float, float]:
@@ -449,16 +440,14 @@ def find_curves(
                 for b, p, mono in zip(batch, ps, monos):
                     integrated[b] = mono if isinstance(mono, ErestabError) else (p, mono)
 
-        def monodromy(beta: float) -> tuple[StabilityParams, Monodromy]:
-            return unwrap(integrated[beta])
-
         @cache
         def phi_m1(beta: float) -> int:
-            return _minus_one(*monodromy(beta), idx1, settings.circle_tol)[0]
+            return _minus_one(*unwrap(integrated[beta]), idx1, settings.circle_tol)[0]
 
         @cache
         def circle_spectrum(beta: float) -> bool:
-            return classify_spectrum(monodromy(beta)[1], settings.circle_tol).on_circle_count > 0
+            _, mono = unwrap(integrated[beta])
+            return classify_spectrum(mono, settings.circle_tol).on_circle_count > 0
 
         try:
             idx1 = morse_index(StabilityParams.from_beta_hls(grid[-1], e), 0.0)
@@ -576,8 +565,8 @@ def find_mstar(tolerance: float = 1e-6) -> MstarResult:
     Bisects beta(m2) < 1 (the circular-case stability criterion) on the
     chain y(m2) -> z -> beta = 36 z (1 - z).  The chain is unimodal in m2
     (a hump near m2 ~ 0.09 before the decay to 0), so the grid check
-    verifies what the bisection needs: a unique crossing of 1, with beta
-    strictly decreasing from the last unstable grid point onward.  Raises
+    verifies what the bisection needs: a crossing of 1, unique because beta
+    strictly decreases from the last unstable grid point onward.  Raises
     CurveExtractionError if the grid fails either check.
     """
     if not (math.isfinite(tolerance) and tolerance >= 1e-8):
@@ -589,9 +578,7 @@ def find_mstar(tolerance: float = 1e-6) -> MstarResult:
         raise CurveExtractionError("beta(m2) does not cross 1 on the grid")
     first = int(np.flatnonzero(stable)[0])
     lo, hi = float(grid[first - 1]), float(grid[first])
-    single_crossing = bool(np.all(stable[first:]))
-    decreasing_past = bool(np.all(np.diff(betas[first - 1 :]) < 0.0))
-    if not (single_crossing and decreasing_past):
+    if not np.all(np.diff(betas[first - 1 :]) < 0.0):
         raise CurveExtractionError("beta(m2) is not monotone through the crossing")
     lo, hi = _bisect_boundary(lambda m: symmetric_beta(m) >= 1.0, lo, hi, tolerance)
     return MstarResult(0.5 * (lo + hi), lo, hi)

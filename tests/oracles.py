@@ -16,7 +16,8 @@ numbers (``np.polyval`` on scalars, ``einsum`` and axis sums) instead of
 the scalar Python spacing-quintic and the column-wise distance-sum kernels,
 and the off-line equilibrium's Newton loop one point at a time instead of
 its lockstep batch, and a plain one-bracket bisection, one midpoint per
-step, instead of the speculative lockstep rounds of ``find_curves``.
+step, instead of the speculative lockstep rounds of ``find_curves``, whose
+speculation tree is kept here level by level against its depth-first walk.
 
 The helpers after them (matrix exponential, D-form coefficient path,
 spectral distances, symplectic samples, positivity sweep, the K-form
@@ -84,6 +85,7 @@ from erestab.monodromy import (
     symplectic_residual,
 )
 from erestab.polygon_config import BangQuantities, PolygonSystem, Site, solve_site
+from erestab.scan import BISECT_LEVELS, _midpoint
 
 J2 = np.array([[0.0, -1.0], [1.0, 0.0]])
 
@@ -231,6 +233,21 @@ def bisect_bracket(pred, lo: float, hi: float, resolution: float) -> tuple[float
             lo = mid
         else:
             hi = mid
+
+
+def bisection_tree_level_order(lo: float, hi: float, resolution: float) -> list[float]:
+    """Every midpoint the next BISECT_LEVELS steps of bisecting (lo, hi) may
+    read, level by level, each computed as :func:`_midpoint` computes it."""
+    mids, level = [], [(lo, hi)]
+    for _ in range(BISECT_LEVELS):
+        below = []
+        for a, b in level:
+            mid = _midpoint(a, b, resolution)
+            if mid is not None:
+                mids.append(mid)
+                below += [(a, mid), (mid, b)]
+        level = below
+    return mids
 
 
 def cc_defect_complex(masses, positions, mu, massless=None):

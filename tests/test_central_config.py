@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -464,6 +465,19 @@ def test_guess_that_is_not_a_pair_is_domain_error(solver, guess, monkeypatch):
     monkeypatch.setattr(erestab.central_config, "_restricted_positions", _no_work)
     with pytest.raises(DomainError, match=r"^guess must be a pair \(x, y\), got "):
         solver(config, guess)
+
+
+@pytest.mark.parametrize("position, message", [
+    ((NAN, 1.0), r"^position must be finite, got \(nan, 1\.0\)$"),
+    ((INF, 1.0), r"^position must be finite, got \(inf, 1\.0\)$"),
+    ((0, 1, 2), r"^position must be a pair \(x, y\), got \(0, 1, 2\)$"),
+], ids=["nan", "inf", "triple"])
+def test_massless_position_that_is_not_a_finite_pair_is_domain_error(position, message):
+    config = collinear_three_primaries(MassSystem((0.5, 0.3, 0.2)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match=message):
+            config.with_massless(position)
 
 
 class TestDampedNewton:

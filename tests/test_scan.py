@@ -1,3 +1,4 @@
+import math
 import re
 import warnings
 from dataclasses import fields, replace
@@ -30,10 +31,10 @@ from erestab.scan import (
     polygon_verdicts,
     scan_theta,
 )
-from erestab.scan import _beta_grid, _bisect_boundaries, _bisect_boundary
+from erestab.scan import _beta_grid, _bisect_boundaries, _bisect_boundary, _bisection_tree
 from erestab.polygon_config import Site
 
-from oracles import bisect_bracket, region_of
+from oracles import bisect_bracket, bisection_tree_level_order, region_of
 
 FAST = ScanSettings(integrator_tol=1e-10)
 
@@ -154,9 +155,10 @@ class TestCurves:
         assert lo < 0.3 <= hi and np.nextafter(lo, 1.0) == hi
 
     def test_lockstep_brackets_see_their_own_midpoints(self):
-        # brackets of different widths and depths, a repeated one, and one
-        # whose pred raises at its first midpoint; every pred also raises on
-        # a midpoint that was not handed to prepare beforehand
+        # brackets of different widths and depths, a repeated one, one whose
+        # pred raises at its first midpoint and one no wider than the
+        # resolution; every pred also raises on a midpoint that was not
+        # handed to prepare beforehand
         prepared = set()
 
         def search(log, i, limit, lo, hi, lockstep=False):
@@ -174,7 +176,7 @@ class TestCurves:
             prepared.update(mids)
 
         specs = [(0.3, 0.0, 1.0), (2.71, 2.0, 3.0), (0.3, 0.0, 1.0), (5.5, 4.0, 8.0),
-                 (0.1, 0.0, 0.1 + 1e-3)]
+                 (0.1, 0.0, 0.1 + 1e-3), (0.50000005, 0.5, 0.5 + 1e-7)]
         joint, alone, plain = ([[] for _ in specs] for _ in range(3))
         rounds = []
         together = _bisect_boundaries(
@@ -191,6 +193,8 @@ class TestCurves:
                 assert together[i] == _bisect_boundary(*search(alone, i, *s), 1e-6)
                 assert together[i] == bisect_bracket(*search(plain, i, *s), 1e-6)
         assert joint == alone == plain
+        # the bracket already at resolution comes back as it went in, unread
+        assert together[5] == specs[5][1:] and joint[5] == []
         # a round covers BISECT_LEVELS levels of every bracket still open
         levels = erestab.scan.BISECT_LEVELS
         assert len(rounds) == -(-max(map(len, plain)) // levels) > 1
@@ -509,6 +513,61 @@ class TestOneDecomposition:
         monkeypatch.setattr(erestab.scan, "integrate_fundamentals", spy)
         find_curves([0.3], 0.01, coarse_step=1.0)
         assert integrations and len(decompositions) == len(integrations)
+
+
+class TestBisectionTreePin:
+    """The depth-first speculation tree against the level-order one it
+    replaced, kept in ``tests/oracles.py``: the same midpoints, as a set, at
+    every bracket and in every round."""
+
+    @staticmethod
+    def check(lo, hi, resolution):
+        tree = _bisection_tree(lo, hi, resolution)
+        assert sorted(tree) == sorted(bisection_tree_level_order(lo, hi, resolution))
+        assert len(set(tree)) == len(tree) <= 2 ** erestab.scan.BISECT_LEVELS - 1
+        return tree
+
+    def test_seeded_random_brackets(self):
+        rng = np.random.default_rng(20231)
+        sizes = set()
+        for _ in range(2000):
+            lo = rng.uniform(-10.0, 10.0)
+            hi = lo + 10.0 ** rng.uniform(-16.0, 1.0)
+            sizes.add(len(self.check(lo, hi, 10.0 ** rng.uniform(-17.0, 1.0))))
+        # full trees of every depth, the resolution cutting each level
+        assert {2 ** k - 1 for k in range(erestab.scan.BISECT_LEVELS + 1)} <= sizes
+
+    @pytest.mark.parametrize("lo", [0.0, 1.0, -3.5, 1e300])
+    @pytest.mark.parametrize("ulps", [1, 2, 3, 5, 8, 15, 16, 17, 40])
+    def test_resolutions_down_to_adjacent_floats(self, lo, ulps):
+        hi = lo
+        for _ in range(ulps):
+            hi = np.nextafter(hi, math.inf)
+        for resolution in (0.0, 5e-324, (hi - lo) / 8.0, (hi - lo) / 2.0):
+            self.check(lo, float(hi), resolution)
+
+    @pytest.mark.parametrize("lo, hi, resolution", [
+        (0.0, 0.01, 0.01), (0.5, 0.5 + 1e-7, 1e-6), (2.0, 3.0, 1.0), (1.0, 1.0, 0.0),
+    ])
+    def test_bracket_at_resolution_has_no_midpoints(self, lo, hi, resolution):
+        assert self.check(lo, hi, resolution) == []
+
+    def test_every_round_prepares_the_oracle_set(self, monkeypatch):
+        specs = [(0.3, 0.0, 1.0), (2.71, 2.0, 3.0), (math.pi, 3.0, 4.0), (0.1, 0.0, 0.2)]
+
+        def run():
+            rounds, reads = [], []
+
+            def search(limit, lo, hi):
+                return lambda x: reads.append(x) or x < limit, lo, hi
+
+            results = _bisect_boundaries([search(*s) for s in specs], 1e-12,
+                                         lambda mids: rounds.append(set(mids)))
+            return results, rounds, reads
+
+        new = run()
+        monkeypatch.setattr(erestab.scan, "_bisection_tree", bisection_tree_level_order)
+        assert new == run() and len(new[1]) > 1
 
 
 class TestSpeculativeMidpoints:
