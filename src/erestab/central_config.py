@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass, replace
 from typing import Sequence
 
@@ -272,78 +273,71 @@ def _damped_newton(
     """Solve residual(x) = 0 from every starting point of the batch ``x``
     (points, n) by Newton steps halved until the max-norm drops.
 
-    ``residual(x, *a)`` evaluates the rows of ``x``, ``a`` being ``args``
-    cut to the points still iterating, as ``_dop853`` cuts its own: it
-    returns their residual rows, a tuple of arrays with a row per point that
+    ``residual(*a, x)`` evaluates the rows of ``x``, ``a`` being ``args``
+    cut to those points, as ``_dop853`` cuts its own: it returns their
+    residual rows, a tuple of arrays with a row per point that
     ``newton_step`` needs besides them, and the mask of the points that hit
     a primary there.  ``newton_step(x, res, extra)`` returns full steps.
-    Each point has its own step, scale, halvings and iteration count: each
-    step is halved up to 30 times, and a trial that hits a primary counts as
-    no progress for its point only.  A round evaluates one trial of every
-    point still iterating, so each point takes the steps it would take
-    alone, bit for bit.
+
+    The outer loop runs over Newton steps k = 0 .. MAX_ITER.  At its top a
+    point below ``tol`` is done, at k = MAX_ITER the rest are capped, and
+    the others get their steps from one ``newton_step`` call.  The inner
+    loop runs over halvings h = 0 .. 29: it evaluates x + 0.5**h step of
+    each point whose trials have not yet lowered its max-norm (a trial on a
+    primary does not), and the points left after 30 halvings stall.  No
+    point reads another, so each takes the steps it would take alone, bit
+    for bit.
 
     Returns, per point, (x, res, extra) of its last evaluation once the
-    max-norm is below ``tol`` (the last point evaluated is always the one
-    returned), or the error that ended it: SingularityError if it starts on
-    a primary, ConvergenceError if 30 halvings do not reduce the max-norm or
-    MAX_ITER steps do not reach ``tol``.
+    max-norm is below ``tol``, or the error that ended it: SingularityError
+    if it starts on a primary, ConvergenceError if it stalls or is capped.
     """
-    out: list = [None] * len(x)
-    rows = np.arange(len(x))  # the points still iterating, in batch order
     x = np.array(x, dtype=float)
-    res, extra, hit = residual(x, *args)
-    for i in np.flatnonzero(hit):
-        out[i] = SingularityError(HIT_PRIMARY)
+    res, extra, left = residual(*args, x)  # left: the points retired since the last cut
+    out: list = [SingularityError(HIT_PRIMARY) if hit else None for hit in left]
+    rows = np.arange(len(x))  # the points still in the batch, in batch order
     norm = np.max(np.abs(res), axis=1)
-    step = np.empty_like(x)
-    scale = np.ones(len(x))
-    iters, halvings = np.zeros(len(x), dtype=int), np.zeros(len(x), dtype=int)
-    fresh = ~hit  # the point is at the top of a Newton step
-    while True:
-        capped = fresh & (iters == MAX_ITER)
-        done = fresh & ~capped & (norm < tol)
-        stalled = ~fresh & (halvings == 30)
-        for j in np.flatnonzero(capped | done | stalled):
-            if done[j]:
-                out[rows[j]] = (x[j], res[j], tuple(e[j] for e in extra))
-            elif capped[j]:
-                out[rows[j]] = ConvergenceError(
-                    f"{name} did not converge in {MAX_ITER} iterations", residual=float(norm[j])
-                )
-            else:
-                out[rows[j]] = ConvergenceError(
-                    f"{name} stalled (30 halvings without progress)", residual=float(norm[j])
-                )
-        stay = ~(hit | capped | done | stalled)
-        if not stay.any():
-            return out
+    for k in range(MAX_ITER + 1):
+        done = ~left & (norm < tol)
+        for j in np.flatnonzero(done):
+            out[rows[j]] = (x[j], res[j], tuple(e[j] for e in extra))
+        stay = ~(left | done)
+        if k == MAX_ITER or not stay.any():
+            break
         if not stay.all():
-            rows, x, res, norm, step, scale, iters, halvings, fresh, hit = (
-                a[stay] for a in (rows, x, res, norm, step, scale, iters, halvings, fresh, hit)
-            )
+            rows, x, res, norm = rows[stay], x[stay], res[stay], norm[stay]
             extra, args = tuple(e[stay] for e in extra), tuple(a[stay] for a in args)
-        if fresh.all():
-            step = newton_step(x, res, extra)
-            scale[:] = 1.0
-            halvings[:] = 0
-        elif fresh.any():
-            step[fresh] = newton_step(x[fresh], res[fresh], tuple(e[fresh] for e in extra))
-            scale[fresh] = 1.0
-            halvings[fresh] = 0
-        trial = x + scale[:, None] * step
-        trial_res, trial_extra, trial_hit = residual(trial, *args)
-        trial_norm = np.max(np.abs(trial_res), axis=1)
-        fresh = ~trial_hit & (trial_norm < norm)
-        if fresh.all():
-            x, res, extra, norm = trial, trial_res, trial_extra, trial_norm
-        else:
-            x[fresh], res[fresh], norm[fresh] = trial[fresh], trial_res[fresh], trial_norm[fresh]
-            for e, t in zip(extra, trial_extra):
-                e[fresh] = t[fresh]
-            scale[~fresh] *= 0.5
-            halvings[~fresh] += 1
-        iters[fresh] += 1
+        step = newton_step(x, res, extra)
+        todo = np.arange(len(x))  # the points no trial of this step has moved yet
+        at_x, at_step, at_norm, at_args = x, step, norm, args  # their rows
+        for h in range(30):
+            trial = at_x + 0.5**h * at_step
+            t_res, t_extra, t_hit = residual(*at_args, trial)
+            t_norm = np.max(np.abs(t_res), axis=1)
+            ok = ~t_hit & (t_norm < at_norm)
+            if h == 0 and ok.all():  # every point takes its full step
+                x, res, extra, norm = trial, t_res, t_extra, t_norm
+            else:
+                moved = todo[ok]
+                x[moved], res[moved], norm[moved] = trial[ok], t_res[ok], t_norm[ok]
+                for e, t in zip(extra, t_extra):
+                    e[moved] = t[ok]
+            todo = todo[~ok]
+            if not todo.size:
+                break
+            at_x, at_step, at_norm = x[todo], step[todo], norm[todo]
+            at_args = tuple(a[todo] for a in args)
+        left = np.zeros(len(x), dtype=bool)
+        left[todo] = True
+        for j in todo:
+            out[rows[j]] = ConvergenceError(
+                f"{name} stalled (30 halvings without progress)", residual=float(norm[j])
+            )
+    for j in np.flatnonzero(stay):
+        out[rows[j]] = ConvergenceError(
+            f"{name} did not converge in {MAX_ITER} iterations", residual=float(norm[j])
+        )
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -380,8 +374,10 @@ def moulton_collinear(
     to 1; the result is rescaled to the standard normalization.
     """
     k = len(masses)
-    if ordering is None:
-        ordering = tuple(range(k))
+    try:
+        ordering = list(range(k)) if ordering is None else [operator.index(i) for i in ordering]
+    except TypeError:  # an entry that is not an integer
+        ordering = []
     if sorted(ordering) != list(range(k)):
         raise DomainError(f"ordering must be a permutation of 0..{k - 1}")
     m = masses.array
@@ -528,11 +524,6 @@ def stack_by_size(configs: Sequence[Configuration]) -> list:
     ]
 
 
-def _equilibrium_residual(x, positions, masses, mu):
-    grad, (hess, s1, _), hit = _derivatives(positions, masses, mu, x)
-    return grad, (hess, s1), hit
-
-
 def _equilibrium_step(x, grad, extra):
     return np.linalg.solve(extra[0], -grad[..., None])[..., 0]
 
@@ -545,7 +536,7 @@ def _restricted_positions(configs: Sequence[Configuration], starts: np.ndarray) 
     out: list = [None] * len(configs)
     for members, positions, masses, mu in stack_by_size(configs):
         solved = _damped_newton(
-            _equilibrium_residual, _equilibrium_step, starts[members], (positions, masses, mu),
+            _derivatives, _equilibrium_step, starts[members], (positions, masses, mu),
             1e-11, "restricted-position Newton",
         )
         for i, outcome in zip(members, solved):
@@ -553,7 +544,7 @@ def _restricted_positions(configs: Sequence[Configuration], starts: np.ndarray) 
             if isinstance(outcome, ErestabError):
                 out[i] = outcome
                 continue
-            a, grad, (_, mu_check) = outcome
+            a, grad, (_, mu_check, _) = outcome
             if abs(a[1]) < 1e-8:
                 out[i] = DegenerateSolutionError(
                     "Newton converged to a point on the primaries' line; "
@@ -652,15 +643,16 @@ def offline_equilibria(
     """:func:`offline_equilibrium` of every configuration of ``configs``,
     each from its guess (default (0, 1) for all), as one batch.
 
-    The Newton iterations run in lockstep rounds, each point with its own
-    steps, halvings and stop, so each point's position and residual equal
-    its own solve bit for bit.  Points whose Newton iteration fails to
-    converge are seeded one at a time by :func:`locate_offline_equilibria`
-    from their guesses and solved again, as a second batch.  A point that
-    fails gets its ErestabError in its place; the other points are not
-    affected.  A number of guesses other than one per configuration, and a
-    guess that is not a finite pair or lies on the primaries' line, raise
-    DomainError before any work.
+    The Newton iterations run in two loops: each Newton step gives every
+    point still iterating its step, and the points whose trial does not
+    lower their residual halve it while the others wait.  So each point's
+    position and residual equal its own solve bit for bit.  Points whose
+    Newton iteration fails to converge are seeded one at a time by
+    :func:`locate_offline_equilibria` from their guesses and solved again,
+    as a second batch.  A point that fails gets its ErestabError in its
+    place; the other points are not affected.  A number of guesses other
+    than one per configuration, and a guess that is not a finite pair or
+    lies on the primaries' line, raise DomainError before any work.
     """
     if guesses is None:
         guesses = [MASSLESS_SEED] * len(configs)

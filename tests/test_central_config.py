@@ -166,6 +166,16 @@ class TestMoulton:
         with pytest.raises(DomainError):
             moulton_collinear(MassSystem((0.5, 0.5)), ordering=(0, 0))
 
+    def test_non_integer_ordering_rejected(self):
+        # floats equal to a permutation are no permutation; numpy integers are
+        ms = MassSystem((0.2, 0.3, 0.5))
+        with pytest.raises(DomainError, match="ordering must be a permutation of 0..2"):
+            moulton_collinear(ms, (0.0, 1.0, 2.0))
+        expected = moulton_collinear(ms, (2, 1, 0)).primary_positions
+        assert moulton_collinear(ms, np.array([2, 1, 0])).primary_positions.tobytes() == (
+            expected.tobytes()
+        )
+
 
 class TestRestrictedPosition:
     def test_symmetric_site_matches_y_equation(self):
@@ -521,6 +531,28 @@ class TestDampedNewton:
         assert [o[0].tolist() for o in (out[0], out[2])] == [[1.0], [1.0]]
         assert isinstance(out[1], SingularityError)
         assert str(out[1]) == "massless body hit a primary"
+
+    def test_tol_reached_on_the_last_step_converges(self):
+        # Each step halves the residual, which drops below tol on the
+        # MAX_ITER-th step: done, not capped.
+        def residual(x):
+            return x, (), np.zeros(len(x), dtype=bool)
+
+        ((x, res, _),) = _damped_newton(residual, lambda x, res, extra: -0.5 * res,
+                                        np.ones((1, 1)), (), 1.5 * 2.0 ** -MAX_ITER, "toy")
+        assert x.tolist() == res.tolist() == [2.0 ** -MAX_ITER]
+
+    def test_nan_residual_stalls_that_point_only(self):
+        # NaN < norm is never true, so the NaN point halves 30 times and is
+        # reported, not dropped.
+        def residual(x):
+            return x - 1.0, (), np.zeros(len(x), dtype=bool)
+
+        out = _damped_newton(residual, lambda x, res, extra: -res,
+                             np.array([[0.0], [np.nan], [3.0]]), (), 1e-12, "toy")
+        assert [o[0].tolist() for o in (out[0], out[2])] == [[1.0], [1.0]]
+        assert isinstance(out[1], ConvergenceError)
+        assert str(out[1]) == "toy stalled (30 halvings without progress) (last residual nan)"
 
 
 class TestSymmetricY:
