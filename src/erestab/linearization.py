@@ -44,7 +44,8 @@ class DMatrix:
     """Symmetric 2x2 stability matrix with its trace excess.
 
     beta20 measures the trace excess over 3, trace(D) = 3 + beta20, which
-    is checked at construction.  For collinear primaries beta20 vanishes
+    is checked at construction, as are the symmetry of D and that its
+    entries and beta20 are finite.  For collinear primaries beta20 vanishes
     identically.
     """
 
@@ -53,10 +54,12 @@ class DMatrix:
 
     def __post_init__(self):
         d = self.entries
+        if not (np.all(np.isfinite(d)) and math.isfinite(self.beta20)):
+            raise DomainError(f"D and beta20 must be finite, got {d.tolist()} and {self.beta20}")
         scale = max(1.0, float(np.max(np.abs(d))))
-        if abs(d[0, 1] - d[1, 0]) > 1e-13 * scale:
+        if not abs(d[0, 1] - d[1, 0]) <= 1e-13 * scale:
             raise InvariantViolation("D matrix is not symmetric")
-        if abs(np.trace(d) - (3.0 + self.beta20)) > TRACE_LAW_TOL * scale:
+        if not abs(np.trace(d) - (3.0 + self.beta20)) <= TRACE_LAW_TOL * scale:
             raise InvariantViolation("trace(D) != 3 + beta20")
 
     @property

@@ -15,6 +15,7 @@ point with its own steps and the bits of its own integration.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -152,51 +153,51 @@ def _dop853(fun, y0: np.ndarray, t_end: float, tol: float, args: tuple, coeffici
     point's by its own ``dot`` over a contiguous copy, a norm squared as the
     square of a square root), its step factors and clamps.  So every point's
     result is that of ``solve_ivp`` bit for bit on the same BLAS and numpy
-    build, whatever else the batch holds.  The stages are one contiguous
-    (13, n * points) array, copied afresh when a point leaves the batch:
-    products over a strided view of it change bits.  Points leave the batch
-    at one site, the top of a round: a point that would start a step at
+    build, whatever else the batch holds.  y keeps ``y0``'s shape and the
+    stages are one contiguous (13, *y.shape) array, read by BLAS through a
+    flat view and copied afresh when a point leaves: products over a strided
+    view change bits.  Points leave the batch at one site, the top of round
+    r, after r attempts each: a point that would start a step at
     t >= t_end is done, its end state in ``y``; a step below ten spacings of
     the floats at t fails its point with a ConvergenceError, where
     ``solve_ivp`` reports failure, and so does a step size that is not a
     number, on which ``solve_ivp`` would loop forever.
     """
-    shape, count = y0.shape[:-1], y0.shape[-1]
-    n = math.prod(shape)
+    n, count = math.prod(y0.shape[:-1]), y0.shape[-1]
     out: list = [None] * count
 
+    def rows(a):  # each point's entries, one contiguous row per point
+        return np.ascontiguousarray(a.reshape(n, -1).T)
+
     # the initial step of Hairer, Norsett & Wanner, sec. II.4, in RMS norms
-    y = np.array(y0, dtype=float).reshape(n, count)
-    f, f1 = np.empty_like(y), np.empty_like(y)
-    fun(coefficients(np.zeros((1, count)), *args)[0], y.reshape(y0.shape), f.reshape(y0.shape), *args)
+    y = np.array(y0, dtype=float)
+    k = np.empty((13, *y.shape))  # the stages, the first f at the step's start
+    f, f1 = k[0], k[1]
+    fun(coefficients(np.zeros((1, count)), *args)[0], y, f, *args)
     scale = tol + np.abs(y) * tol
-    d0 = [_rms(v) for v in (y / scale).T.copy()]
-    d1 = [_rms(v) for v in (f / scale).T.copy()]
+    d0 = [_rms(v) for v in rows(y / scale)]
+    d1 = [_rms(v) for v in rows(f / scale)]
     h0 = np.array([min(1e-6 if a < 1e-5 or b < 1e-5 else 0.01 * a / b, t_end)
                    for a, b in zip(d0, d1)])
-    fun(coefficients(h0[None], *args)[0], (y + h0 * f).reshape(y0.shape), f1.reshape(y0.shape), *args)
+    fun(coefficients(h0[None], *args)[0], y + h0 * f, f1, *args)
     # numpy's division, as solve_ivp's: h0 = 0 once f overflows
-    d2 = (np.array([_rms(v) for v in ((f1 - f) / scale).T.copy()]) / h0).tolist()
+    d2 = (np.array([_rms(v) for v in rows((f1 - f) / scale)]) / h0).tolist()
     h_abs = []
     for a, b, c in zip(h0.tolist(), d1, d2):
         h1 = max(1e-6, a * 1e-3) if b <= 1e-15 and c <= 1e-15 else (0.01 / max(b, c)) ** (1 / 8)
         h_abs.append(min(100 * a, h1, t_end))
 
-    # y and the stages hold entry i of point j at i * points + j
-    y = y.ravel()
-    k = np.empty((13, n * count))
-    k[0] = f.ravel()
     points = list(range(count))  # the points in the batch, in batch order
     size = None  # the batch size the views below are made for
     t, min_step, rejected = [0.0] * count, [0.0] * count, [False] * count
-    attempts, nsteps = [0] * count, [0] * count
+    nsteps = [0] * count
     fresh = [True] * count  # the point starts a new step this round
-    while True:
+    for attempts in itertools.count():  # every point in the batch made this many
         keep = []  # the points that stay in the batch
         for j in range(len(points)):
             if fresh[j]:
                 if not t[j] < t_end:
-                    out[points[j]] = (y[j::len(points)].copy(), 2 + 12 * attempts[j], nsteps[j])
+                    out[points[j]] = (y[..., j].flatten(), 2 + 12 * attempts, nsteps[j])
                     continue
                 min_step[j] = 10 * abs(math.nextafter(t[j], math.inf) - t[j])
                 if h_abs[j] < min_step[j]:
@@ -212,18 +213,14 @@ def _dop853(fun, y0: np.ndarray, t_end: float, tol: float, args: tuple, coeffici
         if not keep:
             return out
         if len(keep) < len(points):
-            points, t, min_step, h_abs, rejected, attempts, nsteps = (
-                [v[j] for j in keep]
-                for v in (points, t, min_step, h_abs, rejected, attempts, nsteps)
+            points, t, min_step, h_abs, rejected, nsteps = (
+                [v[j] for j in keep] for v in (points, t, min_step, h_abs, rejected, nsteps)
             )
-            y = y.reshape(n, -1).take(keep, axis=1).ravel()
-            k = k.reshape(13, n, -1).take(keep, axis=2).reshape(13, -1)
+            y, k = y.take(keep, axis=-1), k.take(keep, axis=-1)
             args = tuple(a.take(keep, axis=-1) for a in args)
         if size != len(points):
-            size = len(points)
-            state = (*shape, size)
-            sums = [(k[:s].T, _A[s, :s]) for s in range(1, 12)]
-            outs = [row.reshape(state) for row in k]
+            size, shape, outs, flat = len(points), y.shape, list(k), k.reshape(13, -1)
+            sums = [(flat[:s].T, _A[s, :s]) for s in range(1, 12)]
 
         t_new = [min(a + b, t_end) for a, b in zip(t, h_abs)]
         h = [a - b for a, b in zip(t_new, t)]
@@ -232,16 +229,14 @@ def _dop853(fun, y0: np.ndarray, t_end: float, tol: float, args: tuple, coeffici
         h_rep = np.concatenate((h_arr,) * n)
         c = coefficients(np.array(t) + np.multiply.outer(_C[1:], h_arr), *args)  # at t + c_s h
         for s, (before, a) in enumerate(sums, 1):
-            fun(c[s - 1], (y + before.dot(a) * h_rep).reshape(state), outs[s], *args)
-        y_new = y + h_rep * k[:12].T.dot(_B)
-        fun(c[10], y_new.reshape(state), outs[12], *args)  # at t + h, as stage 11: c_11 = 1
+            fun(c[s - 1], y + (before.dot(a) * h_rep).reshape(shape), outs[s], *args)
+        y_new = y + (h_rep * flat[:12].T.dot(_B)).reshape(shape)
+        fun(c[10], y_new, outs[12], *args)  # at t + h, as stage 11: c_11 = 1
         scale = tol + np.maximum(np.abs(y), np.abs(y_new)) * tol
-        # each point's scaled errors, contiguous for its own dot
-        errs5 = np.ascontiguousarray((k.T.dot(_E5) / scale).reshape(n, size).T)
-        errs3 = np.ascontiguousarray((k.T.dot(_E3) / scale).reshape(n, size).T)
+        errs5 = rows(flat.T.dot(_E5) / scale.ravel())
+        errs3 = rows(flat.T.dot(_E3) / scale.ravel())
         fresh = [False] * size
         for j in range(size):
-            attempts[j] += 1
             err5 = math.sqrt(errs5[j].dot(errs5[j])) ** 2
             err3 = math.sqrt(errs3[j].dot(errs3[j])) ** 2
             # step factors: safety 0.9, clamped to [0.2, 10], exponent -1/(7 + 1)
@@ -262,9 +257,8 @@ def _dop853(fun, y0: np.ndarray, t_end: float, tol: float, args: tuple, coeffici
             y = y_new
             k[0] = k[12]  # the last stage is f at the new point
         elif any(fresh):
-            moved = np.concatenate((fresh,) * n)
-            y = np.where(moved, y_new, y)
-            k[0] = np.where(moved, k[12], k[0])
+            y = np.where(fresh, y_new, y)
+            k[0] = np.where(fresh, k[12], k[0])
 
 
 # the rows of gamma (a, b, c, d = 0, 1, 2, 3) that make u = (b, -g1 d, a, b)
@@ -451,15 +445,19 @@ def kernel_dimension(m: Monodromy, omega: complex, circle_tol: float = DEFAULT_C
     The kernel is empty unless omega is within sqrt(circle_tol) of an
     eigenvalue, so the rank test only runs behind that gate; a bare
     singular-value threshold would report spurious kernels for strongly
-    non-normal matrices.  ``circle_tol`` must lie in (0, 1).
+    non-normal matrices.  ``circle_tol`` must lie in (0, 1) and ``omega``
+    must be finite.
     """
     check_circle_tol(circle_tol)
+    w = complex(omega)
+    if not (math.isfinite(w.real) and math.isfinite(w.imag)):
+        raise DomainError(f"omega must be finite, got {omega}")
     guard = math.sqrt(circle_tol)
     eigs = np.asarray(m.eigenvalues)
-    algebraic = int(np.count_nonzero(np.abs(eigs - complex(omega)) < guard))
+    algebraic = int(np.count_nonzero(np.abs(eigs - w) < guard))
     if algebraic == 0:
         return 0
-    return min(_geometric_multiplicity(m, complex(omega), guard), algebraic)
+    return min(_geometric_multiplicity(m, w, guard), algebraic)
 
 
 def circle_jump_sum(m: Monodromy, circle_tol: float) -> int | None:

@@ -38,8 +38,10 @@ def hn(n: int, x: float, u: float = 0.0) -> float:
     """
     if n < 1:
         raise DomainError("n must be >= 1")
-    if x < 0.0:
-        raise DomainError("x must be nonnegative")
+    if not 0.0 <= x < math.inf:
+        raise DomainError(f"x must be finite and nonnegative, got {x}")
+    if not math.isfinite(u):
+        raise DomainError(f"u must be finite, got {u}")
     terms = []
     for j in range(1, n + 1):
         c = math.cos(2.0 * math.pi * j / n + u)
@@ -100,8 +102,8 @@ def site_equation(sys: PolygonSystem, rho: float, theta: float) -> float:
     psi(rho) = m0 (1 - rho^3) + M (h_n(1/rho, theta) - h_n(1) rho^3);
     roots of psi are the equilibrium distances on the given semi-axis.
     """
-    if rho <= 0.0:
-        raise DomainError("rho must be positive")
+    if not 0.0 < rho < math.inf:
+        raise DomainError(f"rho must be positive and finite, got {rho}")
     r3 = rho**3
     return sys.m0 * (1.0 - r3) + sys.M * (hn(sys.n, 1.0 / rho, theta) - h1(sys.n) * r3)
 
@@ -132,7 +134,7 @@ class BangQuantities:
 
     def __post_init__(self):
         aligned = self.aligned_B
-        if abs(aligned.imag) > 1e-10 * max(1.0, abs(self.B)):
+        if not abs(aligned.imag) <= 1e-10 * max(1.0, abs(self.B)):
             raise InvariantViolation(
                 f"B is not real in the site-aligned frame: Im = {aligned.imag:.3e}"
             )
@@ -152,6 +154,8 @@ class BangQuantities:
 
 def bang_quantities(sys: PolygonSystem, rho: float, theta: float) -> BangQuantities:
     """Evaluate the lattice sums A, B, l2, l3 at w0 = rho * exp(i theta)."""
+    if not (math.isfinite(rho) and math.isfinite(theta)):
+        raise DomainError(f"rho and theta must be finite, got ({rho}, {theta})")
     w0 = rho * complex(math.cos(theta), math.sin(theta))
     diffs = w0 - sys.vertices()
     dist = np.abs(diffs)

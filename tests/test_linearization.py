@@ -49,6 +49,16 @@ class TestComputeD:
         with pytest.raises(DomainError):
             compute_D(cfg)
 
+    # a NaN makes every `abs(x) > tol` test false, so an unchecked NaN
+    # beta20 would skip the trace law
+    @pytest.mark.parametrize("entry, beta20", [
+        (0.0, math.nan), (0.0, math.inf), (math.nan, 0.0), (math.inf, 0.0), (-math.inf, 0.0)])
+    def test_non_finite_entries_or_beta20_are_domain_errors(self, entry, beta20):
+        entries = np.diag([2.0, 1.0])
+        entries[0, 1] = entries[1, 0] = entry
+        with pytest.raises(DomainError, match="^D and beta20 must be finite"):
+            DMatrix(entries, beta20=beta20)
+
 
 class TestStabilityParams:
     def test_spectral_params_identity_on_diagonal(self):

@@ -420,6 +420,14 @@ class TestClassification:
                 call()
 
 
+    @pytest.mark.parametrize("omega", [math.nan, math.inf, complex(0.0, math.nan)])
+    def test_non_finite_omega_is_domain_error(self, omega):
+        # unchecked, nan compares false with every guard and gives 0
+        m = integrate_fundamental(StabilityParams.from_beta_hls(0.5, 0.1), 1e-10)
+        with pytest.raises(DomainError, match="^omega must be finite, got "):
+            kernel_dimension(m, omega)
+
+
 class TestFrameConjugacy:
     def test_d_form_and_k_form_spectra_agree(self):
         rng = np.random.default_rng(77)

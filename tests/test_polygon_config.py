@@ -66,6 +66,16 @@ class TestLatticeMeans:
         with pytest.raises(SingularityError, match="j=5"):
             hn(5, 1.0, 0.0)
 
+    @pytest.mark.parametrize("x, u, message", [
+        (math.nan, 0.0, "^x must be finite and nonnegative, got nan$"),
+        (math.inf, 0.0, "^x must be finite and nonnegative, got inf$"),
+        (0.5, math.nan, "^u must be finite, got nan$"),
+        (0.5, -math.inf, "^u must be finite, got -inf$"),
+    ], ids=["x-nan", "x-inf", "u-nan", "u-minus-inf"])
+    def test_hn_non_finite_argument_is_domain_error(self, x, u, message):
+        with pytest.raises(DomainError, match=message):
+            hn(8, x, u)
+
 
 class TestPolygonSystem:
     def test_normalization(self):
@@ -123,6 +133,25 @@ class TestSites:
             assert b.l3 > 0.0
             assert 2.0 * b.A - b.omega_sq > 0.0
             assert b.lambda4 == pytest.approx(b.l3 / b.omega_sq, rel=1e-12)
+
+    @pytest.mark.parametrize("call, rho, theta, message", [
+        (site_equation, math.nan, 0.0, "^rho must be positive and finite, got nan$"),
+        (site_equation, math.inf, 0.0, "^rho must be positive and finite, got inf$"),
+        (site_equation, 1.2, math.nan, "^u must be finite, got nan$"),  # hn's u is theta
+        (bang_quantities, math.nan, 0.0, r"^rho and theta must be finite, got \(nan, 0\.0\)$"),
+        (bang_quantities, 1.2, math.nan, r"^rho and theta must be finite, got \(1\.2, nan\)$"),
+        (bang_quantities, math.inf, 0.0, r"^rho and theta must be finite, got \(inf, 0\.0\)$"),
+    ], ids=["psi-rho-nan", "psi-rho-inf", "psi-theta-nan", "bang-rho-nan", "bang-theta-nan",
+            "bang-rho-inf"])
+    def test_non_finite_site_is_domain_error(self, call, rho, theta, message):
+        with pytest.raises(DomainError, match=message):
+            call(PolygonSystem.from_mass_ratio(8, 100.0), rho, theta)
+
+    def test_nan_b_fails_the_alignment_check(self):
+        b = solve_site(PolygonSystem.from_mass_ratio(8, 100.0), Site.S1)
+        fields = {f: getattr(b, f) for f in ("rho", "theta", "omega_sq", "A", "l2", "l3")}
+        with pytest.raises(InvariantViolation, match="^B is not real in the site-aligned frame"):
+            erestab.polygon_config.BangQuantities(B=complex(math.nan, 0.0), **fields)
 
     def test_bang_alignment_and_l_identities(self):
         sys9 = PolygonSystem.from_mass_ratio(9, 200.0)
